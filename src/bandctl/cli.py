@@ -148,12 +148,13 @@ def cmd_solve(args) -> int:
     model = validate(load_config(args.config))
     if args.strategy == "auto":
         result = escalate(model, tol=args.tol)
+    elif args.strategy == "two":
+        result = optimize_type_two(model, optimize_type_one(model))
     else:
-        result = {"doshi": optimize_doshi, "one": optimize_type_one,
-                  "two": optimize_type_two}[args.strategy](model)
-        if result.report is None:
-            report = verify_strategy(model, result.surface, tol=args.tol)
-            result.verified, result.report = report.passed, report
+        result = {"doshi": optimize_doshi, "one": optimize_type_one}[args.strategy](model)
+    if result.report is None:
+        report = verify_strategy(model, result.surface, tol=args.tol)
+        result.verified, result.report = report.passed, report
     rep = _report_base(args, model, "solve")
     rep.update(
         strategy_kind=result.strategy_kind,
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--require-verified", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("evaluate", help="cost surface for given thresholds")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FixedPointNotContractive, OutOfBand, ValidationError
 from .model import ModelConfig
-from .passage import Omega2, integrate, integrate_rows
+from .passage import ExitContext, Omega2, integrate, integrate_rows
 from .scale import build_scale
 
 _MIN_GAP = 1e-9
@@ -83,9 +83,9 @@ class TypeOneAssembly:
         m = model
         y2, y1, b = band.y2, band.y1, m.b
         self.s1 = build_scale(m, 1)
-        self.s2 = build_scale(m, 2)
-        s1, s2 = self.s1, self.s2
-        self.om = Omega2(s1, s2, y2, b)
+        s1 = self.s1
+        self.exit2 = ExitContext(build_scale(m, 2), y2, b)
+        self.om = Omega2(s1, self.exit2)
         lam = m.lam
         self._mus = np.asarray(m.demand.rates, dtype=float)
         self._ws = np.asarray(m.demand.weights, dtype=float)
@@ -93,9 +93,6 @@ class TypeOneAssembly:
         self.Z1y1 = s1.Z(y1)
         self.W1y1 = s1.W(y1)
         self.Wbb1y1 = s1.Wbarbar(y1)
-        self.Z2band = s2.Z(b - y2)
-        self.Zb2band = s2.Zbar(b - y2)
-        self.Wb2band = s2.Wbar(b - y2)
 
         # shortage building blocks: P1 = int_0^{y1} W1(y1-z) * lam * ptail(z) dz
         p0, p1 = m.penalty.p0, m.penalty.p1
@@ -106,16 +103,10 @@ class TypeOneAssembly:
         # demand-transform constants for the phase-2 landing integrals
         self._cS = self._against_exp(self.S1xy, 0.0, y2)
         self._cZ = self._against_exp(s1.Z, 0.0, y2)
-        # _B2[k] = int_{y2}^b W2(b-z) exp(-mu_k z) dz
-        self._B2 = np.asarray(
-            integrate(lambda z: s2.W(b - z) * np.exp(-self._mus[:, None] * z), y2, b),
-            dtype=float,
-        )
 
         # scalars at y1 feeding the linear representations
-        up_y1 = self.om.up(y1)
-        self.up_y1 = float(up_y1)
-        self.down_y1 = float(s2.Z(y1 - y2) - up_y1 * self.Z2band)
+        self.up_y1 = float(self.exit2.up(y1))
+        self.down_y1 = float(self.exit2.down(y1))
         self.omZ_y1 = float(self.om.apply_Z1(np.asarray(y1)))
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
@@ -152,52 +143,7 @@ class TypeOneAssembly:
         )
         return np.asarray(out, dtype=float)
 
-    def _E2(self, x: np.ndarray) -> np.ndarray:
-        """int_{y2}^{x} W2(x-z) exp(-mu_k z) dz, shape (k,) + x.shape."""
-        y2 = self.band.y2
-        k = len(self._mus)
-        lo = np.broadcast_to(y2, (k,) + x.shape)
-        hi = np.broadcast_to(np.maximum(x, y2), (k,) + x.shape)
-        mus = self._mus.reshape((k,) + (1,) * (x.ndim + 1))
-        xx = x.reshape((1,) + x.shape + (1,))
-
-        def f(z):
-            return self.s2.W(xx - z) * np.exp(-mus * z)
-
-        return integrate_rows(f, lo, hi)
-
-    def _G(self, x: np.ndarray) -> np.ndarray:
-        """int_{y2}^b u2(y2,b,x,z) exp(-mu_k z) dz per demand component."""
-        up = self.om.up(x)
-        shape = (len(self._mus),) + (1,) * x.ndim
-        return self._B2.reshape(shape) * up[None, ...] - self._E2(x)
-
     # -- phase-2 primitives (domain [y2, b]) --------------------------------
-
-    def up2(self, x):
-        return self.om.up(np.asarray(x, dtype=float))
-
-    def down2(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.s2.Z(x - self.band.y2) - self.up2(x) * self.Z2band
-
-    def H2xy(self, x):
-        """Expected discounted holding until leaving (y2, b) at phase 2."""
-        m, s2 = self.model, self.s2
-        x = np.asarray(x, dtype=float)
-        y2, b = self.band.y2, m.b
-        up = self.up2(x)
-        down = self.down2(x)
-        h21 = (1.0 - down - up) / m.q
-        h22 = (
-            b * up
-            + y2 * down
-            + s2.Zbar(x - y2)
-            - s2.phi_prime0 * s2.Wbar(x - y2)
-            - up * (self.Zb2band - s2.phi_prime0 * self.Wb2band)
-        )
-        a2, c2 = m.h2.a, m.h2.c
-        return (a2 + c2 * s2.phi_prime0 / m.q) * h21 + (c2 / m.q) * (x - h22)
 
     def _A(self, x):
         m = self.model
@@ -205,25 +151,25 @@ class TypeOneAssembly:
         omZ = self.om.apply_Z1(x)
         omW = self.om.apply_Wbarbar1(x)
         return (
-            self.H2xy(x)
-            + (a1 / m.q) * (self.down2(x) - omZ / self.Z1y1)
+            self.exit2.holding(x, m.h2)
+            + (a1 / m.q) * (self.exit2.down(x) - omZ / self.Z1y1)
             + c1 * (omZ / self.Z1y1 * self.Wbb1y1 - omW)
         )
 
     def alpha2(self, x):
-        return self.up2(x) + self.om.apply_Z1(x) * self.up_y1 / self.denom
+        return self.exit2.up(x) + self.om.apply_Z1(x) * self.up_y1 / self.denom
 
     def beta2(self, x):
         return self._A(x) + self.om.apply_Z1(x) * self.A_y1 / self.denom
 
     def _mu_base(self, x):
-        G = self._G(np.asarray(x, dtype=float))
+        G = self.exit2.resolvent_transform(x)
         mus, ws = self._mus, self._ws
         coef = ws * (self.model.penalty.p0 + self.model.penalty.p1 / mus + self.S1xy0) + ws * mus * self._cS
         return self.model.lam * np.tensordot(coef, G, axes=(0, 0))
 
     def _gamma_base(self, x):
-        G = self._G(np.asarray(x, dtype=float))
+        G = self.exit2.resolvent_transform(x)
         coef = self._ws * (1.0 + self._mus * self._cZ)
         return self.model.lam / self.Z1y1 * np.tensordot(coef, G, axes=(0, 0))
 
@@ -233,19 +179,19 @@ class TypeOneAssembly:
 
     def gamma2(self, x):
         g = self._gamma_base(x)
-        return self.up2(x) + self.up_y1 * g / (1.0 - self._gamma_y1)
+        return self.exit2.up(x) + self.up_y1 * g / (1.0 - self._gamma_y1)
 
     def omega2w(self, x):
         k = self.model.switching
         omZ = self.om.apply_Z1(x)
         return (
-            k.k20 * self.up2(x)
-            + k.k21 * self.down2(x)
+            k.k20 * self.exit2.up(x)
+            + k.k21 * self.exit2.down(x)
             + omZ / self.Z1y1 * (k.k12 + self._k2num / (1.0 - self.r))
         )
 
     def delta2(self, x):
-        return self.up2(x) + self.om.apply_Z1(x) / self.Z1y1 * self.delta2_y1
+        return self.exit2.up(x) + self.om.apply_Z1(x) / self.Z1y1 * self.delta2_y1
 
     # -- phase-1 primitives (domain [0, y1]; constant below 0) ---------------
 
@@ -479,7 +425,8 @@ def holding_exit_two_sided(model: ModelConfig, band: BandOne, x):
     """H2-part only: discounted holding until leaving (y2, b) from phase 2."""
     if np.any(np.asarray(x) < band.y2 - 1e-12) or np.any(np.asarray(x) > model.b + 1e-12):
         raise OutOfBand(f"x outside [{band.y2}, {model.b}]")
-    return _assembly(model, band.check(model.b)).H2xy(x)
+    exit2 = ExitContext(build_scale(model, 2), band.check(model.b).y2, model.b)
+    return exit2.holding(x, model.h2)
 
 
 def holding_reflected(model: ModelConfig, band: BandOne, x):
@@ -494,18 +441,3 @@ def shortage_reflected(model: ModelConfig, band: BandOne, x):
     if np.any(np.asarray(x) < -1e-12) or np.any(np.asarray(x) > band.y1 + 1e-12):
         raise OutOfBand(f"x outside [0, {band.y1}]")
     return _assembly(model, band.check(model.b)).S1xy(x)
-
-
-def holding_assemble(model: ModelConfig, band: BandOne):
-    asm = _assembly(model, band.check(model.b))
-    return asm.calH1, asm.calH2, asm.H0
-
-
-def shortage_assemble(model: ModelConfig, band: BandOne):
-    asm = _assembly(model, band.check(model.b))
-    return asm.calS1, asm.calS2, asm.S0
-
-
-def switching_assemble(model: ModelConfig, band: BandOne):
-    asm = _assembly(model, band.check(model.b))
-    return asm.calK1, asm.calK2, asm.K0

@@ -22,7 +22,8 @@ from .cost_one import (
 )
 from .errors import OutOfBand
 from .model import ModelConfig
-from .passage import integrate, integrate_rows
+from .passage import ExitContext
+from .scale import build_scale
 
 
 class TypeTwoOverlay:
@@ -34,101 +35,50 @@ class TypeTwoOverlay:
         self.band = band
         self.asm: TypeOneAssembly = _assembly(model, band.lower())
         asm = self.asm
-        s1 = asm.s1
         y1, y4, b = band.y1, band.y4, model.b
         self._mus = asm._mus
         self._ws = asm._ws
         k = model.switching
+        self.exit1 = ExitContext(asm.s1, y4, b)
 
-        self.W1band = s1.W(b - y4)
-        self.Z1band4 = s1.Z(b - y4)
-        self.Zb1band4 = s1.Zbar(b - y4)
-        self.Wb1band4 = s1.Wbar(b - y4)
-
-        mus_col = self._mus[:, None]
-        self._B1 = np.asarray(
-            integrate(lambda y: s1.W(b - y) * np.exp(-mus_col * y), y4, b), dtype=float
-        )
         # landing transforms against the demand density, one scalar per component
-        self._AH = self._landing(asm.calH2, y1, y4) + self._landing(asm.calH1, 0.0, y1)
-        self._AS = self._landing(asm.calS2, y1, y4) + self._landing(asm.calS1, 0.0, y1)
-        self._AK = self._landing(lambda u: k.k12 + asm.calK2(u), y1, y4) + self._landing(
-            asm.calK1, 0.0, y1
-        )
+        land = asm._against_exp
+        self._AH = land(asm.calH2, y1, y4) + land(asm.calH1, 0.0, y1)
+        self._AS = land(asm.calS2, y1, y4) + land(asm.calS1, 0.0, y1)
+        self._AK = land(lambda u: k.k12 + asm.calK2(u), y1, y4) + land(asm.calK1, 0.0, y1)
         zero = np.asarray([0.0])
         self._H1_0 = float(asm.calH1(zero)[0])
         self._S1_0 = float(asm.calS1(zero)[0])
         self._K1_0 = float(asm.calK1(zero)[0])
 
-    def _landing(self, fn, lo: float, hi: float) -> np.ndarray:
-        """int_lo^hi fn(u) exp(mu_k u) du per demand component."""
-        if hi <= lo:
-            return np.zeros(len(self._mus))
-        out = integrate(lambda u: fn(u)[None, :] * np.exp(self._mus[:, None] * u), lo, hi)
-        return np.asarray(out, dtype=float)
-
     # -- upper-region primitives (domain [y4, b]) ----------------------------
-
-    def up1(self, x):
-        return self.asm.s1.W(np.asarray(x, dtype=float) - self.band.y4) / self.W1band
-
-    def H1xy4(self, x):
-        """Discounted holding at phase 1 until leaving (y4, b)."""
-        m = self.model
-        s1 = self.asm.s1
-        x = np.asarray(x, dtype=float)
-        y4, b = self.band.y4, m.b
-        up = self.up1(x)
-        down = s1.Z(x - y4) - up * self.Z1band4
-        h11 = (1.0 - down - up) / m.q
-        h12 = (
-            b * up
-            + y4 * down
-            + s1.Zbar(x - y4)
-            - s1.phi_prime0 * s1.Wbar(x - y4)
-            - up * (self.Zb1band4 - s1.phi_prime0 * self.Wb1band4)
-        )
-        a1, c1 = m.h1.a, m.h1.c
-        return (a1 + c1 * s1.phi_prime0 / m.q) * h11 + (c1 / m.q) * (x - h12)
-
-    def _G1(self, x: np.ndarray) -> np.ndarray:
-        """int_{y4}^b u1(y4,b,x,y) exp(-mu_k y) dy per demand component."""
-        s1 = self.asm.s1
-        y4 = self.band.y4
-        kk = len(self._mus)
-        lo = np.broadcast_to(y4, (kk,) + x.shape)
-        hi = np.broadcast_to(np.maximum(x, y4), (kk,) + x.shape)
-        mus = self._mus.reshape((kk,) + (1,) * (x.ndim + 1))
-        xx = x.reshape((1,) + x.shape + (1,))
-        E1 = integrate_rows(lambda y: s1.W(xx - y) * np.exp(-mus * y), lo, hi)
-        shape = (kk,) + (1,) * x.ndim
-        return self._B1.reshape(shape) * self.up1(x)[None, ...] - E1
 
     def _carry(self, x, A: np.ndarray, tail0: float, extra: np.ndarray | None = None):
         """lam * sum_k G1_k(x) * (w_k mu_k A_k + w_k tail0 [+ w_k extra_k])."""
         coef = self._ws * self._mus * A + self._ws * tail0
         if extra is not None:
             coef = coef + self._ws * extra
-        G = self._G1(np.asarray(x, dtype=float))
+        G = self.exit1.resolvent_transform(x)
         return self.model.lam * np.tensordot(coef, G, axes=(0, 0))
 
     def Hbar(self, x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.H1xy4(x1) + self.up1(x1) * self.asm.H0 + self._carry(x1, self._AH, self._H1_0)
+        hold = self.exit1.holding(x1, self.model.h1)
+        out = hold + self.exit1.up(x1) * self.asm.H0 + self._carry(x1, self._AH, self._H1_0)
         return out if np.asarray(x).ndim else float(out[0])
 
     def Sbar(self, x):
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         m = self.model
         ptail_coef = m.penalty.p0 + m.penalty.p1 / self._mus
-        out = self.up1(x1) * self.asm.S0 + self._carry(x1, self._AS, self._S1_0, extra=ptail_coef)
+        out = self.exit1.up(x1) * self.asm.S0 + self._carry(x1, self._AS, self._S1_0, extra=ptail_coef)
         return out if np.asarray(x).ndim else float(out[0])
 
     def Kbar(self, x):
         """Includes the K10 charge at the capacity switch-off."""
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         k10 = self.model.switching.k10
-        out = self.up1(x1) * (k10 + self.asm.K0) + self._carry(x1, self._AK, self._K1_0)
+        out = self.exit1.up(x1) * (k10 + self.asm.K0) + self._carry(x1, self._AK, self._K1_0)
         return out if np.asarray(x).ndim else float(out[0])
 
 
@@ -141,7 +91,8 @@ def holding_exit_phase1(model: ModelConfig, band: BandTwo, x):
     """Discounted holding at phase 1 until leaving (y4, b)."""
     if np.any(np.asarray(x) < band.y4 - 1e-12) or np.any(np.asarray(x) > model.b + 1e-12):
         raise OutOfBand(f"x outside [{band.y4}, {model.b}]")
-    return _overlay(model, band.check(model.b)).H1xy4(x)
+    exit1 = ExitContext(build_scale(model, 1), band.check(model.b).y4, model.b)
+    return exit1.holding(x, model.h1)
 
 
 def upper_phase1_costs(model: ModelConfig, band: BandTwo, type_one_surface: CostSurface, x):

@@ -134,12 +134,13 @@ def _golden_section(f, lo: float, hi: float, xatol: float = 1e-4):
     return x, f(x)
 
 
-def optimize_type_two(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult:
-    """Type-two policy: (y2, y3, y1) from the type-one stage (V0 is invariant
-    in y4), then y4 chosen to minimize the worst phase-1 value on a 20-point
-    probe grid in (y1, b); verification arbitrates, with a margin-maximizing
-    scan as fallback."""
-    base = optimize_type_one(model)
+def optimize_type_two(
+    model: ModelConfig, base: OptimizationResult, tol: float = DEFAULT_TOL
+) -> OptimizationResult:
+    """Type-two policy: (y2, y3, y1) from the type-one result base (V0 is
+    invariant in y4), then y4 chosen to minimize the worst phase-1 value on a
+    20-point probe grid in (y1, b); verification arbitrates, with a
+    margin-maximizing scan as fallback."""
     y2, y3, y1 = base.band.y2, base.band.y3, base.band.y1
     b = model.b
     lo = y1 + max(1e-3, 0.01 * (b - y1))
@@ -192,4 +193,4 @@ def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult
     if report.passed:
         return result
 
-    return optimize_type_two(model, tol=tol)
+    return optimize_type_two(model, result, tol=tol)

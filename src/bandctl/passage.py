@@ -9,12 +9,12 @@ resolvent density, where W jumps at the origin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OutOfBand, QuadratureNotConverged
+from .model import HoldingCost
 from .scale import ScaleSet
 
 GL_START = 16
@@ -66,8 +66,11 @@ def integrate_rows(f, lo, hi, rel_tol: float = GL_REL_TOL, max_nodes: int = GL_M
     """Row-wise integrals int_{lo_i}^{hi_i} f(z) dz with shared relative nodes.
 
     lo/hi broadcast against each other; f maps a node array of shape
-    (rows..., m) to values of the same shape.  Rows with hi <= lo give 0.
-    Integrands must be smooth inside each (lo_i, hi_i).
+    (rows..., m) to values of shape (lead..., rows..., m), where the leading
+    axes (for example one per demand component) may be empty; the result has
+    shape (lead..., rows...).  Rows with hi <= lo give 0; when every row is
+    empty, f is not called and the result has shape (rows...).  Integrands
+    must be smooth inside each (lo_i, hi_i).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -91,17 +94,31 @@ def integrate_rows(f, lo, hi, rel_tol: float = GL_REL_TOL, max_nodes: int = GL_M
     raise QuadratureNotConverged("row-wise quadrature did not converge")
 
 
-@dataclass(frozen=True)
 class ExitContext:
-    """A phase's scale set together with a band [a, d] of the inventory."""
+    """A phase's process killed on leaving the band (a, d).
 
-    scale: ScaleSet
-    a: float
-    d: float
+    The one implementation of the two-sided exit quantities: the kernel
+    values at the span d - a are computed once, here, and up, down, the
+    holding cost until exit and the killed-resolvent transform are built
+    from them.
+    """
 
-    def __post_init__(self):
-        if not self.a < self.d:
-            raise OutOfBand(f"need a < d, got [{self.a}, {self.d}]")
+    def __init__(self, scale: ScaleSet, a: float, d: float):
+        if not a < d:
+            raise OutOfBand(f"need a < d, got [{a}, {d}]")
+        self.scale = scale
+        self.a = a
+        self.d = d
+        self.W_span = scale.W(d - a)
+        self.Z_span = scale.Z(d - a)
+        self.Zbar_span = scale.Zbar(d - a)
+        self.Wbar_span = scale.Wbar(d - a)
+        self._mus = np.asarray(scale.demand.rates, dtype=float)
+        # _B[k] = int_a^d W(d-z) exp(-mu_k z) dz
+        self._B = np.asarray(
+            integrate(lambda z: scale.W(d - z) * np.exp(-self._mus[:, None] * z), a, d),
+            dtype=float,
+        )
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -109,20 +126,60 @@ class ExitContext:
             raise OutOfBand(f"x outside [{self.a}, {self.d}]")
         return x
 
+    def up(self, x):
+        """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""
+        return self.scale.W(np.asarray(x, dtype=float) - self.a) / self.W_span
+
+    def down(self, x):
+        """E_x[e^{-q tau_a^-}; down before up] = Z(x-a) - up(x) Z(d-a)."""
+        x = np.asarray(x, dtype=float)
+        return self.scale.Z(x - self.a) - self.up(x) * self.Z_span
+
+    def holding(self, x, cost: HoldingCost):
+        """Expected discounted holding at rate cost.a + cost.c * X until exit."""
+        s = self.scale
+        x = np.asarray(x, dtype=float)
+        up = self.up(x)
+        down = self.down(x)
+        time_part = (1.0 - down - up) / s.q
+        level_part = (
+            self.d * up
+            + self.a * down
+            + s.Zbar(x - self.a)
+            - s.phi_prime0 * s.Wbar(x - self.a)
+            - up * (self.Zbar_span - s.phi_prime0 * self.Wbar_span)
+        )
+        a, c = cost.a, cost.c
+        return (a + c * s.phi_prime0 / s.q) * time_part + (c / s.q) * (x - level_part)
+
+    def resolvent_transform(self, x) -> np.ndarray:
+        """int_a^d u(x, z) exp(-mu_k z) dz per demand component, shape (k,) + x.shape.
+
+        u is the killed-resolvent density (potential_density); the integral
+        is _B[k] up(x) minus int_a^x W(x-z) exp(-mu_k z) dz.  x must be an
+        array of at least one dimension.
+        """
+        x = np.asarray(x, dtype=float)
+        k = len(self._mus)
+        lo = np.broadcast_to(self.a, (k,) + x.shape)
+        hi = np.broadcast_to(np.maximum(x, self.a), (k,) + x.shape)
+        mus = self._mus.reshape((k,) + (1,) * (x.ndim + 1))
+        xx = x.reshape((1,) + x.shape + (1,))
+        below = integrate_rows(lambda z: self.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
+        shape = (k,) + (1,) * x.ndim
+        return self._B.reshape(shape) * self.up(x)[None, ...] - below
+
 
 def up_crossing_factor(ctx: ExitContext, x):
     """Discounted chance of reaching d before falling below a: W(x-a)/W(d-a)."""
-    x = ctx._check_x(x)
-    s = ctx.scale
-    return _as_out(s.W(x - ctx.a) / s.W(ctx.d - ctx.a))
+    return _as_out(ctx.up(ctx._check_x(x)))
 
 
 def exit_down(ctx: ExitContext, x, theta: float = 0.0):
     """E_x[e^{-q tau_a^-} e^{theta (X - a)}; down before up] after shifting a to 0."""
     x = ctx._check_x(x)
     s = ctx.scale
-    w = s.W(x - ctx.a) / s.W(ctx.d - ctx.a)
-    return _as_out(s.Z_theta(x - ctx.a, theta) - w * s.Z_theta(ctx.d - ctx.a, theta))
+    return _as_out(s.Z_theta(x - ctx.a, theta) - ctx.up(x) * s.Z_theta(ctx.d - ctx.a, theta))
 
 
 def potential_density(ctx: ExitContext, x, y):
@@ -132,7 +189,7 @@ def potential_density(ctx: ExitContext, x, y):
     if np.any(y <= ctx.a) or np.any(y >= ctx.d):
         raise OutOfBand(f"y must lie strictly inside ({ctx.a}, {ctx.d})")
     s = ctx.scale
-    return _as_out(s.W(x - ctx.a) * s.W(ctx.d - y) / s.W(ctx.d - ctx.a) - s.W(x - y))
+    return _as_out(s.W(x - ctx.a) * s.W(ctx.d - y) / ctx.W_span - s.W(x - y))
 
 
 def reflected_up_factor(scale: ScaleSet, x, y1: float):
@@ -167,14 +224,13 @@ class Omega2:
     module quadrature policy; the piece constant in x is cached per band.
     """
 
-    def __init__(self, scale1: ScaleSet, scale2: ScaleSet, y2: float, b: float):
-        if not 0 <= y2 < b:
+    def __init__(self, scale1: ScaleSet, exit2: ExitContext):
+        y2, b = exit2.a, exit2.d
+        if y2 < 0:
             raise OutOfBand(f"need 0 <= y2 < b, got y2={y2}, b={b}")
+        scale2 = exit2.scale
         self.s1 = scale1
-        self.s2 = scale2
-        self.y2 = y2
-        self.b = b
-        self.w2_band = scale2.W(b - y2)
+        self.exit2 = exit2
         self.dsig = scale2.sigma - scale1.sigma
         # constants: int_{y2}^b (G2-q)g(z) W2(b-z) dz for both payoffs
         self._const_z = integrate(
@@ -184,30 +240,33 @@ class Omega2:
             lambda z: (z + self.dsig * scale1.Wbar(z)) * scale2.W(b - z), y2, b
         )
 
-    def up(self, x):
-        return self.s2.W(np.asarray(x, dtype=float) - self.y2) / self.w2_band
-
     def _tail(self, x, kind: str):
         """int_{y2}^x (G2-q)g(z) W2(x-z) dz, the x-dependent integral piece."""
         x = np.asarray(x, dtype=float)
+        s2 = self.exit2.scale
         if kind == "Z1":
-            f = lambda z: self.dsig * self.s1.q * self.s1.W(z) * self.s2.W(x[..., None] - z)
+            f = lambda z: self.dsig * self.s1.q * self.s1.W(z) * s2.W(x[..., None] - z)
         else:
-            f = lambda z: (z + self.dsig * self.s1.Wbar(z)) * self.s2.W(x[..., None] - z)
-        return integrate_rows(f, np.full_like(x, self.y2), x)
+            f = lambda z: (z + self.dsig * self.s1.Wbar(z)) * s2.W(x[..., None] - z)
+        return integrate_rows(f, np.full_like(x, self.exit2.a), x)
 
     def apply_Z1(self, x):
         x = np.asarray(x, dtype=float)
-        up = self.up(x)
-        out = self.s1.Z(x) - up * self.s1.Z(self.b) + up * self._const_z - self._tail(x, "Z1")
+        up = self.exit2.up(x)
+        out = (
+            self.s1.Z(x)
+            - up * self.s1.Z(self.exit2.d)
+            + up * self._const_z
+            - self._tail(x, "Z1")
+        )
         return _as_out(out)
 
     def apply_Wbarbar1(self, x):
         x = np.asarray(x, dtype=float)
-        up = self.up(x)
+        up = self.exit2.up(x)
         out = (
             self.s1.Wbarbar(x)
-            - up * self.s1.Wbarbar(self.b)
+            - up * self.s1.Wbarbar(self.exit2.d)
             + up * self._const_w
             - self._tail(x, "W")
         )
@@ -217,7 +276,7 @@ class Omega2:
 def omega2(ctx: ExitContext, scale1: ScaleSet, g_id: str, x):
     """Spec-level entry point for the transfer map; g_id in {"Z1", "Wbarbar1"}."""
     x = ctx._check_x(x)
-    op = Omega2(scale1, ctx.scale, ctx.a, ctx.d)
+    op = Omega2(scale1, ctx)
     if g_id == "Z1":
         return op.apply_Z1(x)
     if g_id == "Wbarbar1":

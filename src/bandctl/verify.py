@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_one import CostSurface
-from .errors import QuadratureNotConverged
 from .model import ModelConfig
-from .passage import GL_MAX, GL_REL_TOL, _gl_nodes
+from .passage import integrate_rows
 
 DEFAULT_TOL = 5e-4
 _FD_STEP = 1e-5
@@ -39,23 +38,11 @@ def _segment_transforms(w, cuts: np.ndarray, mus: np.ndarray) -> np.ndarray:
     Shares the w evaluations across demand components; node-doubling per the
     shared quadrature policy.
     """
-    lo, hi = cuts[:-1], cuts[1:]
-    span = hi - lo
-    prev = None
-    n = 16
-    while n <= GL_MAX:
-        t, gw = _gl_nodes(n)
-        u = lo[:, None] + span[:, None] * t        # (nseg, n)
-        wv = w(u.reshape(-1)).reshape(u.shape)
-        vals = wv[None, :, :] * np.exp(mus[:, None, None] * u[None, :, :])
-        out = span * (vals @ gw)                   # (k, nseg)
-        if prev is not None:
-            err = np.max(np.abs(out - prev))
-            if err <= GL_REL_TOL * (1.0 + np.max(np.abs(out))):
-                return out
-        prev = out
-        n *= 2
-    raise QuadratureNotConverged("segment transforms did not converge")
+
+    def f(u):
+        return w(u.reshape(-1)).reshape(u.shape) * np.exp(mus[:, None, None] * u)
+
+    return integrate_rows(f, cuts[:-1], cuts[1:])
 
 
 def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.ndarray:

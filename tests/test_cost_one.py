@@ -6,12 +6,9 @@ import pytest
 from bandctl import BandOne, SimStrategy, estimate_cost, total_cost, upper_cost_bound
 from bandctl.cost_one import (
     TypeOneAssembly,
-    holding_assemble,
     holding_exit_two_sided,
     holding_reflected,
-    shortage_assemble,
     shortage_reflected,
-    switching_assemble,
 )
 from bandctl.errors import OutOfBand, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
@@ -102,7 +99,8 @@ def test_shortage_reflected_against_mc():
 def test_constant_cost_closure_analytic():
     cbar = 1.0
     m = flat_model(cbar)
-    h1, h2, h0 = holding_assemble(m, EX1_BAND)
+    asm = TypeOneAssembly(m, EX1_BAND)
+    h1, h2, h0 = asm.calH1, asm.calH2, asm.H0
     xs = np.linspace(0.0, m.b - 1e-6, 50)
     assert h0 == pytest.approx(cbar / m.q, abs=1e-10)
     assert h1(np.linspace(0, EX1_BAND.y1, 30)) == pytest.approx(
@@ -131,7 +129,8 @@ def test_level_b_continuity():
 
 def test_shortage_zero_penalty_assembly():
     nop = ModelConfig(**{**make_ex1().__dict__, "penalty": PenaltyCost(0.0, 0.0)})
-    s1, s2, s0 = shortage_assemble(nop, EX1_BAND)
+    asm = TypeOneAssembly(nop, EX1_BAND)
+    s1, s2, s0 = asm.calS1, asm.calS2, asm.S0
     assert s0 == pytest.approx(0.0, abs=1e-14)
     assert s1(np.linspace(0, 5, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
     assert s2(np.linspace(2, 9, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
@@ -140,14 +139,16 @@ def test_shortage_zero_penalty_assembly():
 def test_switching_zero_costs_assembly():
     free = ModelConfig(**{**make_ex1().__dict__,
                           "switching": SwitchMatrix(0, 0, 0, 0, 0, 0)})
-    k1, k2, k0 = switching_assemble(free, EX1_BAND)
+    asm = TypeOneAssembly(free, EX1_BAND)
+    k1, k0 = asm.calK1, asm.K0
     assert k0 == pytest.approx(0.0, abs=1e-14)
     assert k1(np.linspace(0, 5, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
 
 
 def test_switching_identity_at_y1():
     m = make_ex1()
-    k1, k2, _ = switching_assemble(m, EX1_BAND)
+    asm = TypeOneAssembly(m, EX1_BAND)
+    k1, k2 = asm.calK1, asm.calK2
     y1 = np.asarray([EX1_BAND.y1])
     assert float(k1(y1)[0]) == pytest.approx(
         m.switching.k12 + float(k2(y1)[0]), abs=1e-10

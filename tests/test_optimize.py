@@ -69,7 +69,7 @@ def test_no_feasible_point():
 
 
 def test_type_two_y4_verified_and_invariant(ex3):
-    res = optimize_type_two(ex3)
+    res = optimize_type_two(ex3, optimize_type_one(ex3))
     assert res.verified, res.report.summary()
     assert res.band.y1 < res.band.y4 < ex3.b
     # the objective never depended on y4

@@ -3,7 +3,7 @@ import pytest
 
 from bandctl import build_scale, estimate_occupation
 from bandctl.errors import OutOfBand
-from bandctl.model import ModelConfig
+from bandctl.model import DemandLaw, ModelConfig, validate
 from bandctl.passage import (
     ExitContext,
     Omega2,
@@ -15,7 +15,7 @@ from bandctl.passage import (
     reflected_up_factor,
     up_crossing_factor,
 )
-from ._oracles import mc_reflected, mc_two_sided
+from ._oracles import mc_reflected, mc_two_sided, simpson_adaptive
 from .conftest import make_ex1, make_ex3
 
 
@@ -103,6 +103,31 @@ def test_occupation_histogram_matches_density(ex3_ctx):
     assert abs(occ.total - expected) < 3 * occ.total_std_error
 
 
+def make_ex1_hyper() -> ModelConfig:
+    """Example one with three-component hyper-exponential demand."""
+    demand = DemandLaw.hyperexponential([0.3, 0.4, 0.3], [0.8, 1.5, 4.0])
+    return validate(ModelConfig(**{**make_ex1().__dict__, "demand": demand}))
+
+
+@pytest.mark.parametrize("make, a", [(make_ex3, 2.468), (make_ex1_hyper, 1.0)],
+                         ids=["ex3", "ex1-hyper"])
+def test_resolvent_transform_against_simpson(make, a):
+    # int_a^d u(x, z) exp(-mu_k z) dz by adaptive Simpson on the density,
+    # split at its jump z = x, for every demand component k; the Simpson
+    # oracle stops at about 1e-11 absolute error, hence the abs tolerance
+    m = make()
+    ctx = ExitContext(build_scale(m, 2), a=a, d=m.b)
+    xs = np.array([a, 0.5 * (a + m.b), m.b - 0.5])
+    got = ctx.resolvent_transform(xs)
+    assert got.shape == (len(m.demand.rates), len(xs))
+    eps = 1e-12
+    for k, mu in enumerate(m.demand.rates):
+        for i, x in enumerate(xs):
+            f = lambda z: potential_density(ctx, x, z) * np.exp(-mu * z)
+            ref = simpson_adaptive(f, a + eps, x) + simpson_adaptive(f, x + eps, ctx.d - eps)
+            assert got[k, i] == pytest.approx(ref, rel=1e-8, abs=1e-10), (k, x)
+
+
 def test_reflected_factors_basic():
     m = make_ex1()
     s1 = build_scale(m, 1)
@@ -141,9 +166,10 @@ def test_omega2_equal_rates_drops_correction():
     hypo = ModelConfig(**{**m.__dict__, "sigma1": 2.0, "sigma2": 2.0})
     s1 = build_scale(hypo, 1)
     s2 = build_scale(hypo, 2)
-    op = Omega2(s1, s2, y2=1.0, b=hypo.b)
+    ctx = ExitContext(s2, a=1.0, d=hypo.b)
+    op = Omega2(s1, ctx)
     xs = np.linspace(1.0, hypo.b, 9)
-    reduced = s1.Z(xs) - op.up(xs) * s1.Z(hypo.b)
+    reduced = s1.Z(xs) - ctx.up(xs) * s1.Z(hypo.b)
     assert op.apply_Z1(xs) == pytest.approx(reduced, abs=1e-12)
 
 
