@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
     if args.strategy == "auto":
         result = escalate(model, tol=args.tol)
     elif args.strategy == "two":
-        result = optimize_type_two(model, optimize_type_one(model))
+        result = optimize_type_two(model, optimize_type_one(model), tol=args.tol)
     else:
         result = {"doshi": optimize_doshi, "one": optimize_type_one}[args.strategy](model)
     if result.report is None:

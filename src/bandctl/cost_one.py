@@ -6,8 +6,11 @@ iff the landing point is at or below y3.  The two-threshold policy is the
 special case y3 = y2.
 
 Each of the three cost kinds decomposes as  value(x) = base(x) + slope(x) *
-level_b_value,  with the level-b scalar solved from a one-dimensional linear
-fixed point assembled by quadrature over the demand density.
+level_b_value.  A phase's six slope/base coefficients (alpha, beta for
+holding, gamma, mu for shortage, delta, omega for switching) are one stack,
+built from one evaluation of the exit and transfer-map quantities at x.  The
+level-b scalars solve one-dimensional linear fixed points assembled by
+quadrature of the stacks over the demand density.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class TypeOneAssembly:
         # demand-transform constants for the phase-2 landing integrals
         self._cS = self._against_exp(self.S1xy, 0.0, y2)
         self._cZ = self._against_exp(s1.Z, 0.0, y2)
+        mus, ws = self._mus, self._ws
+        self._coef_S = ws * (p0 + p1 / mus + self.S1xy0) + ws * mus * self._cS
+        self._coef_Z = ws * (1.0 + mus * self._cZ)
 
         # scalars at y1 feeding the linear representations
         self.up_y1 = float(self.exit2.up(y1))
@@ -112,10 +118,9 @@ class TypeOneAssembly:
         self.denom = self.Z1y1 - self.omZ_y1
         if not (0 <= self.r < 1):
             raise FixedPointNotContractive(f"phase-2 return factor r={self.r} outside [0,1)")
-        self.A_y1 = float(self._A(np.asarray([y1]))[0])
-
-        g_y1 = float(self._gamma_base(np.asarray([y1]))[0])
-        mu_y1 = float(self._mu_base(np.asarray([y1]))[0])
+        _, _, _, A_y1, mu_y1, g_y1 = self._phase2_bases(np.asarray([y1]))
+        self.A_y1 = float(A_y1[0])
+        g_y1, mu_y1 = float(g_y1[0]), float(mu_y1[0])
         if not (0 <= g_y1 < 1):
             raise FixedPointNotContractive(f"shortage renewal factor {g_y1} outside [0,1)")
         self._gamma_y1 = g_y1
@@ -125,8 +130,8 @@ class TypeOneAssembly:
         self.mu2_y1 = mu_y1 / (1.0 - g_y1)
         self.gamma2_y1 = self.up_y1 / (1.0 - g_y1)
         k = m.switching
-        self._k2num = k.k20 * self.up_y1 + k.k12 * self.r + k.k21 * self.down_y1
-        self.omega2_y1 = self._k2num / (1.0 - self.r)
+        k2num = k.k20 * self.up_y1 + k.k12 * self.r + k.k21 * self.down_y1
+        self.omega2_y1 = k2num / (1.0 - self.r)
         self.delta2_y1 = self.up_y1 / (1.0 - self.r)
 
         # level-b fixed points H0, S0, K0
@@ -143,55 +148,44 @@ class TypeOneAssembly:
         )
         return np.asarray(out, dtype=float)
 
-    # -- phase-2 primitives (domain [y2, b]) --------------------------------
+    # -- phase-2 stack (domain [y2, b]) -------------------------------------
 
-    def _A(self, x):
-        m = self.model
-        a1, c1 = m.h1.a, m.h1.c
+    def _phase2_bases(self, x):
+        """up, down, Omega(Z1), the holding base and the two shortage bases at x.
+
+        The shortage bases are the cost and the renewal factor before the
+        return through y1.  Each transfer-map tail and the resolvent
+        transform is evaluated once.
+        """
+        m, ex = self.model, self.exit2
+        up, down = ex.up(x), ex.down(x)
         omZ = self.om.apply_Z1(x)
-        omW = self.om.apply_Wbarbar1(x)
-        return (
-            self.exit2.holding(x, m.h2)
-            + (a1 / m.q) * (self.exit2.down(x) - omZ / self.Z1y1)
-            + c1 * (omZ / self.Z1y1 * self.Wbb1y1 - omW)
+        zr = omZ / self.Z1y1
+        A = (
+            ex.holding(x, m.h2)
+            + (m.h1.a / m.q) * (down - zr)
+            + m.h1.c * (zr * self.Wbb1y1 - self.om.apply_Wbarbar1(x))
         )
+        G = ex.resolvent_transform(x)
+        mu_base = m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
+        gamma_base = m.lam / self.Z1y1 * np.tensordot(self._coef_Z, G, axes=(0, 0))
+        return up, down, omZ, A, mu_base, gamma_base
 
-    def alpha2(self, x):
-        return self.exit2.up(x) + self.om.apply_Z1(x) * self.up_y1 / self.denom
-
-    def beta2(self, x):
-        return self._A(x) + self.om.apply_Z1(x) * self.A_y1 / self.denom
-
-    def _mu_base(self, x):
-        G = self.exit2.resolvent_transform(x)
-        mus, ws = self._mus, self._ws
-        coef = ws * (self.model.penalty.p0 + self.model.penalty.p1 / mus + self.S1xy0) + ws * mus * self._cS
-        return self.model.lam * np.tensordot(coef, G, axes=(0, 0))
-
-    def _gamma_base(self, x):
-        G = self.exit2.resolvent_transform(x)
-        coef = self._ws * (1.0 + self._mus * self._cZ)
-        return self.model.lam / self.Z1y1 * np.tensordot(coef, G, axes=(0, 0))
-
-    def mu2(self, x):
-        g = self._gamma_base(x)
-        return self._mu_base(x) + g * self._mu_y1 / (1.0 - self._gamma_y1)
-
-    def gamma2(self, x):
-        g = self._gamma_base(x)
-        return self.exit2.up(x) + self.up_y1 * g / (1.0 - self._gamma_y1)
-
-    def omega2w(self, x):
+    def phase2(self, x):
+        """Rows (alpha, beta, gamma, mu, delta, omega) of phase 2 at x."""
+        up, down, omZ, A, mu_base, g = self._phase2_bases(x)
+        zr = omZ / self.Z1y1
         k = self.model.switching
-        omZ = self.om.apply_Z1(x)
-        return (
-            k.k20 * self.exit2.up(x)
-            + k.k21 * self.exit2.down(x)
-            + omZ / self.Z1y1 * (k.k12 + self._k2num / (1.0 - self.r))
+        return np.stack(
+            [
+                up + omZ * self.up_y1 / self.denom,
+                A + omZ * self.A_y1 / self.denom,
+                up + self.up_y1 * g / (1.0 - self._gamma_y1),
+                mu_base + g * self._mu_y1 / (1.0 - self._gamma_y1),
+                up + zr * self.delta2_y1,
+                k.k20 * up + k.k21 * down + zr * (k.k12 + self.omega2_y1),
+            ]
         )
-
-    def delta2(self, x):
-        return self.exit2.up(x) + self.om.apply_Z1(x) / self.Z1y1 * self.delta2_y1
 
     # -- phase-1 primitives (domain [0, y1]; constant below 0) ---------------
 
@@ -221,26 +215,20 @@ class TypeOneAssembly:
         down1 = s1.Z(x) - s1.W(x) * self.Z1y1 / self.W1y1
         return Ix + down1 * self.P1 / self.Z1y1
 
-    def alpha1(self, x):
-        return self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1 * self.alpha2_y1
-
-    def beta1(self, x):
-        zr = self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1
-        return self.H1xy(x) + zr * self.beta2_y1
-
-    def mu1(self, x):
-        zr = self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1
-        return self.S1xy(x) + zr * self.mu2_y1
-
-    def gamma1(self, x):
-        return self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1 * self.gamma2_y1
-
-    def omega1(self, x):
-        zr = self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1
-        return zr * (self.model.switching.k12 + self.omega2_y1)
-
-    def delta1(self, x):
-        return self.s1.Z(np.asarray(x, dtype=float)) / self.Z1y1 * self.delta2_y1
+    def phase1(self, x):
+        """Rows (alpha, beta, gamma, mu, delta, omega) of phase 1 at x."""
+        x = np.asarray(x, dtype=float)
+        zr = self.s1.Z(x) / self.Z1y1
+        return np.stack(
+            [
+                zr * self.alpha2_y1,
+                self.H1xy(x) + zr * self.beta2_y1,
+                zr * self.gamma2_y1,
+                self.S1xy(x) + zr * self.mu2_y1,
+                zr * self.delta2_y1,
+                zr * (self.model.switching.k12 + self.omega2_y1),
+            ]
+        )
 
     # -- level-b fixed points ------------------------------------------------
 
@@ -252,36 +240,15 @@ class TypeOneAssembly:
         w = lam / (lam + q)
         sfb = d.sf(b)
 
-        def stack2(z):
-            x = b - z
-            return np.stack(
-                [
-                    self.alpha2(x), self.beta2(x),
-                    self.gamma2(x), self.mu2(x),
-                    self.delta2(x), self.omega2w(x),
-                ]
-            ) * d.pdf(z)
-
-        def stack1(z):
-            x = b - z
-            return np.stack(
-                [
-                    self.alpha1(x), self.beta1(x),
-                    self.gamma1(x), self.mu1(x),
-                    self.delta1(x), self.omega1(x),
-                ]
-            ) * d.pdf(z)
-
-        J2 = integrate(stack2, 0.0, b - y3) if b - y3 > 0 else np.zeros(6)
-        J1 = integrate(stack1, b - y3, b) if y3 > 0 else np.zeros(6)
-        zero = np.asarray([0.0])
-        tail = np.array(
-            [
-                float(self.alpha1(zero)[0]), float(self.beta1(zero)[0]),
-                float(self.gamma1(zero)[0]), float(self.mu1(zero)[0]),
-                float(self.delta1(zero)[0]), float(self.omega1(zero)[0]),
-            ]
-        ) * sfb
+        J2 = (
+            integrate(lambda z: self.phase2(b - z) * d.pdf(z), 0.0, b - y3)
+            if b - y3 > 0 else np.zeros(6)
+        )
+        J1 = (
+            integrate(lambda z: self.phase1(b - z) * d.pdf(z), b - y3, b)
+            if y3 > 0 else np.zeros(6)
+        )
+        tail = self.phase1(np.asarray([0.0]))[:, 0] * sfb
 
         mH = w * (J2[0] + J1[0] + tail[0])
         cH = m.h0_b / (q + lam) + w * (J2[1] + J1[1] + tail[1])
@@ -301,25 +268,12 @@ class TypeOneAssembly:
         self.S0 = float(cS / (1.0 - mS))
         self.K0 = float(cK / (1.0 - mK))
 
-    # -- assembled cost functions -------------------------------------------
+    # -- assembled costs -----------------------------------------------------
 
-    def calH1(self, x):
-        return self.alpha1(x) * self.H0 + self.beta1(x)
-
-    def calH2(self, x):
-        return self.alpha2(x) * self.H0 + self.beta2(x)
-
-    def calS1(self, x):
-        return self.mu1(x) + self.gamma1(x) * self.S0
-
-    def calS2(self, x):
-        return self.mu2(x) + self.gamma2(x) * self.S0
-
-    def calK1(self, x):
-        return self.omega1(x) + self.delta1(x) * self.K0
-
-    def calK2(self, x):
-        return self.omega2w(x) + self.delta2(x) * self.K0
+    def costs(self, phase: int, x):
+        """(H, S, K) of the phase at x: each slope times its level-b scalar plus base."""
+        alpha, beta, gamma, mu, delta, omega = self.phase1(x) if phase == 1 else self.phase2(x)
+        return alpha * self.H0 + beta, mu + gamma * self.S0, omega + delta * self.K0
 
 
 @lru_cache(maxsize=128)
@@ -331,9 +285,10 @@ def _assembly(model: ModelConfig, band: BandOne) -> TypeOneAssembly:
 class CostSurface:
     """Piecewise cost surface per the switching-zone table.
 
-    Components H/S/K already include the +K21 / +K12 lump inside the
-    switching zones; V = H + S + K.  side=-1/+1 select the one-sided limit
-    branch at a threshold (side=0 returns the table value).
+    branches maps each zone tag to a function x -> (H, S, K); inside the
+    switching zones K already includes the +K21 / +K12 lump.  V = H + S + K.
+    side=-1/+1 select the one-sided limit branch at a threshold (side=0
+    returns the table value).
     """
 
     model: ModelConfig
@@ -383,7 +338,8 @@ class CostSurface:
         out = np.empty_like(x_arr)
         for tag, mask in self._tags(phase, x_arr, side):
             if np.any(mask):
-                out[mask] = self.branches[tag][name](x_arr[mask])
+                H, S, K = self.branches[tag](x_arr[mask])
+                out[mask] = {"H": H, "S": S, "K": K, "V": H + S + K}[name]
         return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def V(self, phase: int, x, side: int = 0):
@@ -393,14 +349,18 @@ class CostSurface:
 def _make_branches(asm: TypeOneAssembly) -> dict:
     k = asm.model.switching
 
-    def with_v(h, s, kk):
-        return {"H": h, "S": s, "K": kk, "V": lambda x: h(x) + s(x) + kk(x)}
+    def switching_zone(phase: int, lump: float):
+        def costs(x):
+            H, S, K = asm.costs(phase, x)
+            return H, S, K + lump
+
+        return costs
 
     return {
-        "p1": with_v(asm.calH1, asm.calS1, asm.calK1),
-        "p1k": with_v(asm.calH1, asm.calS1, lambda x: asm.calK1(x) + k.k21),
-        "p2": with_v(asm.calH2, asm.calS2, asm.calK2),
-        "p2k": with_v(asm.calH2, asm.calS2, lambda x: asm.calK2(x) + k.k12),
+        "p1": lambda x: asm.costs(1, x),
+        "p1k": switching_zone(1, k.k21),
+        "p2": lambda x: asm.costs(2, x),
+        "p2k": switching_zone(2, k.k12),
     }
 
 

@@ -36,50 +36,39 @@ class TypeTwoOverlay:
         self.asm: TypeOneAssembly = _assembly(model, band.lower())
         asm = self.asm
         y1, y4, b = band.y1, band.y4, model.b
-        self._mus = asm._mus
-        self._ws = asm._ws
         k = model.switching
         self.exit1 = ExitContext(asm.s1, y4, b)
 
         # landing transforms against the demand density, one scalar per component
         land = asm._against_exp
-        self._AH = land(asm.calH2, y1, y4) + land(asm.calH1, 0.0, y1)
-        self._AS = land(asm.calS2, y1, y4) + land(asm.calS1, 0.0, y1)
-        self._AK = land(lambda u: k.k12 + asm.calK2(u), y1, y4) + land(asm.calK1, 0.0, y1)
-        zero = np.asarray([0.0])
-        self._H1_0 = float(asm.calH1(zero)[0])
-        self._S1_0 = float(asm.calS1(zero)[0])
-        self._K1_0 = float(asm.calK1(zero)[0])
+        AH = (land(lambda u: asm.costs(2, u)[0], y1, y4)
+              + land(lambda u: asm.costs(1, u)[0], 0.0, y1))
+        AS = (land(lambda u: asm.costs(2, u)[1], y1, y4)
+              + land(lambda u: asm.costs(1, u)[1], 0.0, y1))
+        AK = (land(lambda u: k.k12 + asm.costs(2, u)[2], y1, y4)
+              + land(lambda u: asm.costs(1, u)[2], 0.0, y1))
+        H1_0, S1_0, K1_0 = (float(c[0]) for c in asm.costs(1, np.asarray([0.0])))
+        # carry coefficients: lam * sum_k G1_k(x) * coef_k is the cost carried
+        # from the landing below y4
+        ws, mus = asm._ws, asm._mus
+        ptail_coef = model.penalty.p0 + model.penalty.p1 / mus
+        self._coef_H = ws * mus * AH + ws * H1_0
+        self._coef_S = ws * mus * AS + ws * S1_0 + ws * ptail_coef
+        self._coef_K = ws * mus * AK + ws * K1_0
 
-    # -- upper-region primitives (domain [y4, b]) ----------------------------
-
-    def _carry(self, x, A: np.ndarray, tail0: float, extra: np.ndarray | None = None):
-        """lam * sum_k G1_k(x) * (w_k mu_k A_k + w_k tail0 [+ w_k extra_k])."""
-        coef = self._ws * self._mus * A + self._ws * tail0
-        if extra is not None:
-            coef = coef + self._ws * extra
-        G = self.exit1.resolvent_transform(x)
-        return self.model.lam * np.tensordot(coef, G, axes=(0, 0))
-
-    def Hbar(self, x):
+    def costs(self, x):
+        """(H, S, K) of phase 1 at x in [y4, b]; K includes the K10 charge at capacity."""
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        hold = self.exit1.holding(x1, self.model.h1)
-        out = hold + self.exit1.up(x1) * self.asm.H0 + self._carry(x1, self._AH, self._H1_0)
-        return out if np.asarray(x).ndim else float(out[0])
-
-    def Sbar(self, x):
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        m = self.model
-        ptail_coef = m.penalty.p0 + m.penalty.p1 / self._mus
-        out = self.exit1.up(x1) * self.asm.S0 + self._carry(x1, self._AS, self._S1_0, extra=ptail_coef)
-        return out if np.asarray(x).ndim else float(out[0])
-
-    def Kbar(self, x):
-        """Includes the K10 charge at the capacity switch-off."""
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
-        k10 = self.model.switching.k10
-        out = self.exit1.up(x1) * (k10 + self.asm.K0) + self._carry(x1, self._AK, self._K1_0)
-        return out if np.asarray(x).ndim else float(out[0])
+        m, asm = self.model, self.asm
+        up = self.exit1.up(x1)
+        G = self.exit1.resolvent_transform(x1)
+        H = (self.exit1.holding(x1, m.h1) + up * asm.H0
+             + m.lam * np.tensordot(self._coef_H, G, axes=(0, 0)))
+        S = up * asm.S0 + m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
+        K = up * (m.switching.k10 + asm.K0) + m.lam * np.tensordot(self._coef_K, G, axes=(0, 0))
+        if np.asarray(x).ndim:
+            return H, S, K
+        return float(H[0]), float(S[0]), float(K[0])
 
 
 @lru_cache(maxsize=64)
@@ -105,20 +94,14 @@ def upper_phase1_costs(model: ModelConfig, band: BandTwo, type_one_surface: Cost
         raise OutOfBand(f"x outside [{band.y4}, {model.b}]")
     if type_one_surface.band != band.lower():
         raise ValueError("type-one surface was built from different thresholds")
-    ov = _overlay(model, band.check(model.b))
-    return ov.Hbar(x), ov.Sbar(x), ov.Kbar(x)
+    return _overlay(model, band.check(model.b)).costs(x)
 
 
 def total_cost_two(model: ModelConfig, band: BandTwo) -> CostSurface:
     """Full type-two surface: type-one everywhere except phase 1 above y4."""
     ov = _overlay(model, band.check(model.b))
     branches = _make_branches(ov.asm)
-    branches["up"] = {
-        "H": ov.Hbar,
-        "S": ov.Sbar,
-        "K": ov.Kbar,
-        "V": lambda x: ov.Hbar(x) + ov.Sbar(x) + ov.Kbar(x),
-    }
+    branches["up"] = ov.costs
     return CostSurface(
         model=model,
         band=band,

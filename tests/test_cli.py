@@ -1,9 +1,11 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from bandctl import BandTwo, OptimizationResult, cli
 from bandctl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -41,6 +43,29 @@ def test_simulate_jobs_invariant_bytes(tmp_path):
     assert main(base + ["--jobs", "1", "--output", str(a)]) == 0
     assert main(base + ["--jobs", "3", "--output", str(b)]) == 0
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
+
+
+def test_solve_two_passes_tol(tmp_path, monkeypatch):
+    # stub optimizers: only the tolerance handed to type two is under test
+    band = BandTwo(2.468, 3.114, 4.610, 7.660)
+    surface = SimpleNamespace(H0=1.0, S0=2.0, K0=3.0, V0=6.0)
+    seen = {}
+
+    def type_one(model):
+        return OptimizationResult("one", band.lower(), surface.V0, surface)
+
+    def type_two(model, base, tol=None):
+        seen["tol"] = tol
+        return OptimizationResult("two", band, surface.V0, surface, True,
+                                  SimpleNamespace(failures=[]))
+
+    monkeypatch.setattr(cli, "optimize_type_one", type_one)
+    monkeypatch.setattr(cli, "optimize_type_two", type_two)
+    out = tmp_path / "s.json"
+    assert main(["solve", str(CONFIGS / "ex3.json"), "--strategy", "two", "--tol", "0.123",
+                 "--output", str(out)]) == 0
+    assert seen["tol"] == 0.123
+    assert json.loads(out.read_text())["strategy_kind"] == "two"
 
 
 def test_verify_subcommand(tmp_path):

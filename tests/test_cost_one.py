@@ -100,13 +100,13 @@ def test_constant_cost_closure_analytic():
     cbar = 1.0
     m = flat_model(cbar)
     asm = TypeOneAssembly(m, EX1_BAND)
-    h1, h2, h0 = asm.calH1, asm.calH2, asm.H0
+    h0 = asm.H0
     xs = np.linspace(0.0, m.b - 1e-6, 50)
     assert h0 == pytest.approx(cbar / m.q, abs=1e-10)
-    assert h1(np.linspace(0, EX1_BAND.y1, 30)) == pytest.approx(
+    assert asm.costs(1, np.linspace(0, EX1_BAND.y1, 30))[0] == pytest.approx(
         np.full(30, cbar / m.q), abs=1e-10
     )
-    assert h2(np.linspace(EX1_BAND.y2, m.b, 30)) == pytest.approx(
+    assert asm.costs(2, np.linspace(EX1_BAND.y2, m.b, 30))[0] == pytest.approx(
         np.full(30, cbar / m.q), abs=1e-10
     )
     surf = total_cost(m, EX1_BAND)
@@ -119,39 +119,41 @@ def test_level_b_continuity():
     m = make_ex1()
     asm = TypeOneAssembly(m, EX1_BAND)
     b = np.asarray([m.b])
-    assert float(asm.calH2(b)[0]) == pytest.approx(asm.H0, abs=1e-10)
-    assert float(asm.calS2(b)[0]) == pytest.approx(asm.S0, abs=1e-10)
-    assert float(asm.calK2(b)[0]) == pytest.approx(asm.K0 + m.switching.k20, abs=1e-10)
+    H2, S2, K2 = asm.costs(2, b)
+    assert float(H2[0]) == pytest.approx(asm.H0, abs=1e-10)
+    assert float(S2[0]) == pytest.approx(asm.S0, abs=1e-10)
+    assert float(K2[0]) == pytest.approx(asm.K0 + m.switching.k20, abs=1e-10)
     # phase-1 value function is continuous at y1 into the phase-2 branch
     y1 = np.asarray([EX1_BAND.y1])
-    assert float(asm.calH1(y1)[0]) == pytest.approx(float(asm.calH2(y1)[0]), abs=1e-10)
+    assert float(asm.costs(1, y1)[0][0]) == pytest.approx(
+        float(asm.costs(2, y1)[0][0]), abs=1e-10
+    )
 
 
 def test_shortage_zero_penalty_assembly():
     nop = ModelConfig(**{**make_ex1().__dict__, "penalty": PenaltyCost(0.0, 0.0)})
     asm = TypeOneAssembly(nop, EX1_BAND)
-    s1, s2, s0 = asm.calS1, asm.calS2, asm.S0
+    s0 = asm.S0
     assert s0 == pytest.approx(0.0, abs=1e-14)
-    assert s1(np.linspace(0, 5, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
-    assert s2(np.linspace(2, 9, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
+    assert asm.costs(1, np.linspace(0, 5, 9))[1] == pytest.approx(np.zeros(9), abs=1e-13)
+    assert asm.costs(2, np.linspace(2, 9, 9))[1] == pytest.approx(np.zeros(9), abs=1e-13)
 
 
 def test_switching_zero_costs_assembly():
     free = ModelConfig(**{**make_ex1().__dict__,
                           "switching": SwitchMatrix(0, 0, 0, 0, 0, 0)})
     asm = TypeOneAssembly(free, EX1_BAND)
-    k1, k0 = asm.calK1, asm.K0
+    k0 = asm.K0
     assert k0 == pytest.approx(0.0, abs=1e-14)
-    assert k1(np.linspace(0, 5, 9)) == pytest.approx(np.zeros(9), abs=1e-13)
+    assert asm.costs(1, np.linspace(0, 5, 9))[2] == pytest.approx(np.zeros(9), abs=1e-13)
 
 
 def test_switching_identity_at_y1():
     m = make_ex1()
     asm = TypeOneAssembly(m, EX1_BAND)
-    k1, k2 = asm.calK1, asm.calK2
     y1 = np.asarray([EX1_BAND.y1])
-    assert float(k1(y1)[0]) == pytest.approx(
-        m.switching.k12 + float(k2(y1)[0]), abs=1e-10
+    assert float(asm.costs(1, y1)[2][0]) == pytest.approx(
+        m.switching.k12 + float(asm.costs(2, y1)[2][0]), abs=1e-10
     )
 
 

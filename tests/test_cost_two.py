@@ -10,6 +10,7 @@ from bandctl import (
     upper_cost_bound,
     upper_phase1_costs,
 )
+from bandctl import cost_one, passage
 from bandctl.cost_two import holding_exit_phase1
 from bandctl.errors import OutOfBand, ValidationError
 from bandctl.model import HoldingCost, ModelConfig
@@ -141,3 +142,30 @@ def test_upper_values_match_simulator():
     for name, comp in (("H", est.holding), ("S", est.shortage), ("K", est.switching)):
         assert_within_se(float(surf.component(name, 1, 9.0)), comp.mean, comp.std_error,
                          slack, label=f"{name}bar(9)")
+
+
+def test_surface_evaluation_integrates_each_tail_once(monkeypatch):
+    # one phase-2 stack needs the two transfer-map tails and the resolvent
+    # transform; one phase-1 stack the shortage integral; the upper region
+    # of a type-two band its resolvent transform
+    m = make_ex3()
+    one = total_cost(m, EX3_BAND.lower())
+    two = total_cost_two(m, EX3_BAND)
+    real = passage.integrate_rows
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (passage, cost_one):
+        monkeypatch.setattr(mod, "integrate_rows", counted)
+
+    def count(surface, phase, lo, hi):
+        calls.clear()
+        surface.V(phase, np.linspace(lo, hi, 9))
+        return len(calls)
+
+    assert count(one, 2, EX3_BAND.y2 + 0.01, m.b) == 3
+    assert count(one, 1, 0.0, EX3_BAND.y1 - 0.01) == 1
+    assert count(two, 1, EX3_BAND.y4 + 0.01, m.b) == 1

@@ -1,9 +1,11 @@
 """The analytic surfaces reproduce the recorded cross-check references.
 
 perfbench/reference holds V0 and the V1/V2 grid values of four base
-policies (ex1, ex2, ex3 and a three-component hyper-exponential ex1),
-recorded by perfbench/make_reference.py.  This test only reads those files
-and applies the benchmark's own surface tolerance.
+policies (ex1, ex2, ex3 and a three-component hyper-exponential ex1) and of
+ten perturbations of each, recorded by perfbench/make_reference.py.  The
+type-two perturbations of ex2 and ex3 move y4, so they reach the overlay's
+landing integrals.  This test only reads those files and applies the
+benchmark's own surface tolerance.
 """
 
 import json
@@ -27,17 +29,25 @@ SURFACE_REL = 1e-10
 
 with open(REFERENCE / "crosscheck-inputs.json") as fh:
     POLICIES = json.load(fh)["policies"]
+# (policy index, perturbation index); -1 is the base policy itself
+CASES = [(i, j) for i, pol in enumerate(POLICIES)
+         for j in [-1] + list(range(len(pol["perturbations"])))]
 
 
-@pytest.mark.parametrize("index", range(len(POLICIES)), ids=[p["config"] for p in POLICIES])
-def test_base_policy_matches_reference(index):
+def _case_id(case):
+    i, j = case
+    return POLICIES[i]["config"] + ("" if j < 0 else f"-{j}")
+
+
+@pytest.mark.parametrize("index, pert", CASES, ids=[_case_id(c) for c in CASES])
+def test_base_policy_matches_reference(index, pert):
     pol = POLICIES[index]
     with open(REFERENCE / "crosscheck-expected.json") as fh:
-        v0_ref = json.load(fh)["policies"][index]["evaluate"]["-1"]["V0"]
+        v0_ref = json.load(fh)["policies"][index]["evaluate"][str(pert)]["V0"]
     with np.load(REFERENCE / "crosscheck-grids.npz") as npz:
-        grids = npz[f"p{index}_base"]
+        grids = npz[f"p{index}_{'base' if pert < 0 else pert}"]
     model = validate(load_config(ROOT / CONFIGS[pol["config"]]))
-    th = pol["band"]
+    th = pol["band"] if pert < 0 else pol["perturbations"][pert]
     if len(th) == 4:
         surface = total_cost_two(model, BandTwo(*th))
     else:
