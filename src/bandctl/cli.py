@@ -254,8 +254,8 @@ def cmd_plot_data(args) -> int:
         for side in sides:
             rows.append(
                 [float(x)]
-                + [float(surface.component(n, 1, x, side)) for n in ("V", "H", "S", "K")]
-                + [float(surface.component(n, 2, x, side)) for n in ("V", "H", "S", "K")]
+                + [float(v) for v in surface.components(1, x, side)]
+                + [float(v) for v in surface.components(2, x, side)]
             )
     header = "x,V1,H1,S1,K1,V2,H2,S2,K2,V0,H0,S0,K0"
     lines = [header]

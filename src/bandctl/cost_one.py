@@ -331,19 +331,29 @@ class CostSurface:
         yield "p2k", ~low & ~up
         yield "up", up
 
-    def component(self, name: str, phase: int, x, side: int = 0):
+    def _evaluate(self, phase: int, x, side: int, names: str) -> tuple:
+        """The named components (of "VHSK") at x, from one evaluation of each branch."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x_arr < self.model.l - 1e-12) or np.any(x_arr > self.model.b + 1e-12):
             raise OutOfBand("x outside [l, b]")
-        out = np.empty_like(x_arr)
+        out = np.empty((len(names),) + x_arr.shape)
         for tag, mask in self._tags(phase, x_arr, side):
             if np.any(mask):
                 H, S, K = self.branches[tag](x_arr[mask])
-                out[mask] = {"H": H, "S": S, "K": K, "V": H + S + K}[name]
-        return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+                parts = {"H": H, "S": S, "K": K, "V": H + S + K}
+                for row, name in zip(out, names):
+                    row[mask] = parts[name]
+        return tuple(out[:, 0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out)
+
+    def components(self, phase: int, x, side: int = 0) -> tuple:
+        """(V, H, S, K) at x, from one evaluation of each branch."""
+        return self._evaluate(phase, x, side, "VHSK")
+
+    def component(self, name: str, phase: int, x, side: int = 0):
+        return self.components(phase, x, side)["VHSK".index(name)]
 
     def V(self, phase: int, x, side: int = 0):
-        return self.component("V", phase, x, side)
+        return self._evaluate(phase, x, side, "V")[0]
 
 
 def _make_branches(asm: TypeOneAssembly) -> dict:

@@ -8,6 +8,9 @@ exactly, so results are reproducible bit for bit.
 
 Randomness is counter-based (a splitmix64-style hash of (seed, path, draw)),
 which makes every path's draws independent of batch size and worker count.
+A batch evolves as dense per-path arrays, one round per demand arrival,
+and a path's arithmetic only ever reads its own row, so its outcome does
+not depend on the batch it runs in either.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ _PATH_STRIDE = _U64(0xBF58476D1CE4E5B7)  # odd constant decorrelating path keys
 
 
 def _mix(x):
-    """splitmix64 finalizer; vectorized over uint64 arrays."""
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
+    """splitmix64 finalizer, in place on a uint64 array, which it returns."""
+    x ^= x >> _U64(30)
+    x *= _U64(0xBF58476D1CE4E5B9)
+    x ^= x >> _U64(27)
+    x *= _U64(0x94D049BB133111EB)
+    x ^= x >> _U64(31)
+    return x
 
 
 def _path_keys(base_seed: int, start: int, n: int) -> np.ndarray:
@@ -39,11 +45,20 @@ def _path_keys(base_seed: int, start: int, n: int) -> np.ndarray:
     return _mix(_U64(base_seed & 0xFFFFFFFFFFFFFFFF) + _PATH_STRIDE * (p + _U64(1)))
 
 
-def _uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Uniform(0,1) draw with index `counter` for every path key."""
-    offset = _U64((0x9E3779B97F4A7C15 * (counter + 1)) & 0xFFFFFFFFFFFFFFFF)
-    bits = _mix(keys + offset)
-    return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _round_uniforms(keys: np.ndarray, counter: int, mixture: bool):
+    """Round `counter`'s Uniform(0,1) draws (u_tau, u_sel, u_size) for every key.
+
+    Draw 3*counter + j of a path is the j-th uniform of its round; all of a
+    round's draws come from one hash call.  u_sel is None unless mixture.
+    """
+    slots = (0, 1, 2) if mixture else (0, 2)
+    draws = np.array([3 * counter + j + 1 for j in slots], dtype=np.uint64)
+    bits = _mix(keys + _GOLDEN * draws[:, None])
+    bits >>= _U64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u[0], (u[1] if mixture else None), u[-1]
 
 
 @dataclass(frozen=True)
@@ -92,20 +107,22 @@ class SimStrategy:
             out |= (x >= lo) & (x <= hi)
         return out
 
-    @staticmethod
-    def _next_entry(ivs, x: np.ndarray) -> np.ndarray:
-        """Smallest point of the union at or above x; +inf when none."""
-        out = np.full(x.shape, np.inf)
-        for lo, hi in ivs:
-            cand = np.where(x <= hi, np.maximum(x, lo), np.inf)
-            out = np.minimum(out, cand)
-        return out
-
     def in_zone(self, which: str, x: np.ndarray) -> np.ndarray:
         return self._contains(getattr(self, which), x)
 
-    def next_entry(self, which: str, x: np.ndarray) -> np.ndarray:
-        return self._next_entry(getattr(self, which), x)
+    def switching_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each phase's own switching zone as padded bounds lo, hi[interval, phase].
+
+        Phase 1 switches on entering a12 and phase 2 on entering a21; the
+        idle phase 0 and the padding hold the empty interval [inf, inf].
+        """
+        width = max(1, len(self.a12), len(self.a21))
+        lo = np.full((width, 3), np.inf)
+        hi = np.full((width, 3), np.inf)
+        for p, ivs in ((1, self.a12), (2, self.a21)):
+            for i, iv in enumerate(ivs):
+                lo[i, p], hi[i, p] = iv
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -131,20 +148,22 @@ def truncation_horizon(model: ModelConfig) -> float:
     return float(np.log(1.0 / TRUNCATION_FRACTION) / model.q)
 
 
-def _segment_cost(a, c, x, sigma, dur, q, t0):
-    """int_0^dur exp(-q(t0+s)) (a + c(x + sigma s)) ds in closed form."""
-    em = -np.expm1(-q * dur)  # 1 - exp(-q dur)
-    ramp = (em - q * dur * np.exp(-q * dur)) / q**2
-    return np.exp(-q * t0) * ((a + c * x) * em / q + c * sigma * ramp)
+def _segment_cost(a, c, cs, x, dur, q, t0):
+    """int_0^dur exp(-q(t0+s)) (a + c(x + sigma s)) ds in closed form; cs = c*sigma."""
+    qd = q * dur
+    em = -np.expm1(-qd)  # 1 - exp(-q dur)
+    ramp = (em - qd * np.exp(-qd)) / q**2
+    return np.exp(-q * t0) * ((a + c * x) * em / q + cs * ramp)
 
 
 def _sample_demand(model: ModelConfig, u_sel: np.ndarray, u_size: np.ndarray) -> np.ndarray:
     d = model.demand
     if len(d.rates) == 1:
         return -np.log(u_size) / d.rates[0]
+    # component index: how many of the first K-1 cumulative weights lie
+    # below u_sel (a left-sided search clipped to the last component)
     cum = np.cumsum(d.weights)
-    idx = np.searchsorted(cum, u_sel, side="left")
-    idx = np.minimum(idx, len(d.rates) - 1)
+    idx = (cum[:-1, None] < u_sel).sum(axis=0)
     rates = np.asarray(d.rates)[idx]
     return -np.log(u_size) / rates
 
@@ -160,145 +179,173 @@ def _run_paths(
     """Evolve one batch of paths to the truncation horizon.
 
     Returns per-path (holding, shortage, switching) discounted totals.
-    Inner passes operate on shrinking index subsets; a path's draws depend
-    only on its key and the round counter, so batch composition is
-    irrelevant to the outcome.
+    The state is dense, one row per path.  Each round draws its uniforms
+    from one hash call, runs one drift pass over all rows, runs later drift
+    passes only on the few rows that switched phase, then applies the
+    demand jump under a mask of the live rows.  Rows past the horizon
+    accrue exact zeros until the live rows fall to half of the working set,
+    which is then compacted.  A path's draws depend only on its key and the
+    round counter, and its arithmetic only on its own row, so batch
+    composition cannot change its outcome.
     """
-    n = len(keys)
     m = model
     q, lam, b, l = m.q, m.lam, m.b, m.l
     t_star = truncation_horizon(m)
     k = m.switching
-    single = len(m.demand.rates) == 1
-
-    x = np.full(n, float(x0))
-    ph = np.full(n, int(phase0), dtype=np.int64)
-    t = np.zeros(n)
-    hold = np.zeros(n)
-    short = np.zeros(n)
-    switch = np.zeros(n)
+    mixture = len(m.demand.rates) > 1
 
     if phase0 == 0 and abs(x0 - b) > 1e-12:
         raise InvalidStart("phase 0 starts only at capacity b")
     if x0 < l - 1e-12 or x0 > b + 1e-12:
         raise InvalidStart(f"x0={x0} outside [{l}, {b}]")
 
-    # per-phase coefficient tables indexed by phase id (0, 1, 2)
+    # per-phase tables indexed by phase id (0, 1, 2); event times divide by
+    # div_of, which is 1 in the idle phase 0 so that nothing divides by 0
     sig_of = np.array([0.0, m.sigma1, m.sigma2])
+    div_of = np.array([1.0, m.sigma1, m.sigma2])
     a_of = np.array([m.h0_b, m.h1.a, m.h2.a])
     c_of = np.array([0.0, m.h1.c, m.h2.c])
+    cs_of = c_of * sig_of
+    stop_cost = np.array([0.0, k.k10, k.k20])   # reaching capacity b
+    switch_cost = np.array([0.0, k.k12, k.k21])  # entering the switching zone
+    if holding_fn is None:
+        def segment_holding(phs, xs, ts, dur):
+            return _segment_cost(a_of[phs], c_of[phs], cs_of[phs], xs, dur, q, ts)
+    else:
+        # general bounded holding rate: 32-node Gauss rule per segment
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        nodes = (nodes + 1.0) / 2.0
+        half_w = weights / 2.0
 
-    def accrue(idx, duration):
-        if idx.size == 0:
-            return
-        xm, tm, phm = x[idx], t[idx], ph[idx]
-        sig = sig_of[phm]
-        if holding_fn is None:
-            hold[idx] += _segment_cost(a_of[phm], c_of[phm], xm, sig, duration, q, tm)
-        else:
-            # general bounded holding rate: 32-node Gauss rule per segment
-            gl_t, gl_w = np.polynomial.legendre.leggauss(32)
-            gl_t = (gl_t + 1.0) / 2.0
-            s = duration[:, None] * gl_t
-            rates = holding_fn(xm[:, None] + sig[:, None] * s, phm[:, None])
-            vals = np.exp(-q * (tm[:, None] + s)) * rates
-            hold[idx] += duration * (vals @ (gl_w / 2.0))
+        def segment_holding(phs, xs, ts, dur):
+            s = dur[:, None] * nodes
+            rates = holding_fn(xs[:, None] + sig_of[phs][:, None] * s, phs[:, None])
+            vals = np.exp(-q * (ts[:, None] + s)) * rates
+            # node by node, so that a row's sum cannot depend on the other rows
+            acc = np.zeros(len(dur))
+            for j, w in enumerate(half_w):
+                acc += vals[:, j] * w
+            return dur * acc
 
-    active = np.arange(n)
+    n = len(keys)
+    out = np.empty((3, n))
+    pos = np.arange(n)  # path index of each row
+    x = np.full(n, float(x0))
+    ph = np.full(n, int(phase0), dtype=np.intp)
+    t = np.zeros(n)
+    hold = np.zeros(n)
+    short = np.zeros(n)
+    switch = np.zeros(n)
+
+    lo_of, hi_of = strategy.switching_bounds()
+
+    def zone_entry(phs, xs):
+        """Smallest point of each row's switching zone at or above x; +inf when none."""
+        entry = np.where(xs <= hi_of[0][phs], np.maximum(xs, lo_of[0][phs]), np.inf)
+        for lo, hi in zip(lo_of[1:], hi_of[1:]):
+            np.minimum(entry, np.where(xs <= hi[phs], np.maximum(xs, lo[phs]), np.inf),
+                       out=entry)
+        return entry
+
+    def in_switching_zone(phs, xs):
+        inside = (xs >= lo_of[0][phs]) & (xs <= hi_of[0][phs])
+        for lo, hi in zip(lo_of[1:], hi_of[1:]):
+            inside |= (xs >= lo[phs]) & (xs <= hi[phs])
+        return inside
+
+    def drift(rows, seg_end):
+        """Drift rows (all rows, or an index array) up to their next event or seg_end.
+
+        Every row accrues one segment; a row that stops at capacity also
+        accrues its idle segment up to seg_end.  Returns the rows that
+        switched phase before seg_end.
+        """
+        xs, ts, phs, se = x[rows], t[rows], ph[rows], seg_end[rows]
+        entry = zone_entry(phs, xs)
+        # entry points lie at or below b when finite, so this is the smaller
+        # of the switch and capacity times, bit for bit
+        div = div_of[phs]
+        t_evt = (np.minimum(entry, b) - xs) / div
+        fires = (ts + t_evt < se) & (phs != 0)
+        dur = se - ts
+        loc = np.flatnonzero(fires)
+        if loc.size:
+            xf, df, ef, pf, sf = xs[loc], div[loc], entry[loc], phs[loc], se[loc]
+            tf = ts[loc] + t_evt[loc]
+            hit_cap = (b - xf) / df <= (ef - xf) / df
+            dur[loc] = t_evt[loc]
+        hold[rows] += segment_holding(phs, xs, ts, dur)
+        x[rows] = xs + sig_of[phs] * dur  # the fired rows are overwritten below
+        t[rows] = se
+        if not loc.size:
+            return loc
+        fired = loc if isinstance(rows, slice) else rows[loc]
+        switch[fired] += np.where(hit_cap, stop_cost[pf], switch_cost[pf]) * np.exp(-q * tf)
+        x[fired] = np.where(hit_cap, b, ef)
+        ph[fired] = np.where(hit_cap, 0, 3 - pf)  # 3 - p: the other producing phase
+        # a row stopped at capacity idles there until seg_end
+        i = np.flatnonzero(hit_cap)
+        hold[fired[i]] += segment_holding(
+            np.zeros(i.size, dtype=np.intp), x[fired[i]], tf[i], sf[i] - tf[i]
+        )
+        i = np.flatnonzero(~hit_cap)
+        t[fired[i]] = tf[i]
+        return fired[i]
+
     counter = 0
-    while active.size:
-        u_tau = _uniforms(keys[active], 3 * counter)
-        t_arr = t[active] - np.log(u_tau) / lam
+    while True:
+        u_tau, u_sel, u_size = _round_uniforms(keys, counter, mixture)
+        counter += 1
+        t_arr = t - np.log(u_tau) / lam
         seg_end = np.minimum(t_arr, t_star)
 
-        # deterministic drift, switch-zone entries and capacity stops
-        sub = np.arange(active.size)
-        guard = 0
-        while sub.size:
-            guard += 1
-            if guard > 64:
-                raise RuntimeError("drift resolution did not settle; malformed strategy?")
-            idx = active[sub]
-            phs = ph[idx]
-            se = seg_end[sub]
-            idle = phs == 0
-            if np.any(idle):
-                j = idx[idle]
-                accrue(j, se[idle] - t[j])
-                t[j] = se[idle]
-                sub = sub[~idle]
-                idx = active[sub]
-                phs = ph[idx]
-                se = seg_end[sub]
-            if sub.size == 0:
+        # deterministic drift, switch-zone entries and capacity stops: one
+        # pass over all rows, then passes over the rows that switched phase
+        rows = slice(None)
+        for _ in range(64):
+            rows = drift(rows, seg_end)
+            if rows.size == 0:
                 break
-            xs, ts = x[idx], t[idx]
-            is1 = phs == 1
-            sig = sig_of[phs]
-            entry = np.where(
-                is1, strategy.next_entry("a12", xs), strategy.next_entry("a21", xs)
-            )
-            t_set = (entry - xs) / sig  # inf entry propagates to inf time
-            t_cap = (b - xs) / sig
-            t_evt = np.minimum(t_set, t_cap)
-            fires = ts + t_evt < se
-            accrue(idx, np.where(fires, t_evt, se - ts))
-            settles = ~fires
-            if np.any(settles):
-                j = idx[settles]
-                x[j] = xs[settles] + sig[settles] * (se[settles] - ts[settles])
-                t[j] = se[settles]
-            if np.any(fires):
-                j = idx[fires]
-                tj = ts[fires] + t_evt[fires]
-                t[j] = tj
-                disc = np.exp(-q * tj)
-                hit_cap = t_cap[fires] <= t_set[fires]
-                jc, jd = j[hit_cap], j[~hit_cap]
-                x[jc] = b
-                switch[jc] += np.where(ph[jc] == 1, k.k10, k.k20) * disc[hit_cap]
-                ph[jc] = 0
-                x[jd] = entry[fires][~hit_cap]
-                switch[jd] += np.where(ph[jd] == 1, k.k12, k.k21) * disc[~hit_cap]
-                ph[jd] = np.where(ph[jd] == 1, 2, 1)
-            sub = sub[fires]
+        else:
+            raise RuntimeError("drift resolution did not settle; malformed strategy?")
 
+        # a row whose next demand falls past the horizon is finished; the
+        # others take the demand jump
         live = t_arr < t_star
-        jump = active[live]
-        t[active[~live]] = t_star
-        if jump.size:
-            u_sel = None if single else _uniforms(keys[jump], 3 * counter + 1)
-            u_size = _uniforms(keys[jump], 3 * counter + 2)
+        n_live = int(np.count_nonzero(live))
+        if n_live:
             y = _sample_demand(m, u_sel, u_size)
-            disc = np.exp(-q * t[jump])
-            from_cap = ph[jump] == 0
-            raw = np.where(from_cap, b - y, x[jump] - y)
-            lost = np.maximum(l - raw, 0.0)
-            short[jump] += np.where(lost > 0, m.penalty(lost), 0.0) * disc
-            landed = np.maximum(raw, l)
-            x[jump] = landed
-            if np.any(from_cap):
-                j = jump[from_cap]
-                to1 = strategy.in_zone("c1", landed[from_cap])
-                switch[j] += np.where(to1, k.k01, k.k02) * disc[from_cap]
-                ph[j] = np.where(to1, 1, 2)
+            raw = x - y
+            cap = np.flatnonzero(live & (ph == 0))
+            raw[cap] = b - y[cap]
+            j = np.flatnonzero(live & (raw < l))
+            short[j] += m.penalty(l - raw[j]) * np.exp(-q * t[j])
+            x = np.maximum(raw, l)
+            if cap.size:
+                to1 = strategy.in_zone("c1", x[cap])
+                switch[cap] += np.where(to1, k.k01, k.k02) * np.exp(-q * t[cap])
+                ph[cap] = np.where(to1, 1, 2)
             # landing inside the other phase's switching zone triggers an
             # immediate switch (disjointness bounds this to one pass)
+            j = np.flatnonzero(live & in_switching_zone(ph, x))
             for _ in range(2):
-                sw12 = (ph[jump] == 1) & strategy.in_zone("a12", x[jump])
-                sw21 = (ph[jump] == 2) & strategy.in_zone("a21", x[jump])
-                if not (np.any(sw12) or np.any(sw21)):
+                if not j.size:
                     break
-                j = jump[sw12]
-                switch[j] += k.k12 * np.exp(-q * t[j])
-                ph[j] = 2
-                j = jump[sw21]
-                switch[j] += k.k21 * np.exp(-q * t[j])
-                ph[j] = 1
-        active = jump
-        counter += 1
+                phj = ph[j]
+                switch[j] += switch_cost[phj] * np.exp(-q * t[j])
+                ph[j] = 3 - phj
+                j = j[in_switching_zone(ph[j], x[j])]
 
-    return hold, short, switch
+        if 2 * n_live <= len(pos):
+            done = ~live
+            out[:, pos[done]] = hold[done], short[done], switch[done]
+            if not n_live:
+                break
+            keep = np.flatnonzero(live)
+            keys, pos, x, ph, t = keys[keep], pos[keep], x[keep], ph[keep], t[keep]
+            hold, short, switch = hold[keep], short[keep], switch[keep]
+
+    return out[0], out[1], out[2]
 
 
 def simulate_path(model: ModelConfig, strategy: SimStrategy, x0: float, phase0: int,
@@ -412,6 +459,7 @@ def estimate_occupation(
     q, lam = m.q, m.lam
     sig = m.sigma(phase)
     t_star = truncation_horizon(m)
+    mixture = len(m.demand.rates) > 1
     edges = np.linspace(a, d, bins + 1)
     occ = np.zeros((n_paths, bins))
     keys = _path_keys(base_seed, 0, n_paths)
@@ -421,9 +469,7 @@ def estimate_occupation(
     alive = np.ones(n_paths, dtype=bool)
     counter = 0
     while np.any(alive):
-        u_tau = _uniforms(keys, 3 * counter)
-        u_sel = _uniforms(keys, 3 * counter + 1)
-        u_size = _uniforms(keys, 3 * counter + 2)
+        u_tau, u_sel, u_size = _round_uniforms(keys, counter, mixture)
         counter += 1
         tau = -np.log(u_tau) / lam
         # segment runs until the demand, the upper barrier, or the horizon

@@ -60,15 +60,16 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.nd
     return model.lam * out
 
 
-def _derivative(w, xs: np.ndarray) -> np.ndarray:
+def _derivative(w, xs: np.ndarray, w0: np.ndarray) -> np.ndarray:
     """Central difference; at a detected kink, the smaller one-sided slope.
 
     A convex corner constrains supersolution test functions through its
     smallest slope; a concave corner constrains nothing, and using the
     smaller slope is then conservative for the operator (sigma > 0).
+    w0 holds w(xs).
     """
     h = _FD_STEP
-    wm, w0, wp = w(xs - h), w(xs), w(xs + h)
+    wm, wp = w(xs - h), w(xs + h)
     d_minus = (w0 - wm) / h
     d_plus = (wp - w0) / h
     central = (wp - wm) / (2 * h)
@@ -77,22 +78,26 @@ def _derivative(w, xs: np.ndarray) -> np.ndarray:
     return np.where(kink, np.minimum(d_minus, d_plus), central)
 
 
-def operator_L(model: ModelConfig, phase: int, w, x, w_prime=None, breakpoints=()):
+def operator_L(model: ModelConfig, phase: int, w, x, w_prime=None, breakpoints=(),
+               w_x=None):
     """L_i(w)(x): drift and discount terms plus demand-jump expectations.
 
     w must be the full piecewise value function of its phase on [0, b)
     (switching-zone branches included); w_prime overrides finite differences.
+    w_x, when given, holds w(x), so that a caller that already evaluated w
+    on x does not evaluate it again.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     m = model
-    deriv = w_prime(xs) if w_prime is not None else _derivative(w, xs)
+    w_xs = np.atleast_1d(w(xs) if w_x is None else w_x)
+    deriv = w_prime(xs) if w_prime is not None else _derivative(w, xs, w_xs)
     conv = _convolution(m, w, xs, breakpoints=breakpoints)
     ptail = m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
     w0 = float(np.atleast_1d(w(np.zeros(1)))[0])
     h = m.holding(phase)(xs)
     out = (
         m.sigma(phase) * deriv
-        - (m.lam + m.q) * np.atleast_1d(w(xs))
+        - (m.lam + m.q) * w_xs
         + conv
         + ptail
         + m.lam * w0 * m.demand.sf(xs)
@@ -205,16 +210,18 @@ def verify_strategy(
     w1 = lambda x: surface.V(1, x)
     w2 = lambda x: surface.V(2, x)
     breaks = kinks
+    # each phase is evaluated once on the grid (g2 holds the same points)
+    v1, v2 = w1(g1), w2(g2)
 
-    L1 = operator_L(m, 1, w1, g1, breakpoints=breaks)
-    L2 = operator_L(m, 2, w2, g2, breakpoints=breaks)
-    slack12 = w2(g1) + k.k12 - w1(g1)
-    slack21 = w1(g2) + k.k21 - w2(g2)
+    L1 = operator_L(m, 1, w1, g1, breakpoints=breaks, w_x=v1)
+    L2 = operator_L(m, 2, w2, g2, breakpoints=breaks, w_x=v2)
+    slack12 = v2 + k.k12 - v1
+    slack21 = v1 + k.k21 - v2
 
     vmax = max(
         1.0,
-        float(np.max(np.abs(w1(g1)))),
-        float(np.max(np.abs(w2(g2)))),
+        float(np.max(np.abs(v1))),
+        float(np.max(np.abs(v2))),
         abs(surface.V0),
     )
     tol_eff = tol * vmax

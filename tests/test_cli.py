@@ -9,6 +9,7 @@ from bandctl import BandTwo, OptimizationResult, cli
 from bandctl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def strip_timing(text: str) -> str:
@@ -91,6 +92,21 @@ def test_plot_data_threshold_doubling(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     at = [r for r in rows if float(r[0]) == 1.526]
     assert float(at[0][5]) != float(at[1][5])
+
+
+@pytest.mark.parametrize("config, thresholds, recorded", [
+    ("ex1.json", ["--y2", "1.526", "--y3", "1.526", "--y1", "5.077"], "plot-data-ex1.csv"),
+    ("ex3.json", ["--y2", "2.468", "--y3", "3.114", "--y1", "4.61", "--y4", "7.66"],
+     "plot-data-ex3-two.csv"),
+], ids=["ex1", "ex3-two"])
+def test_plot_data_matches_recorded_csv(tmp_path, config, thresholds, recorded):
+    # V, H, S and K of a phase come from one branch evaluation; the CSV stays
+    # byte-identical to the one recorded when each came from its own
+    out = tmp_path / "p.csv"
+    rc = main(["plot-data", str(CONFIGS / config), *thresholds, "--grid", "25",
+               "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / recorded).read_bytes()
 
 
 def test_invalid_config_exit_code(tmp_path):

@@ -1,20 +1,30 @@
-"""The analytic surfaces reproduce the recorded cross-check references.
+"""The analytic surfaces and the simulator reproduce the recorded cross-check references.
 
 perfbench/reference holds V0 and the V1/V2 grid values of four base
 policies (ex1, ex2, ex3 and a three-component hyper-exponential ex1) and of
 ten perturbations of each, recorded by perfbench/make_reference.py.  The
 type-two perturbations of ex2 and ex3 move y4, so they reach the overlay's
-landing integrals.  This test only reads those files and applies the
-benchmark's own surface tolerance.
+landing integrals.  It also holds the simulator's estimate for six start
+states of each base policy.  These tests only read those files; surfaces
+get the benchmark's own tolerance, estimates must be bit-identical.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, total_cost, total_cost_two, validate
+from bandctl import (
+    BandOne,
+    BandTwo,
+    SimStrategy,
+    estimate_cost,
+    total_cost,
+    total_cost_two,
+    validate,
+)
 from bandctl.cli import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,12 +36,15 @@ CONFIGS = {
     "ex1-hyper": "perfbench/configs/ex1-hyper.json",
 }
 SURFACE_REL = 1e-10
+SIM_PATHS = 5000  # paths per recorded estimate
 
 with open(REFERENCE / "crosscheck-inputs.json") as fh:
     POLICIES = json.load(fh)["policies"]
 # (policy index, perturbation index); -1 is the base policy itself
 CASES = [(i, j) for i, pol in enumerate(POLICIES)
          for j in [-1] + list(range(len(pol["perturbations"])))]
+# (policy index, simulation case index)
+SIM_CASES = [(i, c) for i, pol in enumerate(POLICIES) for c in range(len(pol["sim_cases"]))]
 
 
 def _case_id(case):
@@ -57,3 +70,18 @@ def test_base_policy_matches_reference(index, pert):
     for phase in (1, 2):
         np.testing.assert_allclose(surface.V(phase, xs), grids[phase - 1],
                                    rtol=SURFACE_REL, atol=0)
+
+
+@pytest.mark.parametrize("index, case", SIM_CASES,
+                         ids=[f"{POLICIES[i]['config']}-sim{c}" for i, c in SIM_CASES])
+def test_simulator_matches_recorded_estimate(index, case):
+    pol = POLICIES[index]
+    with open(REFERENCE / "crosscheck-expected.json") as fh:
+        expected = json.load(fh)["policies"][index]["simulate"][str(case)]["estimate"]
+    model = validate(load_config(ROOT / CONFIGS[pol["config"]]))
+    th = pol["band"]
+    band = BandTwo(*th) if len(th) == 4 else BandOne(*th)
+    start = pol["sim_cases"][case]
+    est = estimate_cost(model, SimStrategy.from_band(band, model), start["x0"], start["phase"],
+                        SIM_PATHS, base_seed=start["seed"], jobs=1)
+    assert dataclasses.asdict(est) == expected

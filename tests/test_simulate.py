@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandctl import (
     BandOne,
+    BandTwo,
+    DemandLaw,
     ModelConfig,
     SimStrategy,
     estimate_cost,
@@ -13,8 +17,8 @@ from bandctl import (
 )
 from bandctl.errors import InvalidStart, ValidationError
 from bandctl.model import HoldingCost, PenaltyCost, SwitchMatrix
-from bandctl.simulate import TRUNCATION_FRACTION, truncation_horizon
-from .conftest import make_ex1
+from bandctl.simulate import TRUNCATION_FRACTION, _path_keys, _run_paths, truncation_horizon
+from .conftest import make_ex1, make_ex3
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +89,6 @@ def test_path_determinism(ex1_strategy):
 def test_estimate_matches_single_paths(ex1_strategy):
     # path p of an estimate must replay exactly as its own scalar run
     m, band, strat = ex1_strategy
-    from bandctl.simulate import _path_keys, _run_paths
-
     keys = _path_keys(2024, 0, 6)
     h, s, w = _run_paths(m, strat, 2.0, 1, keys)
     for p in range(6):
@@ -174,3 +176,60 @@ def test_general_interval_strategy_reproduces_band(ex1_strategy):
     )
     for seed in (1, 2, 3):
         assert simulate_path(m, strat, 3.0, 1, seed) == simulate_path(m, split, 3.0, 1, seed)
+
+
+def _batch_setups():
+    """(model, strategy) pairs: a band, a type-two band, mixture demand, a backlog floor."""
+    ex1, ex3 = make_ex1(), make_ex3()
+    hyper = validate(ModelConfig(**{
+        **ex1.__dict__,
+        "demand": DemandLaw.hyperexponential([0.3, 0.4, 0.3], [0.8, 1.5, 4.0]),
+    }))
+    backlog = validate(ModelConfig(**{**ex1.__dict__, "l": -2.0}), allow_backlog=True)
+    return [
+        (ex1, SimStrategy.from_band(BandOne(1.526, 1.526, 5.077), ex1)),
+        (ex3, SimStrategy.from_band(BandTwo(2.468, 3.114, 4.610, 7.660), ex3)),
+        (hyper, SimStrategy.from_band(BandOne(1.0, 1.5, 4.0), hyper)),
+        (backlog, SimStrategy(a12=((5.0, backlog.b),), a21=((-2.0, 1.0),), c1=((-2.0, 1.0),))),
+    ]
+
+
+BATCH_SETUPS = _batch_setups()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    setup=st.integers(0, len(BATCH_SETUPS) - 1),
+    phase=st.integers(0, 2),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 24),
+    data=st.data(),
+)
+def test_batch_composition_cannot_change_a_path(setup, phase, frac, seed, n, data):
+    # every path's outcome is a function of its own key and start state, so a
+    # slice of a batch replays bit for bit as a batch of its own
+    model, strategy = BATCH_SETUPS[setup]
+    x0 = model.b if phase == 0 else model.l + frac * (model.b - model.l)
+    keys = _path_keys(seed, 0, n)
+    part = data.draw(st.slices(n))
+    whole = _run_paths(model, strategy, x0, phase, keys)
+    alone = _run_paths(model, strategy, x0, phase, keys[part])
+    for w, a in zip(whole, alone):
+        assert np.array_equal(w[part], a)
+
+
+def test_holding_fn_paths_do_not_depend_on_the_batch(ex1_strategy):
+    # the Gauss rule sums each row's nodes in a fixed order, so a callable
+    # holding rate gives every path the same bits alone and in a batch
+    m, band, strat = ex1_strategy
+
+    def holding(x, phase):
+        a = np.where(phase == 1, m.h1.a, np.where(phase == 2, m.h2.a, m.h0_b))
+        return a + 0.002 * np.sin(x) ** 2
+
+    keys = _path_keys(17, 0, 32)
+    batch = _run_paths(m, strat, 3.0, 2, keys, holding_fn=holding)
+    for p in range(len(keys)):
+        alone = _run_paths(m, strat, 3.0, 2, keys[p:p + 1], holding_fn=holding)
+        assert [c[p] for c in batch] == [c[0] for c in alone], f"path {p}"

@@ -122,3 +122,24 @@ def test_level_b_value_matches_assembly_for_optimal_selection():
     assert level_b_value(m, surf, selection="min") == pytest.approx(
         level_b_value(m, surf, selection="strategy"), abs=1e-6
     )
+
+
+def test_each_phase_evaluated_once_on_the_grid(monkeypatch):
+    # the derivative's centre value, the w(x) term of L, both switch slacks
+    # and the scale all reuse one evaluation of each phase on the grid
+    from bandctl.cost_one import CostSurface
+
+    m = make_ex3()
+    surf = total_cost_two(m, BandTwo(2.468, 3.114, 4.610, 7.660))
+    calls = []
+    original = CostSurface.V
+
+    def counting(self, phase, x, side=0):
+        calls.append((phase, np.array(x, dtype=float)))
+        return original(self, phase, x, side)
+
+    monkeypatch.setattr(CostSurface, "V", counting)
+    rep = verify_strategy(m, surf)
+    on_grid = [phase for phase, x in calls
+               if x.shape == rep.grid1.shape and np.array_equal(x, rep.grid1)]
+    assert sorted(on_grid) == [1, 2]
