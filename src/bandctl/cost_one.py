@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import FixedPointNotContractive, OutOfBand, ValidationError
 from .model import ModelConfig
-from .passage import ExitContext, Omega2, integrate, integrate_rows
-from .scale import build_scale
+from .passage import ExitContext, Omega2, integrate
+from .scale import build_scale, conv_exp
 
 _MIN_GAP = 1e-9
 
@@ -97,10 +97,11 @@ class TypeOneAssembly:
         self.W1y1 = s1.W(y1)
         self.Wbb1y1 = s1.Wbarbar(y1)
 
-        # shortage building blocks: P1 = int_0^{y1} W1(y1-z) * lam * ptail(z) dz
+        # shortage building blocks: P1 = int_0^{y1} W1(y1-z) * lam * ptail(z) dz,
+        # with lam * ptail an exponential sum over the demand components
         p0, p1 = m.penalty.p0, m.penalty.p1
-        self._ptail = lambda z: m.demand.penalty_tail(z, p0, p1)
-        self.P1 = float(integrate(lambda z: s1.W(y1 - z) * lam * self._ptail(z), 0.0, y1))
+        self._lam_ptail = (-self._mus, lam * self._ws * (p0 + p1 / self._mus))
+        self.P1 = float(self._Px(y1))
         self.S1xy0 = self.P1 / self.Z1y1  # value of the renewal sum started at 0
 
         # demand-transform constants for the phase-2 landing integrals
@@ -140,11 +141,15 @@ class TypeOneAssembly:
     # -- small helpers ------------------------------------------------------
 
     def _against_exp(self, fn, lo: float, hi: float) -> np.ndarray:
-        """int_lo^hi fn(u) * exp(mu_k u) du for every demand component k."""
+        """int_lo^hi fn(u) * exp(mu_k u) du for every demand component k.
+
+        fn maps nodes of shape (m,) to values of shape (lead..., m); the
+        result has shape (lead..., k), and all rows share one quadrature.
+        """
         if hi <= lo:
-            return np.zeros(len(self._mus))
+            return np.zeros(np.shape(fn(np.asarray([lo])))[:-1] + self._mus.shape)
         out = integrate(
-            lambda u: fn(u)[None, :] * np.exp(self._mus[:, None] * u), lo, hi
+            lambda u: np.asarray(fn(u))[..., None, :] * np.exp(self._mus[:, None] * u), lo, hi
         )
         return np.asarray(out, dtype=float)
 
@@ -196,21 +201,22 @@ class TypeOneAssembly:
         zr = s1.Z(x) / self.Z1y1
         return (m.h1.a / m.q) * (1.0 - zr) + m.h1.c * (zr * self.Wbb1y1 - s1.Wbarbar(x))
 
+    def _Px(self, x):
+        """int_0^x W1(x-z) * lam * ptail(z) dz, in closed form."""
+        s1 = self.s1
+        return conv_exp(0.0, x, *self._lam_ptail, s1.exponents, s1.weights)
+
     def S1xy(self, x):
         """Expected discounted shortage at phase 1 until reaching y1.
 
         Potential-density integral plus the geometric renewal of returns to
-        the floor; extends automatically as a constant for x < 0.
+        the floor; extends automatically as a constant for x < 0.  The
+        shortage integral of W1 against the penalty tail is a closed-form
+        convolution of two exponential sums.
         """
         s1 = self.s1
         x = np.asarray(x, dtype=float)
-        lam = self.model.lam
-        xp = np.maximum(x, 0.0)
-        Px = integrate_rows(
-            lambda z: s1.W(xp[..., None] - z) * lam * self._ptail(z),
-            np.zeros_like(xp),
-            xp,
-        )
+        Px = self._Px(x)
         Ix = s1.W(x) * self.P1 / self.W1y1 - Px
         down1 = s1.Z(x) - s1.W(x) * self.Z1y1 / self.W1y1
         return Ix + down1 * self.P1 / self.Z1y1
@@ -253,7 +259,8 @@ class TypeOneAssembly:
         mH = w * (J2[0] + J1[0] + tail[0])
         cH = m.h0_b / (q + lam) + w * (J2[1] + J1[1] + tail[1])
         mS = w * (J2[2] + J1[2] + tail[2])
-        cS = w * (float(self._ptail(b)) + J2[3] + J1[3] + tail[3])
+        ptail_b = float(d.penalty_tail(b, m.penalty.p0, m.penalty.p1))
+        cS = w * (ptail_b + J2[3] + J1[3] + tail[3])
         mK = w * (J2[4] + J1[4] + tail[4])
         k = m.switching
         cK = w * (

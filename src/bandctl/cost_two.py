@@ -39,14 +39,14 @@ class TypeTwoOverlay:
         k = model.switching
         self.exit1 = ExitContext(asm.s1, y4, b)
 
-        # landing transforms against the demand density, one scalar per component
-        land = asm._against_exp
-        AH = (land(lambda u: asm.costs(2, u)[0], y1, y4)
-              + land(lambda u: asm.costs(1, u)[0], 0.0, y1))
-        AS = (land(lambda u: asm.costs(2, u)[1], y1, y4)
-              + land(lambda u: asm.costs(1, u)[1], 0.0, y1))
-        AK = (land(lambda u: k.k12 + asm.costs(2, u)[2], y1, y4)
-              + land(lambda u: asm.costs(1, u)[2], 0.0, y1))
+        # landing transforms against the demand density, one scalar per cost
+        # and component; the (H, S, K) rows of a segment share one quadrature
+        def landing_p2(u):
+            H, S, K = asm.costs(2, u)
+            return np.stack([H, S, k.k12 + K])
+
+        AH, AS, AK = (asm._against_exp(landing_p2, y1, y4)
+                      + asm._against_exp(lambda u: np.stack(asm.costs(1, u)), 0.0, y1))
         H1_0, S1_0, K1_0 = (float(c[0]) for c in asm.costs(1, np.asarray([0.0])))
         # carry coefficients: lam * sum_k G1_k(x) * coef_k is the cost carried
         # from the landing below y4

@@ -1,10 +1,14 @@
 """Two-sided exit identities, resolvent density, and the phase-2 transfer map.
 
-Also declares the shared quadrature policy: Gauss-Legendre with node
-doubling (16 -> ... -> 1024) until successive composite estimates agree to
-1e-9 relative.  Integrands here are products of exponentials, so convergence
-is fast; callers must split at the one known kink (the diagonal z = x of the
-resolvent density, where W jumps at the origin).
+The transfer map's integrals are closed-form convolutions of exponential
+sums (scale.conv_exp).  The module also declares the shared quadrature
+policy, used for the resolvent transform's below-x integral, the exit
+constant _B and the callers' landing and level-b integrals: Gauss-Legendre
+with node doubling (16 -> ... -> 1024) until successive composite
+estimates agree to 1e-9 relative.  Integrands here are products of
+exponentials, so convergence is fast; callers must split at the one known
+kink (the diagonal z = x of the resolvent density, where W jumps at the
+origin).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import OutOfBand, QuadratureNotConverged
 from .model import HoldingCost
-from .scale import ScaleSet
+from .scale import ScaleSet, conv_exp
 
 GL_START = 16
 GL_MAX = 1024
@@ -220,35 +224,41 @@ class Omega2:
 
     with u2 the killed-process resolvent density.  Implemented payoffs:
     g = Z1 where (G2 - q) g = (sigma2 - sigma1) q W1, and g = Wbarbar1 where
-    (G2 - q) g = z + (sigma2 - sigma1) Wbar1.  The z-integrals follow the
-    module quadrature policy; the piece constant in x is cached per band.
+    (G2 - q) g = z + (sigma2 - sigma1) Wbar1.  Both sources are exponential
+    sums (plus z), so each z-integral against W2 is a closed-form
+    convolution (scale.conv_exp); the piece constant in x is the tail at b.
     """
 
     def __init__(self, scale1: ScaleSet, exit2: ExitContext):
         y2, b = exit2.a, exit2.d
         if y2 < 0:
             raise OutOfBand(f"need 0 <= y2 < b, got y2={y2}, b={b}")
-        scale2 = exit2.scale
         self.s1 = scale1
         self.exit2 = exit2
-        self.dsig = scale2.sigma - scale1.sigma
+        self.dsig = exit2.scale.sigma - scale1.sigma
+        th1, w1 = scale1.exponents, scale1.weights
+        # (G2-q)g as exponential sums: dsig q W1, and dsig Wbar1 without the z term
+        self._src_z = (th1, self.dsig * scale1.q * w1)
+        self._src_w = (
+            np.append(th1, 0.0),
+            np.append(self.dsig * w1 / th1, -self.dsig * np.sum(w1 / th1)),
+        )
         # constants: int_{y2}^b (G2-q)g(z) W2(b-z) dz for both payoffs
-        self._const_z = integrate(
-            lambda z: self.dsig * scale1.q * scale1.W(z) * scale2.W(b - z), y2, b
-        )
-        self._const_w = integrate(
-            lambda z: (z + self.dsig * scale1.Wbar(z)) * scale2.W(b - z), y2, b
-        )
+        self._const_z = self._tail(b, "Z1")
+        self._const_w = self._tail(b, "W")
 
     def _tail(self, x, kind: str):
         """int_{y2}^x (G2-q)g(z) W2(x-z) dz, the x-dependent integral piece."""
         x = np.asarray(x, dtype=float)
-        s2 = self.exit2.scale
+        s2, y2 = self.exit2.scale, self.exit2.a
+        th2, w2 = s2.exponents, s2.weights
         if kind == "Z1":
-            f = lambda z: self.dsig * self.s1.q * self.s1.W(z) * s2.W(x[..., None] - z)
-        else:
-            f = lambda z: (z + self.dsig * self.s1.Wbar(z)) * s2.W(x[..., None] - z)
-        return integrate_rows(f, np.full_like(x, self.exit2.a), x)
+            return conv_exp(y2, x, *self._src_z, th2, w2)
+        # int_{y2}^x z W2(x-z) dz, term by term in u = x - z over [0, s]
+        s = np.maximum(x - y2, 0.0)[..., None]
+        em = np.expm1(th2 * s)
+        ramp = (x[..., None] * em / th2 - s * np.exp(th2 * s) / th2 + em / th2**2) @ w2
+        return ramp + conv_exp(y2, x, *self._src_w, th2, w2)
 
     def apply_Z1(self, x):
         x = np.asarray(x, dtype=float)

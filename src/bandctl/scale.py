@@ -7,12 +7,14 @@ rational, so the fundamental kernel W solving
 
 is a finite sum of exponentials: W(x) = sum_j w_j exp(theta_j x) where the
 theta_j are the real roots of phi(theta) = q and w_j = 1/phi'(theta_j).
-Every derived function (integrals of W, the Z family) is then exact.
+Every derived function (integrals of W, the Z family) is then exact, and
+so is the convolution of W with any other exponential sum (conv_exp).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,7 +30,8 @@ _INIT_TOL = 1e-10
 class ScaleSet:
     """Exponential-sum representation of W and friends for one phase.
 
-    Immutable; all evaluations are pure and accept scalars or arrays.
+    Immutable, its arrays included; all evaluations are pure and accept
+    scalars or arrays.
     W(x) = 0 for x < 0 and W(0) means the right limit 1/sigma.
     """
 
@@ -113,12 +116,35 @@ class ScaleSet:
         return out if out.shape else float(out)
 
 
+def conv_exp(lo: float, x, a_exp, a_coef, b_exp, b_coef):
+    """int_lo^x A(z) B(x - z) dz for A = sum_i a_coef_i exp(a_exp_i z) and
+    B = sum_j b_coef_j exp(b_exp_j u); 0 where x <= lo.
+
+    With s = x - lo and delta_ij = a_exp_i - b_exp_j, the (i, j) term is
+    exp(a_exp_i lo + b_exp_j s) expm1(delta_ij s) / delta_ij, and s itself
+    where delta_ij vanishes.
+    """
+    x = np.asarray(x, dtype=float)
+    a_exp = np.asarray(a_exp, dtype=float)
+    b_exp = np.asarray(b_exp, dtype=float)
+    s = np.maximum(x - lo, 0.0)[..., None, None]
+    delta = a_exp[:, None] - b_exp
+    small = np.abs(delta) < 1e-12
+    safe = np.where(small, 1.0, delta)
+    ratio = np.where(small, s, np.expm1(safe * s) / safe)
+    terms = np.exp(a_exp[:, None] * lo + b_exp * s) * ratio
+    out = (terms @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
+    return out if out.shape else float(out)
+
+
+@lru_cache(maxsize=64)
 def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     """Solve phi(theta) = q exactly via its polynomial form.
 
     Multiplying phi(theta) - q by prod_k (mu_k + theta) gives a degree-(k+1)
     polynomial whose roots are the exponents; they are real and distinct for
     exponential mixtures.  Complex or (near-)repeated roots are rejected.
+    Cached per (model, phase): every caller shares one read-only ScaleSet.
     """
     d = model.demand
     sigma = model.sigma(phase)
@@ -157,6 +183,8 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     if abs(float(np.sum(weights)) - 1.0 / sigma) > _INIT_TOL:
         raise RootFindingFailed("weights do not reproduce W(0+) = 1/sigma")
 
+    roots.setflags(write=False)
+    weights.setflags(write=False)
     return ScaleSet(
         phase=phase,
         q=model.q,

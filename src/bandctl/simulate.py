@@ -464,6 +464,9 @@ def estimate_occupation(
     occ = np.zeros((n_paths, bins))
     keys = _path_keys(base_seed, 0, n_paths)
 
+    # pos is each working row's path index; once the live rows fall to half
+    # of the working set it is compacted, as in _run_paths
+    pos = np.arange(n_paths)
     x = np.full(n_paths, float(x0))
     t = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
@@ -483,7 +486,7 @@ def estimate_occupation(
             [np.zeros((len(idx), 1)), cross, dus[:, None]], axis=1
         )
         disc = np.exp(-q * (ts[:, None] + stamps))
-        occ[idx] += (disc[:, :-1] - disc[:, 1:]) / q
+        occ[pos[idx]] += (disc[:, :-1] - disc[:, 1:]) / q
         killed_up = alive & (t_cap <= tau) & (t + t_cap <= t_star - 1e-15)
         timed_out = alive & (t_star - t <= np.minimum(tau, t_cap))
         alive = alive & ~killed_up & ~timed_out
@@ -494,6 +497,9 @@ def estimate_occupation(
         x = np.where(alive, x + sig * tau - y, x)
         killed_down = alive & (x < a)
         alive = alive & ~killed_down
+        if 2 * np.count_nonzero(alive) <= len(pos):
+            keep = np.flatnonzero(alive)
+            keys, pos, x, t, alive = keys[keep], pos[keep], x[keep], t[keep], alive[keep]
 
     mean = occ.mean(axis=0)
     se = occ.std(axis=0, ddof=1) / np.sqrt(n_paths)

@@ -1,12 +1,13 @@
 """Independent numerical oracles for the test suite.
 
 Nothing here shares code with the package's quadrature or its counter-based
-random streams: integration is adaptive Simpson, simulation uses numpy's
-default generator.  Values produced here arbitrate the closed forms.
+random streams: integration is adaptive Simpson or mpmath, simulation uses
+numpy's default generator.  Values produced here arbitrate the closed forms.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 
@@ -33,6 +34,57 @@ def simpson_adaptive(f, a: float, b: float, tol: float = 1e-11, depth: int = 48)
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     return rec(a, b, fa, fm, fb, simp(a, b, fa, fm, fb), tol, depth)
+
+
+class MpScale:
+    """W, Wbar and Z of one phase at mpmath precision, from the model alone.
+
+    The exponents are the roots of (phi(theta) - q) prod_k (mu_k + theta),
+    found by mpmath.polyroots and polished by Newton steps on phi - q;
+    W(x) = sum_j exp(theta_j x) / phi'(theta_j).  Build and evaluate inside
+    one mpmath.workdps block.
+    """
+
+    def __init__(self, model, phase: int):
+        mpf = mpmath.mpf
+        self.sigma = mpf(model.sigma(phase))
+        self.q = mpf(model.q)
+        lam = mpf(model.lam)
+        mus = [mpf(r) for r in model.demand.rates]
+        ws = [mpf(w) for w in model.demand.weights]
+
+        def phi_minus_q(th):
+            return self.sigma * th - lam - self.q + lam * sum(
+                w * mu / (mu + th) for w, mu in zip(ws, mus))
+
+        def dphi(th):
+            return self.sigma - lam * sum(w * mu / (mu + th) ** 2 for w, mu in zip(ws, mus))
+
+        def mul(p, r):  # p * (theta + r), coefficients lowest first
+            return [a * r + b for a, b in zip(p + [0], [0] + p)]
+
+        poly = [-(lam + self.q), self.sigma]
+        for mu in mus:
+            poly = mul(poly, mu)
+        for k in range(len(mus)):
+            rest = [mpf(1)]
+            for m, mu in enumerate(mus):
+                if m != k:
+                    rest = mul(rest, mu)
+            for i, c in enumerate(rest):
+                poly[i] += lam * ws[k] * mus[k] * c
+        roots = mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=200)
+        self.theta = [mpmath.findroot(phi_minus_q, mpmath.re(r)) for r in roots]
+        self.w = [1 / dphi(th) for th in self.theta]
+
+    def W(self, x):
+        return sum(w * mpmath.exp(th * x) for th, w in zip(self.theta, self.w))
+
+    def Wbar(self, x):
+        return sum(w * mpmath.expm1(th * x) / th for th, w in zip(self.theta, self.w))
+
+    def Z(self, x):
+        return 1 + self.q * self.Wbar(x)
 
 
 def _sample_y(rng, model, n):

@@ -45,6 +45,12 @@ def make_ex3() -> ModelConfig:
     ))
 
 
+def make_ex1_hyper() -> ModelConfig:
+    """Example one with three-component hyper-exponential demand."""
+    demand = DemandLaw.hyperexponential([0.3, 0.4, 0.3], [0.8, 1.5, 4.0])
+    return validate(ModelConfig(**{**make_ex1().__dict__, "demand": demand}))
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return make_ex1()

@@ -100,13 +100,23 @@ def test_plot_data_threshold_doubling(tmp_path):
      "plot-data-ex3-two.csv"),
 ], ids=["ex1", "ex3-two"])
 def test_plot_data_matches_recorded_csv(tmp_path, config, thresholds, recorded):
-    # V, H, S and K of a phase come from one branch evaluation; the CSV stays
-    # byte-identical to the one recorded when each came from its own
+    # the CSV keeps the recorded header and x column byte for byte, and every
+    # value within 1e-12 relative: the recorded files came from quadrature of
+    # the transfer-map tails and the shortage integral, now closed forms
     out = tmp_path / "p.csv"
     rc = main(["plot-data", str(CONFIGS / config), *thresholds, "--grid", "25",
                "--output", str(out)])
     assert rc == 0
-    assert out.read_bytes() == (DATA / recorded).read_bytes()
+    got = out.read_text().splitlines()
+    want = (DATA / recorded).read_text().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        cells, ref_cells = row.split(","), ref.split(",")
+        assert cells[0] == ref_cells[0]
+        assert len(cells) == len(ref_cells)
+        for cell, ref_cell in zip(cells[1:], ref_cells[1:]):
+            assert float(cell) == pytest.approx(float(ref_cell), rel=1e-12, abs=0.0), row
 
 
 def test_invalid_config_exit_code(tmp_path):

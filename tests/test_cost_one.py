@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,8 +13,8 @@ from bandctl.cost_one import (
 )
 from bandctl.errors import OutOfBand, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
-from ._oracles import mc_reflected, mc_two_sided
-from .conftest import assert_within_se, make_ex1, make_ex3
+from ._oracles import MpScale, mc_reflected, mc_two_sided
+from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex3
 
 EX1_BAND = BandOne(1.526, 1.526, 5.077)
 
@@ -94,6 +95,39 @@ def test_shortage_reflected_against_mc():
     mc = mc_reflected(m, 1, EX1_BAND.y1, 1.0, 100_000, seed=15)
     mean, se = mc["penalty"]
     assert abs(shortage_reflected(m, EX1_BAND, 1.0) - mean) < 3 * se
+
+
+@pytest.mark.parametrize("make, band", [
+    (make_ex1, EX1_BAND),
+    (make_ex3, BandOne(2.468, 3.114, 4.61)),
+    (make_ex1_hyper, BandOne(1.0, 1.5, 4.0)),
+], ids=["ex1", "ex3", "ex1-hyper"])
+def test_shortage_reflected_against_mpmath(make, band):
+    # S1xy from the closed-form shortage integral P(x) = int_0^x W1(x-z) lam
+    # ptail(z) dz, against 40-digit quadrature of that integral built from
+    # 40-digit scale functions and the penalty tail
+    m = make()
+    asm = TypeOneAssembly(m, band)
+    xs = np.array([0.0, 0.37 * band.y1, 0.8 * band.y1])
+    got = asm.S1xy(xs)
+    with mpmath.workdps(40):
+        s1 = MpScale(m, 1)
+        lam, p0, p1 = (mpmath.mpf(v) for v in (m.lam, m.penalty.p0, m.penalty.p1))
+        comps = [(mpmath.mpf(w), mpmath.mpf(mu))
+                 for w, mu in zip(m.demand.weights, m.demand.rates)]
+
+        def P(x):
+            ptail = lambda z: sum(w * mpmath.exp(-mu * z) * (p0 + p1 / mu) for w, mu in comps)
+            return mpmath.quad(lambda z: s1.W(x - z) * lam * ptail(z), [0, x])
+
+        y1 = mpmath.mpf(band.y1)
+        P1, W1y1, Z1y1 = P(y1), s1.W(y1), s1.Z(y1)
+        assert abs(asm.P1 - float(P1)) <= 1e-12 * float(P1)
+        for x, val in zip(xs, got):
+            x = mpmath.mpf(x)
+            ref = float(s1.W(x) * P1 / W1y1 - P(x)
+                        + (s1.Z(x) - s1.W(x) * Z1y1 / W1y1) * P1 / Z1y1)
+            assert abs(val - ref) <= 1e-12 * abs(ref), (x, val, ref)
 
 
 def test_constant_cost_closure_analytic():

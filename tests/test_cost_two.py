@@ -10,7 +10,7 @@ from bandctl import (
     upper_cost_bound,
     upper_phase1_costs,
 )
-from bandctl import cost_one, passage
+from bandctl import passage
 from bandctl.cost_two import holding_exit_phase1
 from bandctl.errors import OutOfBand, ValidationError
 from bandctl.model import HoldingCost, ModelConfig
@@ -145,9 +145,10 @@ def test_upper_values_match_simulator():
 
 
 def test_surface_evaluation_integrates_each_tail_once(monkeypatch):
-    # one phase-2 stack needs the two transfer-map tails and the resolvent
-    # transform; one phase-1 stack the shortage integral; the upper region
-    # of a type-two band its resolvent transform
+    # the transfer-map tails and the phase-1 shortage integral are closed
+    # forms, so one phase-2 stack needs only its resolvent transform, a
+    # phase-1 stack no quadrature, and the upper region of a type-two band
+    # its resolvent transform
     m = make_ex3()
     one = total_cost(m, EX3_BAND.lower())
     two = total_cost_two(m, EX3_BAND)
@@ -158,14 +159,13 @@ def test_surface_evaluation_integrates_each_tail_once(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for mod in (passage, cost_one):
-        monkeypatch.setattr(mod, "integrate_rows", counted)
+    monkeypatch.setattr(passage, "integrate_rows", counted)
 
     def count(surface, phase, lo, hi):
         calls.clear()
         surface.V(phase, np.linspace(lo, hi, 9))
         return len(calls)
 
-    assert count(one, 2, EX3_BAND.y2 + 0.01, m.b) == 3
-    assert count(one, 1, 0.0, EX3_BAND.y1 - 0.01) == 1
+    assert count(one, 2, EX3_BAND.y2 + 0.01, m.b) == 1
+    assert count(one, 1, 0.0, EX3_BAND.y1 - 0.01) == 0
     assert count(two, 1, EX3_BAND.y4 + 0.01, m.b) == 1

@@ -1,9 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from bandctl import build_scale, estimate_occupation
 from bandctl.errors import OutOfBand
-from bandctl.model import DemandLaw, ModelConfig, validate
+from bandctl.model import ModelConfig
 from bandctl.passage import (
     ExitContext,
     Omega2,
@@ -15,8 +16,8 @@ from bandctl.passage import (
     reflected_up_factor,
     up_crossing_factor,
 )
-from ._oracles import mc_reflected, mc_two_sided, simpson_adaptive
-from .conftest import make_ex1, make_ex3
+from ._oracles import MpScale, mc_reflected, mc_two_sided, simpson_adaptive
+from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +104,6 @@ def test_occupation_histogram_matches_density(ex3_ctx):
     assert abs(occ.total - expected) < 3 * occ.total_std_error
 
 
-def make_ex1_hyper() -> ModelConfig:
-    """Example one with three-component hyper-exponential demand."""
-    demand = DemandLaw.hyperexponential([0.3, 0.4, 0.3], [0.8, 1.5, 4.0])
-    return validate(ModelConfig(**{**make_ex1().__dict__, "demand": demand}))
-
-
 @pytest.mark.parametrize("make, a", [(make_ex3, 2.468), (make_ex1_hyper, 1.0)],
                          ids=["ex3", "ex1-hyper"])
 def test_resolvent_transform_against_simpson(make, a):
@@ -171,6 +166,13 @@ def test_omega2_equal_rates_drops_correction():
     xs = np.linspace(1.0, hypo.b, 9)
     reduced = s1.Z(xs) - ctx.up(xs) * s1.Z(hypo.b)
     assert op.apply_Z1(xs) == pytest.approx(reduced, abs=1e-12)
+    # the Z1 source vanishes, so its tail and constant are exact zeros, and
+    # the Wbarbar1 tail is int_{y2}^x z W2(x - z) dz alone
+    assert op.dsig == 0.0
+    assert np.all(op._tail(xs, "Z1") == 0.0) and op._const_z == 0.0
+    for x, val in zip(xs[1:], op._tail(xs, "W")[1:]):
+        ref = simpson_adaptive(lambda z: z * s2.W(x - z), 1.0, x)
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_omega2_vanishes_at_capacity():
@@ -227,3 +229,32 @@ def test_omega2_matches_jump_decomposition(ex3_ctx):
     x = 5.0
     assert omega2(ctx, s1, "Z1", x) == pytest.approx(rhs(x, s1.Z), abs=1e-7)
     assert omega2(ctx, s1, "Wbarbar1", x) == pytest.approx(rhs(x, s1.Wbarbar), abs=1e-7)
+
+
+@pytest.mark.parametrize("make, y2", [(make_ex1, 1.526), (make_ex3, 2.468),
+                                      (make_ex1_hyper, 1.0)],
+                         ids=["ex1", "ex3", "ex1-hyper"])
+def test_omega2_tails_against_mpmath(make, y2):
+    # the closed-form tails int_{y2}^x (G2-q)g(z) W2(x-z) dz, and the
+    # constants (the tails at b), against 40-digit quadrature of the same
+    # integrands built from 40-digit scale functions
+    m = make()
+    op = Omega2(build_scale(m, 1), ExitContext(build_scale(m, 2), a=y2, d=m.b))
+    xs = np.array([0.5 * (y2 + m.b), m.b - 0.5])
+    got = {"Z1": op._tail(xs, "Z1"), "W": op._tail(xs, "W")}
+    consts = {"Z1": op._const_z, "W": op._const_w}
+    with mpmath.workdps(40):
+        mp1, mp2 = MpScale(m, 1), MpScale(m, 2)
+        dsig = mp2.sigma - mp1.sigma
+        sources = {"Z1": lambda z: dsig * mp1.q * mp1.W(z),
+                   "W": lambda z: z + dsig * mp1.Wbar(z)}
+        for kind, src in sources.items():
+            def tail(x):
+                x = mpmath.mpf(x)
+                return float(mpmath.quad(lambda z: src(z) * mp2.W(x - z), [y2, x]))
+
+            for x, val in zip(xs, got[kind]):
+                ref = tail(x)
+                assert abs(val - ref) <= 1e-12 * abs(ref), (kind, x, val, ref)
+            ref = tail(m.b)
+            assert abs(consts[kind] - ref) <= 1e-12 * abs(ref), (kind, consts[kind], ref)

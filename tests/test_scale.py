@@ -16,6 +16,8 @@ from bandctl import (
     validate,
 )
 from bandctl.errors import ThetaInsideSpectrum
+from bandctl.passage import integrate
+from bandctl.scale import conv_exp
 from ._oracles import simpson_adaptive
 from .conftest import make_ex1, make_ex3
 
@@ -134,3 +136,40 @@ def test_hyperexponential_scale_set():
         x = 1.3
         wb = simpson_adaptive(lambda z: sc.W(z), 0.0, x, tol=1e-13)
         assert sc.Wbar(x) == pytest.approx(wb, abs=1e-10)
+
+
+def test_build_scale_cached_and_read_only():
+    # one ScaleSet per (model, phase), shared by every caller, so nobody may
+    # write to its arrays
+    a = build_scale(make_ex3(), 2)
+    assert build_scale(make_ex3(), 2) is a
+    assert build_scale(make_ex3(), 1) is not a
+    for arr in (a.exponents, a.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_conv_exp_against_quadrature():
+    a_exp, a_coef = np.array([-1.5, 0.3]), np.array([0.7, -0.2])
+    b_exp, b_coef = np.array([-0.4, 0.9]), np.array([1.1, 0.5])
+    A = lambda z: np.exp(z[..., None] * a_exp) @ a_coef
+    B = lambda u: np.exp(u[..., None] * b_exp) @ b_coef
+    for x in (1.0, 2.5, 7.0):
+        ref = integrate(lambda z: A(z) * B(x - z), 0.5, x)
+        assert conv_exp(0.5, x, a_exp, a_coef, b_exp, b_coef) == pytest.approx(ref, rel=1e-12)
+    got = conv_exp(0.5, np.array([[0.2, 0.5], [1.0, 2.5]]), a_exp, a_coef, b_exp, b_coef)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 0.0 and got[0, 1] == 0.0
+
+
+def test_conv_exp_equal_exponents():
+    # delta = 0 takes the limit s of expm1(delta s)/delta:
+    # int_lo^x e^{c z} e^{c (x - z)} dz = (x - lo) e^{c x}
+    c, lo = 0.7, 0.5
+    xs = np.array([0.5, 1.0, 3.0])
+    got = conv_exp(lo, xs, [c], [2.0], [c], [3.0])
+    np.testing.assert_allclose(got, 6.0 * (xs - lo) * np.exp(c * xs), rtol=1e-14)
+    # a near-equal pair stays on the same limit
+    near = conv_exp(lo, xs, [c + 1e-13], [2.0], [c], [3.0])
+    np.testing.assert_allclose(near, got, rtol=1e-12)
+
