@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Dump the numbers the analytic engine and the optimizer produce, and diff two dumps.
+
+    PYTHONPATH=src python3 scripts/compare_numbers.py dump OUT.npz
+    python3 scripts/compare_numbers.py diff A.npz B.npz
+
+Run from the repository root.  `dump` imports bandctl from the current
+PYTHONPATH, so two trees are compared by dumping once with each tree's src
+first on the path.  It writes:
+
+* escalate/<ex>: repr of escalate() on configs/ex1.json, ex2.json, ex3.json;
+* starts/<config>/<stage>: the Nelder-Mead starts that optimize_doshi and
+  optimize_type_one hand to the polish (stage doshi or one), on ex1, ex2,
+  ex3 and ex1-hyper; the polish itself is skipped;
+* band/<case>/V0 and band/<case>/p<phase>s<side>: V0, and V, H, S, K of
+  both phases at sides -1/0/+1 on a 401-point grid over [0, b], for the 44
+  bands of perfbench/reference/crosscheck-inputs.json (each base policy,
+  then its perturbations 0-9).
+
+Only crosscheck-inputs.json and the four configs are read.  `diff` lists
+every array that is missing from one dump or not bit-identical, with its
+largest relative difference, and exits 1 when there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = {
+    "ex1": "configs/ex1.json",
+    "ex2": "configs/ex2.json",
+    "ex3": "configs/ex3.json",
+    "ex1-hyper": "perfbench/configs/ex1-hyper.json",
+}
+GRID = 401
+
+
+def _models():
+    from bandctl import validate
+    from bandctl.cli import load_config
+
+    return {name: validate(load_config(ROOT / path)) for name, path in CONFIGS.items()}
+
+
+def _starts(model) -> dict:
+    """The polish starts of both lattice stages, captured by stubbing the polish."""
+    import bandctl.optimize as opt
+
+    seen = {}
+
+    def capture(model, starts, doshi):
+        seen["doshi" if doshi else "one"] = np.asarray(list(starts), dtype=float)
+        return opt._project_one(starts[0], model.b, doshi), 0.0
+
+    polish = opt._polish
+    opt._polish = capture
+    try:
+        opt.optimize_doshi(model)
+        opt.optimize_type_one(model)
+    finally:
+        opt._polish = polish
+    return seen
+
+
+def dump(out: str) -> None:
+    from bandctl import BandOne, BandTwo, escalate, total_cost, total_cost_two
+
+    models = _models()
+    arrays = {}
+    for name in ("ex1", "ex2", "ex3"):
+        arrays[f"escalate/{name}"] = np.array(repr(escalate(models[name])))
+    for name, model in models.items():
+        for stage, starts in _starts(model).items():
+            arrays[f"starts/{name}/{stage}"] = starts
+
+    with open(ROOT / "perfbench" / "reference" / "crosscheck-inputs.json") as fh:
+        policies = json.load(fh)["policies"]
+    for pol in policies:
+        model = models[pol["config"]]
+        xs = np.linspace(0.0, model.b, GRID)
+        for j, th in enumerate([pol["band"]] + pol["perturbations"]):
+            case = f"band/{pol['config']}-{'base' if j == 0 else j - 1}"
+            if len(th) == 4:
+                surface = total_cost_two(model, BandTwo(*th))
+            else:
+                surface = total_cost(model, BandOne(*th))
+            arrays[f"{case}/V0"] = np.array(surface.V0)
+            for phase in (1, 2):
+                for side in (-1, 0, 1):
+                    arrays[f"{case}/p{phase}s{side}"] = np.stack(
+                        surface.components(phase, xs, side))
+    np.savez(out, **arrays)
+    print(f"{len(arrays)} arrays written to {out}")
+
+
+def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    if a.dtype.kind not in "fi" or b.dtype.kind not in "fi" or a.shape != b.shape:
+        return float("nan")
+    scale = np.maximum(np.abs(a), np.abs(b))
+    gap = np.abs(a - b)
+    rel = np.where(scale > 0, gap / np.where(scale > 0, scale, 1.0), 0.0)
+    return float(np.max(rel)) if rel.size else 0.0
+
+
+def diff(path_a: str, path_b: str) -> int:
+    with np.load(path_a) as fa, np.load(path_b) as fb:
+        a = {k: fa[k] for k in fa.files}
+        b = {k: fb[k] for k in fb.files}
+    differing = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            differing.append(f"{key}: only in {path_a if key in a else path_b}")
+        elif not (a[key].shape == b[key].shape and np.array_equal(a[key], b[key])):
+            differing.append(f"{key}: largest relative difference {_rel_diff(a[key], b[key]):.3g}")
+    print(f"{len(set(a) | set(b))} arrays compared; differing: {len(differing)}")
+    for line in differing:
+        print(f"  {line}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("dump").add_argument("out")
+    d = sub.add_parser("diff")
+    d.add_argument("a")
+    d.add_argument("b")
+    args = ap.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.out)
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ level_b_value.  A phase's six slope/base coefficients (alpha, beta for
 holding, gamma, mu for shortage, delta, omega for switching) are one stack,
 built from one evaluation of the exit and transfer-map quantities at x.  The
 level-b scalars solve one-dimensional linear fixed points assembled by
-quadrature of the stacks over the demand density.
+quadrature of the stacks over the demand density.  A lattice row of bands
+that share (y2, y3) is assembled in one pass, with y1 along a band axis
+(lattice_V0).
 """
 
 from __future__ import annotations
@@ -30,16 +32,21 @@ _MIN_GAP = 1e-9
 
 @dataclass(frozen=True)
 class BandOne:
-    """Thresholds 0 <= y2 <= y3 < y1 < b; Doshi policies have y3 = y2."""
+    """Thresholds 0 <= y2 <= y3 < y1 < b; Doshi policies have y3 = y2.
+
+    y1 may be a 1-D array: a lattice row of bands sharing (y2, y3), which
+    TypeOneAssembly evaluates together (see lattice_V0).
+    """
 
     y2: float
     y3: float
     y1: float
 
     def check(self, b: float) -> "BandOne":
-        if not (0 <= self.y2 <= self.y3 < self.y1 < b):
+        y1 = np.asarray(self.y1)
+        if not (0 <= self.y2 <= self.y3 and np.all(self.y3 < y1) and np.all(y1 < b)):
             raise ValidationError(f"band ordering violated: {self} with b={b}")
-        if self.y1 - self.y3 < _MIN_GAP:
+        if np.any(y1 - self.y3 < _MIN_GAP):
             raise ValidationError("y1 must exceed y3 by at least 1e-9")
         return self
 
@@ -72,11 +79,30 @@ class BandTwo:
         return BandOne(self.y2, self.y3, self.y1)
 
 
+def _contractive(ok, value, message: str) -> None:
+    """Raise FixedPointNotContractive unless ok holds for every band.
+
+    message is formatted with the value of the first band that fails.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        bad = np.asarray(value)[~ok].flat[0] if ok.ndim else value
+        raise FixedPointNotContractive(message.format(bad))
+
+
 class TypeOneAssembly:
     """All closed-form machinery for one (model, band) pair.
 
     Construction solves the three level-b fixed points; afterwards every
     exposed function is a pure vectorized evaluation.
+
+    With an array band.y1 the assembly holds a lattice row: everything that
+    depends only on y2 (the exit context, the transfer map, the phase-2
+    exit and resolvent quantities at the quadrature nodes) is built once,
+    the y1-dependent scalars become columns of shape (bands, 1) along a
+    band axis that broadcasts against the node axis, and H0, S0, K0 are
+    arrays along y1.  Only the level-b scalars of such an assembly are
+    meant to be read.
     """
 
     def __init__(self, model: ModelConfig, band: BandOne):
@@ -84,7 +110,9 @@ class TypeOneAssembly:
         self.model = model
         self.band = band
         m = model
-        y2, y1, b = band.y2, band.y1, m.b
+        y2, b = band.y2, m.b
+        self._lattice = np.ndim(band.y1) == 1
+        y1 = np.asarray(band.y1, dtype=float)[:, None] if self._lattice else band.y1
         self.s1 = build_scale(m, 1)
         s1 = self.s1
         self.exit2 = ExitContext(build_scale(m, 2), y2, b)
@@ -101,7 +129,7 @@ class TypeOneAssembly:
         # with lam * ptail an exponential sum over the demand components
         p0, p1 = m.penalty.p0, m.penalty.p1
         self._lam_ptail = (-self._mus, lam * self._ws * (p0 + p1 / self._mus))
-        self.P1 = float(self._Px(y1))
+        self.P1 = self._Px(y1)
         self.S1xy0 = self.P1 / self.Z1y1  # value of the renewal sum started at 0
 
         # demand-transform constants for the phase-2 landing integrals
@@ -112,18 +140,17 @@ class TypeOneAssembly:
         self._coef_Z = ws * (1.0 + mus * self._cZ)
 
         # scalars at y1 feeding the linear representations
-        self.up_y1 = float(self.exit2.up(y1))
-        self.down_y1 = float(self.exit2.down(y1))
-        self.omZ_y1 = float(self.om.apply_Z1(np.asarray(y1)))
+        self.up_y1 = self.exit2.up(y1)
+        self.down_y1 = self.exit2.down(y1)
+        self.omZ_y1 = self.om.apply_Z1(np.asarray(y1))
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
-        if not (0 <= self.r < 1):
-            raise FixedPointNotContractive(f"phase-2 return factor r={self.r} outside [0,1)")
-        _, _, _, A_y1, mu_y1, g_y1 = self._phase2_bases(np.asarray([y1]))
-        self.A_y1 = float(A_y1[0])
-        g_y1, mu_y1 = float(g_y1[0]), float(mu_y1[0])
-        if not (0 <= g_y1 < 1):
-            raise FixedPointNotContractive(f"shortage renewal factor {g_y1} outside [0,1)")
+        _contractive((0 <= self.r) & (self.r < 1), self.r,
+                     "phase-2 return factor r={} outside [0,1)")
+        at_y1 = self._phase2_bases(y1 if self._lattice else np.asarray([y1]))
+        _, _, _, A_y1, mu_y1, g_y1 = (v if self._lattice else float(v[0]) for v in at_y1)
+        self.A_y1 = A_y1
+        _contractive((0 <= g_y1) & (g_y1 < 1), g_y1, "shortage renewal factor {} outside [0,1)")
         self._gamma_y1 = g_y1
         self._mu_y1 = mu_y1
         self.alpha2_y1 = self.up_y1 * self.Z1y1 / self.denom
@@ -172,7 +199,13 @@ class TypeOneAssembly:
             + m.h1.c * (zr * self.Wbb1y1 - self.om.apply_Wbarbar1(x))
         )
         G = ex.resolvent_transform(x)
-        mu_base = m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
+        if self._lattice:
+            # each band's coefficients (bands, 1, k) against G with the
+            # demand components moved last; x is (nodes,) or (bands, 1)
+            coef = self._coef_S[:, None, :]
+            mu_base = m.lam * np.sum(coef * np.moveaxis(G, 0, -1), axis=-1)
+        else:
+            mu_base = m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
         gamma_base = m.lam / self.Z1y1 * np.tensordot(self._coef_Z, G, axes=(0, 0))
         return up, down, omZ, A, mu_base, gamma_base
 
@@ -246,15 +279,16 @@ class TypeOneAssembly:
         w = lam / (lam + q)
         sfb = d.sf(b)
 
+        # rows of shape (6,) for one band, (6, bands) for a lattice row
+        tail = self.phase1(np.asarray([0.0]))[..., 0] * sfb
         J2 = (
             integrate(lambda z: self.phase2(b - z) * d.pdf(z), 0.0, b - y3)
-            if b - y3 > 0 else np.zeros(6)
+            if b - y3 > 0 else np.zeros(tail.shape)
         )
         J1 = (
             integrate(lambda z: self.phase1(b - z) * d.pdf(z), b - y3, b)
-            if y3 > 0 else np.zeros(6)
+            if y3 > 0 else np.zeros(tail.shape)
         )
-        tail = self.phase1(np.asarray([0.0]))[:, 0] * sfb
 
         mH = w * (J2[0] + J1[0] + tail[0])
         cH = m.h0_b / (q + lam) + w * (J2[1] + J1[1] + tail[1])
@@ -269,11 +303,10 @@ class TypeOneAssembly:
             + k.k01 * (1.0 - d.cdf(b - y3))
         )
         for name, mm in (("holding", mH), ("shortage", mS), ("switching", mK)):
-            if abs(mm) >= 1.0:
-                raise FixedPointNotContractive(f"{name} level-b multiplier |m|={mm} >= 1")
-        self.H0 = float(cH / (1.0 - mH))
-        self.S0 = float(cS / (1.0 - mS))
-        self.K0 = float(cK / (1.0 - mK))
+            _contractive(np.logical_not(np.abs(mm) >= 1.0), mm,
+                         name + " level-b multiplier |m|={} >= 1")
+        values = (cH / (1.0 - mH), cS / (1.0 - mS), cK / (1.0 - mK))
+        self.H0, self.S0, self.K0 = values if self._lattice else (float(v) for v in values)
 
     # -- assembled costs -----------------------------------------------------
 
@@ -281,6 +314,18 @@ class TypeOneAssembly:
         """(H, S, K) of the phase at x: each slope times its level-b scalar plus base."""
         alpha, beta, gamma, mu, delta, omega = self.phase1(x) if phase == 1 else self.phase2(x)
         return alpha * self.H0 + beta, mu + gamma * self.S0, omega + delta * self.K0
+
+
+def lattice_V0(model: ModelConfig, y2: float, y3: float, y1s) -> np.ndarray:
+    """V0(b) of the bands (y2, y3, y1) for every y1 in y1s, from one assembly.
+
+    Each value agrees with total_cost(model, BandOne(y2, y3, y1)).V0 up to
+    rounding (the node count of the shared level-b quadrature and the order
+    of the sum over demand components may differ); total_cost stays the
+    reference evaluation.
+    """
+    asm = TypeOneAssembly(model, BandOne(y2, y3, np.asarray(y1s, dtype=float)))
+    return asm.H0 + asm.S0 + asm.K0
 
 
 @lru_cache(maxsize=128)

@@ -3,10 +3,14 @@
 Each stage minimizes the level-b value V0(b) with a coarse feasible lattice
 followed by Nelder-Mead polish (with constraint repair by projection), and
 hands its winner to the HJB verifier; escalation stops at the first class
-whose optimum verifies.  V0(b) does not depend on y4, so the type-two stage
-reuses the type-one thresholds and picks y4 separately: it minimizes the
-worst phase-1 value over a probe grid in (y1, b) by golden-section search,
-with verification as the final arbiter.
+whose optimum verifies.  A lattice is evaluated per (y2, y3) group, the
+group's y1 values in one assembly (cost_one.lattice_V0).  Candidates are
+listed in (y2, y3, y1) order and the sort is stable, so ties keep that
+order and the polish starts do not depend on the grouping.  The polish
+evaluates one band per call through total_cost.  V0(b) does not depend on y4, so the
+type-two stage reuses the type-one thresholds and picks y4 separately: it
+minimizes the worst phase-1 value over a probe grid in (y1, b) by
+golden-section search, with verification as the final arbiter.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .cost_one import BandOne, BandTwo, CostSurface, total_cost
+from .cost_one import BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
 from .errors import NoFeasiblePoint
 from .model import ModelConfig
@@ -76,41 +80,48 @@ def _multistart(winners, spacing: float):
     return starts
 
 
-def optimize_doshi(model: ModelConfig) -> OptimizationResult:
-    """Best two-threshold policy (y3 = y2) on a 25x25 lattice + polish."""
+def _doshi_lattice(model: ModelConfig) -> tuple[list, float]:
+    """(V0, (y2, y1)) on the feasible 25x25 lattice, y2-major; and the y1 spacing."""
     b = model.b
     y2s = np.linspace(0.0, b * 0.92, 25)
     y1s = np.linspace(b * 0.02, b - _EDGE, 25)
     cands = []
     for y2 in y2s:
-        for y1 in y1s:
-            if y1 > y2 + 1e-4:
-                cands.append((total_cost(model, BandOne(y2, y2, y1)).V0, (y2, y1)))
+        row = y1s[y1s > y2 + 1e-4]
+        if row.size:
+            cands.extend(zip(lattice_V0(model, y2, y2, row), ((y2, y1) for y1 in row)))
+    return cands, float(y1s[1] - y1s[0])
+
+
+def _type_one_lattice(model: ModelConfig) -> tuple[list, float]:
+    """(V0, (y2, y3, y1)) on the feasible 15^3 lattice, (y2, y3)-major; and its spacing."""
+    b = model.b
+    g = np.linspace(0.0, b - _EDGE, 15)
+    cands = []
+    for y2 in g:
+        for y3 in g[g >= y2]:
+            row = g[(g > y3 + 1e-4) & (g < b)]
+            if row.size:
+                cands.extend(zip(lattice_V0(model, y2, y3, row), ((y2, y3, y1) for y1 in row)))
+    return cands, float(g[1] - g[0])
+
+
+def optimize_doshi(model: ModelConfig) -> OptimizationResult:
+    """Best two-threshold policy (y3 = y2) on a 25x25 lattice + polish."""
+    cands, spacing = _doshi_lattice(model)
     if not cands:
         raise NoFeasiblePoint("no feasible (y2, y1) on the lattice")
     cands.sort(key=lambda t: t[0])
-    spacing = float(y1s[1] - y1s[0])
     band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi=True)
     return OptimizationResult("doshi", band, val, total_cost(model, band))
 
 
 def optimize_type_one(model: ModelConfig) -> OptimizationResult:
     """Type-one policy (free restart threshold y3) on a 15^3 lattice + polish."""
-    b = model.b
-    g = np.linspace(0.0, b - _EDGE, 15)
-    cands = []
-    for y2 in g:
-        for y3 in g:
-            if y3 < y2:
-                continue
-            for y1 in g:
-                if y1 <= y3 + 1e-4 or y1 >= b:
-                    continue
-                cands.append((total_cost(model, BandOne(y2, y3, y1)).V0, (y2, y3, y1)))
+    cands, spacing = _type_one_lattice(model)
     if not cands:
         raise NoFeasiblePoint("no feasible (y2, y3, y1) on the lattice")
     cands.sort(key=lambda t: t[0])
-    spacing = float(g[1] - g[0])
     band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi=False)
     return OptimizationResult("one", band, val, total_cost(model, band))
 

@@ -7,11 +7,12 @@ import pytest
 from bandctl import BandOne, SimStrategy, estimate_cost, total_cost, upper_cost_bound
 from bandctl.cost_one import (
     TypeOneAssembly,
+    _contractive,
     holding_exit_two_sided,
     holding_reflected,
     shortage_reflected,
 )
-from bandctl.errors import OutOfBand, ValidationError
+from bandctl.errors import FixedPointNotContractive, OutOfBand, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from ._oracles import MpScale, mc_reflected, mc_two_sided
 from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex3
@@ -259,3 +260,19 @@ def test_objective_bitwise_deterministic():
     v1 = total_cost(m, band).V0
     v2 = total_cost(m, band).V0
     assert v1 == v2
+
+
+def test_lattice_row_checks_every_band():
+    m = make_ex1()
+    for y1s in ([3.0, 2.0 + 1e-12], [3.0, m.b], [1.5, 3.0]):
+        with pytest.raises(ValidationError):
+            TypeOneAssembly(m, BandOne(1.0, 2.0, np.array(y1s)))
+
+
+def test_contraction_failure_names_first_failing_band():
+    r = np.array([[0.5], [1.5], [-0.1]])
+    with pytest.raises(FixedPointNotContractive, match=r"r=1\.5 outside"):
+        _contractive((0 <= r) & (r < 1), r, "r={} outside [0,1)")
+    with pytest.raises(FixedPointNotContractive, match=r"r=1\.5 outside"):
+        _contractive((0 <= 1.5) & (1.5 < 1), 1.5, "r={} outside [0,1)")
+    _contractive(np.array([True, True]), np.array([0.1, 0.2]), "{}")

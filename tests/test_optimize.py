@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+import bandctl.optimize as optimize
 from bandctl import (
     BandOne,
     ModelConfig,
@@ -8,10 +11,16 @@ from bandctl import (
     optimize_type_one,
     optimize_type_two,
     total_cost,
+    upper_cost_bound,
 )
 from bandctl.errors import NoFeasiblePoint
-from bandctl.optimize import _project_one
-from .conftest import make_ex1
+from bandctl.optimize import OptimizationResult, _doshi_lattice, _project_one, _type_one_lattice
+from bandctl.verify import VerificationReport
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
+
+MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
+# ex3's type-one optimum, rounded; the type-two stage only reads base.band
+EX3_ONE = BandOne(2.468, 3.114, 4.610)
 
 
 def test_project_repairs_ordering():
@@ -76,3 +85,84 @@ def test_type_two_y4_verified_and_invariant(ex3):
     assert res.objective == pytest.approx(
         total_cost(ex3, res.band.lower()).V0, abs=1e-12
     )
+
+
+@lru_cache(maxsize=None)
+def _lattices(name: str):
+    """(model, [(V0, band)]) over both lattices of a config, from the batched rows."""
+    model = MODELS[name]()
+    rows = [(v, BandOne(th[0], th[0], th[1])) for v, th in _doshi_lattice(model)[0]]
+    rows += [(v, BandOne(*th)) for v, th in _type_one_lattice(model)[0]]
+    return model, rows
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_lattice_values_finite_positive_and_bounded(name):
+    model, rows = _lattices(name)
+    assert len(rows) == 341 + 560
+    values = np.array([v for v, _ in rows])
+    assert np.all(np.isfinite(values))
+    assert np.all(values > 0)
+    assert np.all(values <= upper_cost_bound(model))
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_lattice_values_match_total_cost(name):
+    model, rows = _lattices(name)
+    for v, band in rows:
+        ref = total_cost(model, band).V0
+        assert abs(v - ref) <= 1e-12 * abs(ref), band
+
+
+def _fake_report(margin: float, passed: bool) -> VerificationReport:
+    grid = np.linspace(0.0, 1.0, 3)
+    return VerificationReport(
+        grid1=grid, grid2=grid,
+        residual_L1=np.full(3, margin), residual_L2=np.zeros(3),
+        switch_slack_12=np.full(3, margin + 1.0), switch_slack_21=np.zeros(3),
+        L0_residual=0.0, boundary_1=0.0, boundary_2=0.0, tol=1e-3, scale=1.0,
+        failures=[] if passed else ["stub: rejected"],
+    )
+
+
+def _stub_verifier(monkeypatch, outcomes: dict):
+    """Replace the verifier: call 0 (the golden-section y4) fails, and scan
+    call i (i = 1..21) gets outcomes[i] = (margin, passed), failing otherwise.
+    Returns the list of (y4, report) per call."""
+    calls = []
+
+    def verify(model, surface, tol=None):
+        margin, passed = outcomes.get(len(calls), (10.0, False))
+        report = _fake_report(margin, passed)
+        calls.append((surface.band.y4, report))
+        return report
+
+    monkeypatch.setattr(optimize, "verify_strategy", verify)
+    return calls
+
+
+def test_type_two_scan_keeps_largest_passing_margin(ex3, monkeypatch):
+    # scan candidates 3, 10 and 15 pass; 5 fails with the largest margin of all
+    outcomes = {3: (-0.2, True), 10: (-0.05, True), 15: (-0.3, True), 5: (0.5, False)}
+    calls = _stub_verifier(monkeypatch, outcomes)
+    base = OptimizationResult("one", EX3_ONE, 0.0, total_cost(ex3, EX3_ONE))
+    res = optimize_type_two(ex3, base)
+    assert len(calls) == 22
+    y4, report = calls[10]
+    assert res.verified
+    assert res.report is report
+    assert res.band.y4 == y4 and res.band.lower() == EX3_ONE
+    assert res.surface.band == res.band
+    assert res.objective == res.surface.V0
+
+
+def test_type_two_scan_without_a_pass_returns_golden_section_band(ex3, monkeypatch):
+    calls = _stub_verifier(monkeypatch, {})
+    base = OptimizationResult("one", EX3_ONE, 0.0, total_cost(ex3, EX3_ONE))
+    res = optimize_type_two(ex3, base)
+    assert len(calls) == 22
+    y4, report = calls[0]
+    assert not res.verified
+    assert res.report is report
+    assert res.band.y4 == y4 and res.band.lower() == EX3_ONE
+    assert res.surface.band == res.band

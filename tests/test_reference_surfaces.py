@@ -5,8 +5,9 @@ policies (ex1, ex2, ex3 and a three-component hyper-exponential ex1) and of
 ten perturbations of each, recorded by perfbench/make_reference.py.  The
 type-two perturbations of ex2 and ex3 move y4, so they reach the overlay's
 landing integrals.  It also holds the simulator's estimate for six start
-states of each base policy.  These tests only read those files; surfaces
-get the benchmark's own tolerance, estimates must be bit-identical.
+states of each base policy, and the escalate() result on ex1 and ex2.
+These tests only read those files; surfaces and solves get the benchmark's
+own tolerances, estimates must be bit-identical.
 """
 
 import dataclasses
@@ -36,6 +37,8 @@ CONFIGS = {
     "ex1-hyper": "perfbench/configs/ex1-hyper.json",
 }
 SURFACE_REL = 1e-10
+SOLVE_THRESHOLD_ABS = 1e-6
+SOLVE_V0_REL = 1e-9
 SIM_PATHS = 5000  # paths per recorded estimate
 
 with open(REFERENCE / "crosscheck-inputs.json") as fh:
@@ -85,3 +88,17 @@ def test_simulator_matches_recorded_estimate(index, case):
     est = estimate_cost(model, SimStrategy.from_band(band, model), start["x0"], start["phase"],
                         SIM_PATHS, base_seed=start["seed"], jobs=1)
     assert dataclasses.asdict(est) == expected
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_escalate_matches_recorded_solve(name, solve_cached):
+    with open(REFERENCE / f"solve-{name}.json") as fh:
+        ref = json.load(fh)
+    res = solve_cached(name, validate(load_config(ROOT / CONFIGS[name])))
+    assert res.strategy_kind == ref["strategy_kind"]
+    assert bool(res.verified) == ref["verified"]
+    assert len(res.report.failures) == ref["failures"]
+    thresholds = np.asarray(dataclasses.astuple(res.band))
+    assert thresholds.shape == np.shape(ref["thresholds"])
+    assert np.max(np.abs(thresholds - ref["thresholds"])) <= SOLVE_THRESHOLD_ABS
+    assert res.objective == pytest.approx(ref["V0"], rel=SOLVE_V0_REL, abs=0)
