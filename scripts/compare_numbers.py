@@ -9,6 +9,10 @@ PYTHONPATH, so two trees are compared by dumping once with each tree's src
 first on the path.  It writes:
 
 * escalate/<ex>: repr of escalate() on configs/ex1.json, ex2.json, ex3.json;
+* polish/<ex>/<stage>: rows (y2, y3, y1, V0) of every band the polish of
+  stage doshi or one evaluated during that escalate(), in call order
+  (captured by wrapping optimize.total_cost inside optimize._polish), so the
+  Nelder-Mead objective is compared bit for bit, not only its result;
 * starts/<config>/<stage>: the Nelder-Mead starts that optimize_doshi and
   optimize_type_one hand to the polish (stage doshi or one), on ex1, ex2,
   ex3 and ex1-hyper; the polish itself is skipped;
@@ -68,13 +72,44 @@ def _starts(model) -> dict:
     return seen
 
 
+def _escalate_with_polish(model):
+    """escalate(model), and the (y2, y3, y1, V0) rows each polish stage evaluated."""
+    import bandctl.optimize as opt
+
+    rows, stage = {}, []
+
+    def polish(model, starts, doshi):
+        stage.append("doshi" if doshi else "one")
+        try:
+            return real_polish(model, starts, doshi)
+        finally:
+            stage.pop()
+
+    def total_cost(model, band):
+        surface = real_cost(model, band)
+        if stage:
+            rows.setdefault(stage[-1], []).append((band.y2, band.y3, band.y1, surface.V0))
+        return surface
+
+    real_polish, real_cost = opt._polish, opt.total_cost
+    opt._polish, opt.total_cost = polish, total_cost
+    try:
+        result = opt.escalate(model)
+    finally:
+        opt._polish, opt.total_cost = real_polish, real_cost
+    return result, {k: np.asarray(v, dtype=float) for k, v in rows.items()}
+
+
 def dump(out: str) -> None:
-    from bandctl import BandOne, BandTwo, escalate, total_cost, total_cost_two
+    from bandctl import BandOne, BandTwo, total_cost, total_cost_two
 
     models = _models()
     arrays = {}
     for name in ("ex1", "ex2", "ex3"):
-        arrays[f"escalate/{name}"] = np.array(repr(escalate(models[name])))
+        result, polished = _escalate_with_polish(models[name])
+        arrays[f"escalate/{name}"] = np.array(repr(result))
+        for stage, rows in polished.items():
+            arrays[f"polish/{name}/{stage}"] = rows
     for name, model in models.items():
         for stage, starts in _starts(model).items():
             arrays[f"starts/{name}/{stage}"] = starts

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import FixedPointNotContractive, OutOfBand, ValidationError
 from .model import ModelConfig
 from .passage import ExitContext, Omega2, integrate
-from .scale import build_scale, conv_exp
+from .scale import ExpConvolution, build_scale
 
 _MIN_GAP = 1e-9
 
@@ -90,16 +90,82 @@ def _contractive(ok, value, message: str) -> None:
         raise FixedPointNotContractive(message.format(bad))
 
 
+def _against_exp(mus, fn, lo: float, hi: float, lead=()) -> np.ndarray:
+    """int_lo^hi fn(u) * exp(mu_k u) du for every demand rate mu_k in mus.
+
+    fn maps nodes of shape (m,) to values of shape (lead..., m); the result
+    has shape (lead..., k), and all rows share one quadrature.  An empty
+    segment gives zeros without calling fn.
+    """
+    if hi <= lo:
+        return np.zeros(tuple(lead) + mus.shape)
+    out = integrate(lambda u: np.asarray(fn(u))[..., None, :] * np.exp(mus[:, None] * u), lo, hi)
+    return np.asarray(out, dtype=float)
+
+
+class PhaseTwoContext:
+    """The phase-2 objects of a type-one band that depend only on (model, y2).
+
+    The exit context on (y2, b), the transfer map and _cZ/_coef_Z (Z1's
+    demand transform over [0, y2]); at_nodes memoizes bases at the level-b
+    J2 nodes, for the 16 latest (context, node array) pairs.  Cached arrays
+    are read-only.
+    """
+
+    def __init__(self, model: ModelConfig, y2: float):
+        s1 = build_scale(model, 1)
+        self.h2 = model.h2
+        self.exit2 = ExitContext(build_scale(model, 2), y2, model.b)
+        self.om = Omega2(s1, self.exit2)
+        self.mus = np.array(model.demand.rates, dtype=float)
+        self.ws = np.array(model.demand.weights, dtype=float)
+        self._cZ = _against_exp(self.mus, s1.Z, 0.0, y2)
+        self._coef_Z = self.ws * (1.0 + self.mus * self._cZ)
+        for arr in (self.mus, self.ws, self._cZ, self._coef_Z, self.exit2._B,
+                    self.om._coef_z, self.om._coef_w):
+            arr.setflags(write=False)
+
+    def bases(self, x):
+        """up, down, Omega(Z1), phase-2 holding, Omega(Wbarbar1), G, coef_Z . G at x."""
+        ex, om = self.exit2, self.om
+        up = ex.up(x)
+        down = ex.down(x, up)
+        G = ex.resolvent_transform(x, up)
+        return (up, down, om.apply_Z1(x, up), ex.holding(x, self.h2, up, down),
+                om.apply_Wbarbar1(x, up), G, np.tensordot(self._coef_Z, G, axes=(0, 0)))
+
+    def at_nodes(self, x: np.ndarray):
+        """bases(x) for a 1-D node array, memoized by its exact bytes."""
+        return self._bases_at(x.tobytes())
+
+    @lru_cache(maxsize=16)  # one memo over all contexts, so its size is bounded
+    def _bases_at(self, key: bytes) -> tuple:
+        vals = self.bases(np.frombuffer(key))
+        for arr in vals:
+            arr.setflags(write=False)
+        return vals
+
+
+phase_two_context = lru_cache(maxsize=32)(PhaseTwoContext)
+
+
+@lru_cache(maxsize=16)
+def _demand_conv(model: ModelConfig) -> ExpConvolution:
+    """The exponent pair of lam * ptail (rates -mu_k) against W1, one per model."""
+    return ExpConvolution(-np.array(model.demand.rates, dtype=float),
+                          build_scale(model, 1).exponents)
+
+
 class TypeOneAssembly:
     """All closed-form machinery for one (model, band) pair.
 
     Construction solves the three level-b fixed points; afterwards every
-    exposed function is a pure vectorized evaluation.
+    exposed function is a pure vectorized evaluation.  What depends only on
+    y2 comes from the shared PhaseTwoContext, whose node memo only the
+    level-b J2 integrand reads; each exit quantity is evaluated once per x.
 
-    With an array band.y1 the assembly holds a lattice row: everything that
-    depends only on y2 (the exit context, the transfer map, the phase-2
-    exit and resolvent quantities at the quadrature nodes) is built once,
-    the y1-dependent scalars become columns of shape (bands, 1) along a
+    With an array band.y1 the assembly holds a lattice row: the
+    y1-dependent scalars become columns of shape (bands, 1) along a
     band axis that broadcasts against the node axis, and H0, S0, K0 are
     arrays along y1.  Only the level-b scalars of such an assembly are
     meant to be read.
@@ -107,42 +173,33 @@ class TypeOneAssembly:
 
     def __init__(self, model: ModelConfig, band: BandOne):
         band.check(model.b)
-        self.model = model
+        self.model = m = model
         self.band = band
-        m = model
-        y2, b = band.y2, m.b
+        y2 = band.y2
         self._lattice = np.ndim(band.y1) == 1
         y1 = np.asarray(band.y1, dtype=float)[:, None] if self._lattice else band.y1
-        self.s1 = build_scale(m, 1)
-        s1 = self.s1
-        self.exit2 = ExitContext(build_scale(m, 2), y2, b)
-        self.om = Omega2(s1, self.exit2)
-        lam = m.lam
-        self._mus = np.asarray(m.demand.rates, dtype=float)
-        self._ws = np.asarray(m.demand.weights, dtype=float)
+        p2 = self.p2 = phase_two_context(m, float(y2))
+        s1 = self.s1 = p2.om.s1
+        self._mus, self._ws = p2.mus, p2.ws
 
-        self.Z1y1 = s1.Z(y1)
-        self.W1y1 = s1.W(y1)
-        self.Wbb1y1 = s1.Wbarbar(y1)
+        self.Z1y1, self.W1y1, self.Wbb1y1 = s1.Z(y1), s1.W(y1), s1.Wbarbar(y1)
 
         # shortage building blocks: P1 = int_0^{y1} W1(y1-z) * lam * ptail(z) dz,
         # with lam * ptail an exponential sum over the demand components
         p0, p1 = m.penalty.p0, m.penalty.p1
-        self._lam_ptail = (-self._mus, lam * self._ws * (p0 + p1 / self._mus))
+        self._lam_ptail = m.lam * self._ws * (p0 + p1 / self._mus)
         self.P1 = self._Px(y1)
         self.S1xy0 = self.P1 / self.Z1y1  # value of the renewal sum started at 0
 
-        # demand-transform constants for the phase-2 landing integrals
-        self._cS = self._against_exp(self.S1xy, 0.0, y2)
-        self._cZ = self._against_exp(s1.Z, 0.0, y2)
+        # demand-transform constant for the phase-2 landing integrals
         mus, ws = self._mus, self._ws
+        self._cS = _against_exp(mus, self.S1xy, 0.0, y2, np.shape(y1)[:-1])
         self._coef_S = ws * (p0 + p1 / mus + self.S1xy0) + ws * mus * self._cS
-        self._coef_Z = ws * (1.0 + mus * self._cZ)
 
         # scalars at y1 feeding the linear representations
-        self.up_y1 = self.exit2.up(y1)
-        self.down_y1 = self.exit2.down(y1)
-        self.omZ_y1 = self.om.apply_Z1(np.asarray(y1))
+        self.up_y1 = p2.exit2.up(y1)
+        self.down_y1 = p2.exit2.down(y1, self.up_y1)
+        self.omZ_y1 = p2.om.apply_Z1(np.asarray(y1), self.up_y1)
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
         _contractive((0 <= self.r) & (self.r < 1), self.r,
@@ -165,40 +222,19 @@ class TypeOneAssembly:
         # level-b fixed points H0, S0, K0
         self._solve_level_b()
 
-    # -- small helpers ------------------------------------------------------
-
-    def _against_exp(self, fn, lo: float, hi: float) -> np.ndarray:
-        """int_lo^hi fn(u) * exp(mu_k u) du for every demand component k.
-
-        fn maps nodes of shape (m,) to values of shape (lead..., m); the
-        result has shape (lead..., k), and all rows share one quadrature.
-        """
-        if hi <= lo:
-            return np.zeros(np.shape(fn(np.asarray([lo])))[:-1] + self._mus.shape)
-        out = integrate(
-            lambda u: np.asarray(fn(u))[..., None, :] * np.exp(self._mus[:, None] * u), lo, hi
-        )
-        return np.asarray(out, dtype=float)
-
     # -- phase-2 stack (domain [y2, b]) -------------------------------------
 
-    def _phase2_bases(self, x):
+    def _phase2_bases(self, x, memo: bool = False):
         """up, down, Omega(Z1), the holding base and the two shortage bases at x.
 
         The shortage bases are the cost and the renewal factor before the
-        return through y1.  Each transfer-map tail and the resolvent
-        transform is evaluated once.
+        return through y1.  The y1-independent quantities come from one
+        PhaseTwoContext.bases evaluation, or with memo from its node memo.
         """
-        m, ex = self.model, self.exit2
-        up, down = ex.up(x), ex.down(x)
-        omZ = self.om.apply_Z1(x)
+        m = self.model
+        up, down, omZ, hold2, omW, G, ZG = (self.p2.at_nodes if memo else self.p2.bases)(x)
         zr = omZ / self.Z1y1
-        A = (
-            ex.holding(x, m.h2)
-            + (m.h1.a / m.q) * (down - zr)
-            + m.h1.c * (zr * self.Wbb1y1 - self.om.apply_Wbarbar1(x))
-        )
-        G = ex.resolvent_transform(x)
+        A = hold2 + (m.h1.a / m.q) * (down - zr) + m.h1.c * (zr * self.Wbb1y1 - omW)
         if self._lattice:
             # each band's coefficients (bands, 1, k) against G with the
             # demand components moved last; x is (nodes,) or (bands, 1)
@@ -206,12 +242,12 @@ class TypeOneAssembly:
             mu_base = m.lam * np.sum(coef * np.moveaxis(G, 0, -1), axis=-1)
         else:
             mu_base = m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
-        gamma_base = m.lam / self.Z1y1 * np.tensordot(self._coef_Z, G, axes=(0, 0))
+        gamma_base = m.lam / self.Z1y1 * ZG
         return up, down, omZ, A, mu_base, gamma_base
 
-    def phase2(self, x):
+    def phase2(self, x, memo: bool = False):
         """Rows (alpha, beta, gamma, mu, delta, omega) of phase 2 at x."""
-        up, down, omZ, A, mu_base, g = self._phase2_bases(x)
+        up, down, omZ, A, mu_base, g = self._phase2_bases(x, memo)
         zr = omZ / self.Z1y1
         k = self.model.switching
         return np.stack(
@@ -227,43 +263,45 @@ class TypeOneAssembly:
 
     # -- phase-1 primitives (domain [0, y1]; constant below 0) ---------------
 
-    def H1xy(self, x):
-        """Expected discounted holding at phase 1 (floor-reflected) until y1."""
+    def H1xy(self, x, Zx=None):
+        """Expected discounted holding at phase 1 (floor-reflected) until y1; Zx is Z1(x)."""
         m, s1 = self.model, self.s1
         x = np.asarray(x, dtype=float)
-        zr = s1.Z(x) / self.Z1y1
+        zr = (s1.Z(x) if Zx is None else Zx) / self.Z1y1
         return (m.h1.a / m.q) * (1.0 - zr) + m.h1.c * (zr * self.Wbb1y1 - s1.Wbarbar(x))
 
     def _Px(self, x):
         """int_0^x W1(x-z) * lam * ptail(z) dz, in closed form."""
-        s1 = self.s1
-        return conv_exp(0.0, x, *self._lam_ptail, s1.exponents, s1.weights)
+        return _demand_conv(self.model)(0.0, x, self._lam_ptail, self.s1.weights)
 
-    def S1xy(self, x):
+    def S1xy(self, x, Zx=None, Wx=None):
         """Expected discounted shortage at phase 1 until reaching y1.
 
         Potential-density integral plus the geometric renewal of returns to
         the floor; extends automatically as a constant for x < 0.  The
         shortage integral of W1 against the penalty tail is a closed-form
-        convolution of two exponential sums.
+        convolution of two exponential sums.  Zx and Wx are Z1(x) and W1(x).
         """
         s1 = self.s1
         x = np.asarray(x, dtype=float)
+        Zx = s1.Z(x) if Zx is None else Zx
+        Wx = s1.W(x) if Wx is None else Wx
         Px = self._Px(x)
-        Ix = s1.W(x) * self.P1 / self.W1y1 - Px
-        down1 = s1.Z(x) - s1.W(x) * self.Z1y1 / self.W1y1
+        Ix = Wx * self.P1 / self.W1y1 - Px
+        down1 = Zx - Wx * self.Z1y1 / self.W1y1
         return Ix + down1 * self.P1 / self.Z1y1
 
     def phase1(self, x):
         """Rows (alpha, beta, gamma, mu, delta, omega) of phase 1 at x."""
         x = np.asarray(x, dtype=float)
-        zr = self.s1.Z(x) / self.Z1y1
+        Zx, Wx = self.s1.Z(x), self.s1.W(x)
+        zr = Zx / self.Z1y1
         return np.stack(
             [
                 zr * self.alpha2_y1,
-                self.H1xy(x) + zr * self.beta2_y1,
+                self.H1xy(x, Zx) + zr * self.beta2_y1,
                 zr * self.gamma2_y1,
-                self.S1xy(x) + zr * self.mu2_y1,
+                self.S1xy(x, Zx, Wx) + zr * self.mu2_y1,
                 zr * self.delta2_y1,
                 zr * (self.model.switching.k12 + self.omega2_y1),
             ]
@@ -282,7 +320,7 @@ class TypeOneAssembly:
         # rows of shape (6,) for one band, (6, bands) for a lattice row
         tail = self.phase1(np.asarray([0.0]))[..., 0] * sfb
         J2 = (
-            integrate(lambda z: self.phase2(b - z) * d.pdf(z), 0.0, b - y3)
+            integrate(lambda z: self.phase2(b - z, memo=True) * d.pdf(z), 0.0, b - y3)
             if b - y3 > 0 else np.zeros(tail.shape)
         )
         J1 = (

@@ -17,6 +17,7 @@ from .cost_one import (
     BandTwo,
     CostSurface,
     TypeOneAssembly,
+    _against_exp,
     _assembly,
     _make_branches,
 )
@@ -45,12 +46,12 @@ class TypeTwoOverlay:
             H, S, K = asm.costs(2, u)
             return np.stack([H, S, k.k12 + K])
 
-        AH, AS, AK = (asm._against_exp(landing_p2, y1, y4)
-                      + asm._against_exp(lambda u: np.stack(asm.costs(1, u)), 0.0, y1))
+        ws, mus = asm._ws, asm._mus
+        AH, AS, AK = (_against_exp(mus, landing_p2, y1, y4)
+                      + _against_exp(mus, lambda u: np.stack(asm.costs(1, u)), 0.0, y1))
         H1_0, S1_0, K1_0 = (float(c[0]) for c in asm.costs(1, np.asarray([0.0])))
         # carry coefficients: lam * sum_k G1_k(x) * coef_k is the cost carried
         # from the landing below y4
-        ws, mus = asm._ws, asm._mus
         ptail_coef = model.penalty.p0 + model.penalty.p1 / mus
         self._coef_H = ws * mus * AH + ws * H1_0
         self._coef_S = ws * mus * AS + ws * S1_0 + ws * ptail_coef
@@ -61,8 +62,9 @@ class TypeTwoOverlay:
         x1 = np.atleast_1d(np.asarray(x, dtype=float))
         m, asm = self.model, self.asm
         up = self.exit1.up(x1)
-        G = self.exit1.resolvent_transform(x1)
-        H = (self.exit1.holding(x1, m.h1) + up * asm.H0
+        down = self.exit1.down(x1, up)
+        G = self.exit1.resolvent_transform(x1, up)
+        H = (self.exit1.holding(x1, m.h1, up, down) + up * asm.H0
              + m.lam * np.tensordot(self._coef_H, G, axes=(0, 0)))
         S = up * asm.S0 + m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
         K = up * (m.switching.k10 + asm.K0) + m.lam * np.tensordot(self._coef_K, G, axes=(0, 0))

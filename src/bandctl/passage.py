@@ -1,7 +1,7 @@
 """Two-sided exit identities, resolvent density, and the phase-2 transfer map.
 
 The transfer map's integrals are closed-form convolutions of exponential
-sums (scale.conv_exp).  The module also declares the shared quadrature
+sums (scale.ExpConvolution).  The module also declares the shared quadrature
 policy, used for the resolvent transform's below-x integral, the exit
 constant _B and the callers' landing and level-b integrals: Gauss-Legendre
 with node doubling (16 -> ... -> 1024) until successive composite
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OutOfBand, QuadratureNotConverged
 from .model import HoldingCost
-from .scale import ScaleSet, conv_exp
+from .scale import ExpConvolution, ScaleSet
 
 GL_START = 16
 GL_MAX = 1024
@@ -104,7 +104,9 @@ class ExitContext:
     The one implementation of the two-sided exit quantities: the kernel
     values at the span d - a are computed once, here, and up, down, the
     holding cost until exit and the killed-resolvent transform are built
-    from them.
+    from them.  down, holding, resolvent_transform and Omega2.apply_* take
+    up(x) and down(x) when the caller has them, so each is evaluated once
+    per x.  Type-one bands share theirs per y2 (cost_one.PhaseTwoContext).
     """
 
     def __init__(self, scale: ScaleSet, a: float, d: float):
@@ -134,17 +136,17 @@ class ExitContext:
         """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""
         return self.scale.W(np.asarray(x, dtype=float) - self.a) / self.W_span
 
-    def down(self, x):
+    def down(self, x, up=None):
         """E_x[e^{-q tau_a^-}; down before up] = Z(x-a) - up(x) Z(d-a)."""
         x = np.asarray(x, dtype=float)
-        return self.scale.Z(x - self.a) - self.up(x) * self.Z_span
+        return self.scale.Z(x - self.a) - (self.up(x) if up is None else up) * self.Z_span
 
-    def holding(self, x, cost: HoldingCost):
+    def holding(self, x, cost: HoldingCost, up=None, down=None):
         """Expected discounted holding at rate cost.a + cost.c * X until exit."""
         s = self.scale
         x = np.asarray(x, dtype=float)
-        up = self.up(x)
-        down = self.down(x)
+        up = self.up(x) if up is None else up
+        down = self.down(x, up) if down is None else down
         time_part = (1.0 - down - up) / s.q
         level_part = (
             self.d * up
@@ -156,7 +158,7 @@ class ExitContext:
         a, c = cost.a, cost.c
         return (a + c * s.phi_prime0 / s.q) * time_part + (c / s.q) * (x - level_part)
 
-    def resolvent_transform(self, x) -> np.ndarray:
+    def resolvent_transform(self, x, up=None) -> np.ndarray:
         """int_a^d u(x, z) exp(-mu_k z) dz per demand component, shape (k,) + x.shape.
 
         u is the killed-resolvent density (potential_density); the integral
@@ -171,7 +173,7 @@ class ExitContext:
         xx = x.reshape((1,) + x.shape + (1,))
         below = integrate_rows(lambda z: self.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
         shape = (k,) + (1,) * x.ndim
-        return self._B.reshape(shape) * self.up(x)[None, ...] - below
+        return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
 
 
 def up_crossing_factor(ctx: ExitContext, x):
@@ -226,7 +228,7 @@ class Omega2:
     g = Z1 where (G2 - q) g = (sigma2 - sigma1) q W1, and g = Wbarbar1 where
     (G2 - q) g = z + (sigma2 - sigma1) Wbar1.  Both sources are exponential
     sums (plus z), so each z-integral against W2 is a closed-form
-    convolution (scale.conv_exp); the piece constant in x is the tail at b.
+    convolution (scale.ExpConvolution); the piece constant in x is the tail at b.
     """
 
     def __init__(self, scale1: ScaleSet, exit2: ExitContext):
@@ -237,12 +239,13 @@ class Omega2:
         self.exit2 = exit2
         self.dsig = exit2.scale.sigma - scale1.sigma
         th1, w1 = scale1.exponents, scale1.weights
-        # (G2-q)g as exponential sums: dsig q W1, and dsig Wbar1 without the z term
-        self._src_z = (th1, self.dsig * scale1.q * w1)
-        self._src_w = (
-            np.append(th1, 0.0),
-            np.append(self.dsig * w1 / th1, -self.dsig * np.sum(w1 / th1)),
-        )
+        # (G2-q)g as exponential sums: dsig q W1, and dsig Wbar1 without the
+        # z term; each convolved with W2 through one fixed exponent pair
+        th2 = exit2.scale.exponents
+        self._conv_z = ExpConvolution(th1, th2)
+        self._coef_z = self.dsig * scale1.q * w1
+        self._conv_w = ExpConvolution(np.append(th1, 0.0), th2)
+        self._coef_w = np.append(self.dsig * w1 / th1, -self.dsig * np.sum(w1 / th1))
         # constants: int_{y2}^b (G2-q)g(z) W2(b-z) dz for both payoffs
         self._const_z = self._tail(b, "Z1")
         self._const_w = self._tail(b, "W")
@@ -253,34 +256,24 @@ class Omega2:
         s2, y2 = self.exit2.scale, self.exit2.a
         th2, w2 = s2.exponents, s2.weights
         if kind == "Z1":
-            return conv_exp(y2, x, *self._src_z, th2, w2)
+            return self._conv_z(y2, x, self._coef_z, w2)
         # int_{y2}^x z W2(x-z) dz, term by term in u = x - z over [0, s]
         s = np.maximum(x - y2, 0.0)[..., None]
         em = np.expm1(th2 * s)
         ramp = (x[..., None] * em / th2 - s * np.exp(th2 * s) / th2 + em / th2**2) @ w2
-        return ramp + conv_exp(y2, x, *self._src_w, th2, w2)
+        return ramp + self._conv_w(y2, x, self._coef_w, w2)
 
-    def apply_Z1(self, x):
+    def _apply(self, g, const: float, kind: str, x, up):
+        """Omega(g)(x) = g(x) - up(x) g(b) + up(x) const - tail(x); up may be given."""
         x = np.asarray(x, dtype=float)
-        up = self.exit2.up(x)
-        out = (
-            self.s1.Z(x)
-            - up * self.s1.Z(self.exit2.d)
-            + up * self._const_z
-            - self._tail(x, "Z1")
-        )
-        return _as_out(out)
+        up = self.exit2.up(x) if up is None else up
+        return _as_out(g(x) - up * g(self.exit2.d) + up * const - self._tail(x, kind))
 
-    def apply_Wbarbar1(self, x):
-        x = np.asarray(x, dtype=float)
-        up = self.exit2.up(x)
-        out = (
-            self.s1.Wbarbar(x)
-            - up * self.s1.Wbarbar(self.exit2.d)
-            + up * self._const_w
-            - self._tail(x, "W")
-        )
-        return _as_out(out)
+    def apply_Z1(self, x, up=None):
+        return self._apply(self.s1.Z, self._const_z, "Z1", x, up)
+
+    def apply_Wbarbar1(self, x, up=None):
+        return self._apply(self.s1.Wbarbar, self._const_w, "W", x, up)
 
 
 def omega2(ctx: ExitContext, scale1: ScaleSet, g_id: str, x):

@@ -8,7 +8,7 @@ rational, so the fundamental kernel W solving
 is a finite sum of exponentials: W(x) = sum_j w_j exp(theta_j x) where the
 theta_j are the real roots of phi(theta) = q and w_j = 1/phi'(theta_j).
 Every derived function (integrals of W, the Z family) is then exact, and
-so is the convolution of W with any other exponential sum (conv_exp).
+so is the convolution of W with any other exponential sum (ExpConvolution).
 """
 
 from __future__ import annotations
@@ -116,25 +116,32 @@ class ScaleSet:
         return out if out.shape else float(out)
 
 
-def conv_exp(lo: float, x, a_exp, a_coef, b_exp, b_coef):
+class ExpConvolution:
     """int_lo^x A(z) B(x - z) dz for A = sum_i a_coef_i exp(a_exp_i z) and
     B = sum_j b_coef_j exp(b_exp_j u); 0 where x <= lo.
 
     With s = x - lo and delta_ij = a_exp_i - b_exp_j, the (i, j) term is
     exp(a_exp_i lo + b_exp_j s) expm1(delta_ij s) / delta_ij, and s itself
-    where delta_ij vanishes.
+    where delta_ij vanishes.  The mask and the safe divisor depend only on
+    the exponent pair, so they are built once, read-only; each call gives
+    lo, x and the two coefficient vectors.
     """
-    x = np.asarray(x, dtype=float)
-    a_exp = np.asarray(a_exp, dtype=float)
-    b_exp = np.asarray(b_exp, dtype=float)
-    s = np.maximum(x - lo, 0.0)[..., None, None]
-    delta = a_exp[:, None] - b_exp
-    small = np.abs(delta) < 1e-12
-    safe = np.where(small, 1.0, delta)
-    ratio = np.where(small, s, np.expm1(safe * s) / safe)
-    terms = np.exp(a_exp[:, None] * lo + b_exp * s) * ratio
-    out = (terms @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
-    return out if out.shape else float(out)
+
+    def __init__(self, a_exp, b_exp):
+        self.a_col = np.array(a_exp, dtype=float)[:, None]
+        self.b_exp = np.array(b_exp, dtype=float)
+        delta = self.a_col - self.b_exp
+        self.small = np.abs(delta) < 1e-12
+        self.safe = np.where(self.small, 1.0, delta)
+        for arr in (self.a_col, self.b_exp, self.small, self.safe):
+            arr.setflags(write=False)
+
+    def __call__(self, lo: float, x, a_coef, b_coef):
+        s = np.maximum(np.asarray(x, dtype=float) - lo, 0.0)[..., None, None]
+        ratio = np.where(self.small, s, np.expm1(self.safe * s) / self.safe)
+        terms = np.exp(self.a_col * lo + self.b_exp * s) * ratio
+        out = (terms @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
+        return out if out.shape else float(out)
 
 
 @lru_cache(maxsize=64)

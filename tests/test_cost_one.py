@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from bandctl import BandOne, SimStrategy, estimate_cost, total_cost, upper_cost_bound
+from bandctl import cost_one, cost_two, optimize, passage, scale
 from bandctl.cost_one import (
     TypeOneAssembly,
+    _against_exp,
     _contractive,
+    phase_two_context,
     holding_exit_two_sided,
     holding_reflected,
     shortage_reflected,
@@ -276,3 +279,99 @@ def test_contraction_failure_names_first_failing_band():
     with pytest.raises(FixedPointNotContractive, match=r"r=1\.5 outside"):
         _contractive((0 <= 1.5) & (1.5 < 1), 1.5, "r={} outside [0,1)")
     _contractive(np.array([True, True]), np.array([0.1, 0.2]), "{}")
+
+
+def _clear_caches():
+    for cached in (cost_one._assembly, cost_one.phase_two_context, cost_one._demand_conv,
+                   cost_one.PhaseTwoContext._bases_at, cost_two._overlay, scale.build_scale,
+                   passage._gl_nodes):
+        cached.cache_clear()
+
+
+def _numbers(m, band, grid=401):
+    """H0, S0, K0 and (V, H, S, K) of both phases on a grid over [0, b]."""
+    surface = total_cost(m, band)
+    xs = np.linspace(0.0, m.b, grid)
+    return [np.array([surface.H0, surface.S0, surface.K0])] + [
+        np.stack(surface.components(phase, xs)) for phase in (1, 2)]
+
+
+@pytest.mark.parametrize("case", ["ex1-boundary", "ex3-interior"])
+def test_warm_phase_two_context_gives_identical_numbers(case):
+    # a band warmed through bands with the same y2 and another y3, with the
+    # same y3 and another y2 (the same J2 nodes in another context), and the
+    # same (y2, y3) must reproduce a cold evaluation bit for bit
+    m, band, warmers = {
+        "ex1-boundary": (make_ex1(), BandOne(0.0, 0.0, 3.3743),
+                         [BandOne(0.0, 1.0, 7.0), BandOne(0.0, 0.0, 6.1)]),
+        "ex3-interior": (make_ex3(), BandOne(2.468, 3.114, 4.610),
+                         [BandOne(2.468, 3.6, 7.0), BandOne(1.0, 3.114, 5.0),
+                          BandOne(2.468, 3.114, 5.9)]),
+    }[case]
+    _clear_caches()
+    cold = _numbers(m, band)
+    _clear_caches()
+    for other in warmers:
+        total_cost(m, other)
+    ctx = phase_two_context(m, band.y2)
+    hits = cost_one.PhaseTwoContext._bases_at.cache_info().hits
+    warm = _numbers(m, band)
+    assert cost_one.PhaseTwoContext._bases_at.cache_info().hits > hits
+    assert cost_one._assembly(m, band).p2 is ctx
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
+
+
+def test_phase_two_context_arrays_are_read_only():
+    m = make_ex3()
+    _clear_caches()
+    total_cost(m, BandOne(2.468, 3.114, 4.610))
+    ctx = phase_two_context(m, 2.468)
+    nodes = m.b - np.linspace(0.1, 6.0, 16)
+    memo = ctx.at_nodes(nodes)
+    assert ctx.at_nodes(nodes.copy()) is memo
+    cached = [ctx.mus, ctx.ws, ctx._cZ, ctx._coef_Z, ctx.exit2._B, ctx.om._coef_z,
+              ctx.om._coef_w, *memo]
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_doshi_builds_phase_two_objects_once_per_y2(monkeypatch):
+    m = make_ex1()
+    _clear_caches()
+    y2s, exits, omegas = set(), [], []
+    real_asm = TypeOneAssembly.__init__
+    real_exit = passage.ExitContext.__init__
+    real_omega = passage.Omega2.__init__
+
+    def asm_init(self, model, band):
+        y2s.add(float(band.y2))
+        real_asm(self, model, band)
+
+    def exit_init(self, sc, a, d):
+        if sc.phase == 2:
+            exits.append(float(a))
+        real_exit(self, sc, a, d)
+
+    def omega_init(self, scale1, exit2):
+        omegas.append(float(exit2.a))
+        real_omega(self, scale1, exit2)
+
+    monkeypatch.setattr(TypeOneAssembly, "__init__", asm_init)
+    monkeypatch.setattr(passage.ExitContext, "__init__", exit_init)
+    monkeypatch.setattr(passage.Omega2, "__init__", omega_init)
+    optimize.optimize_doshi(m)
+    assert len(y2s) > 25
+    for built in (exits, omegas):
+        assert len(built) == len(set(built)) and set(built) <= y2s
+
+
+def test_against_exp_on_empty_segment_skips_the_integrand():
+    def fn(u):
+        raise AssertionError("integrand called on an empty segment")
+
+    out = _against_exp(np.array([1.0, 2.0]), fn, 1.5, 1.5, (3,))
+    assert out.shape == (3, 2) and not out.any()
+    assert _against_exp(np.array([1.0]), fn, 2.0, 1.0).shape == (1,)

@@ -17,7 +17,7 @@ from bandctl import (
 )
 from bandctl.errors import ThetaInsideSpectrum
 from bandctl.passage import integrate
-from bandctl.scale import conv_exp
+from bandctl.scale import ExpConvolution
 from ._oracles import simpson_adaptive
 from .conftest import make_ex1, make_ex3
 
@@ -156,8 +156,8 @@ def test_conv_exp_against_quadrature():
     B = lambda u: np.exp(u[..., None] * b_exp) @ b_coef
     for x in (1.0, 2.5, 7.0):
         ref = integrate(lambda z: A(z) * B(x - z), 0.5, x)
-        assert conv_exp(0.5, x, a_exp, a_coef, b_exp, b_coef) == pytest.approx(ref, rel=1e-12)
-    got = conv_exp(0.5, np.array([[0.2, 0.5], [1.0, 2.5]]), a_exp, a_coef, b_exp, b_coef)
+        assert ExpConvolution(a_exp, b_exp)(0.5, x, a_coef, b_coef) == pytest.approx(ref, rel=1e-12)
+    got = ExpConvolution(a_exp, b_exp)(0.5, np.array([[0.2, 0.5], [1.0, 2.5]]), a_coef, b_coef)
     assert got.shape == (2, 2)
     assert got[0, 0] == 0.0 and got[0, 1] == 0.0
 
@@ -167,9 +167,23 @@ def test_conv_exp_equal_exponents():
     # int_lo^x e^{c z} e^{c (x - z)} dz = (x - lo) e^{c x}
     c, lo = 0.7, 0.5
     xs = np.array([0.5, 1.0, 3.0])
-    got = conv_exp(lo, xs, [c], [2.0], [c], [3.0])
+    got = ExpConvolution([c], [c])(lo, xs, [2.0], [3.0])
     np.testing.assert_allclose(got, 6.0 * (xs - lo) * np.exp(c * xs), rtol=1e-14)
     # a near-equal pair stays on the same limit
-    near = conv_exp(lo, xs, [c + 1e-13], [2.0], [c], [3.0])
+    near = ExpConvolution([c + 1e-13], [c])(lo, xs, [2.0], [3.0])
     np.testing.assert_allclose(near, got, rtol=1e-12)
 
+
+def test_exp_convolution_freezes_its_pair_not_the_inputs():
+    a_exp, b_exp = np.array([-1.5, 0.2]), np.array([-0.7, 0.2, 1.1])
+    conv = ExpConvolution(a_exp, b_exp)
+    for arr in (conv.a_col, conv.b_exp, conv.small, conv.safe):
+        assert not arr.flags.writeable
+    assert a_exp.flags.writeable and b_exp.flags.writeable
+    assert conv.small.sum() == 1
+    # one instance serves any coefficients, lo and x; 0 where x <= lo
+    xs = np.array([0.3, 1.0, 2.5])
+    first = conv(0.3, xs, [1.0, -2.0], [0.5, 1.0, 2.0])
+    assert first[0] == 0.0
+    conv(-1.0, xs, [3.0, 1.0], [1.0, 1.0, 1.0])
+    assert np.array_equal(conv(0.3, xs, [1.0, -2.0], [0.5, 1.0, 2.0]), first)
