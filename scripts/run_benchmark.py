@@ -14,7 +14,9 @@ import pathlib
 import sys
 import time
 
-from bandctl import SimStrategy, estimate_cost, validate
+from bandctl import (
+    BandOne, BandTwo, SimStrategy, estimate_cost, total_cost, total_cost_two, validate,
+)
 from bandctl.cli import load_config, main as cli_main
 
 
@@ -31,22 +33,18 @@ def run(config: str, out_dir: str, paths: int, seed: int, jobs: int) -> int:
     print(f"thresholds: {th}")
     print(f"idle value V0(b) = {rep['objective']:.6f}")
 
-    args = ["--y2", str(th["y2"]), "--y3", str(th["y3"]), "--y1", str(th["y1"])]
-    if "y4" in th:
-        args += ["--y4", str(th["y4"])]
-    cli_main(["plot-data", config, *args, "--grid", "400",
-              "--output", str(out / "surface.csv")])
+    args = [arg for name, y in th.items() for arg in (f"--{name}", str(y))]
+    rc = cli_main(["plot-data", config, *args, "--grid", "400",
+                   "--output", str(out / "surface.csv")])
+    if rc != 0:
+        return rc
 
     model = validate(load_config(config))
-    from bandctl.cost_one import BandOne, BandTwo, total_cost
-    from bandctl.cost_two import total_cost_two
-
     if "y4" in th:
-        band = BandTwo(th["y2"], th["y3"], th["y1"], th["y4"])
-        surface = total_cost_two(model, band)
+        band, cost = BandTwo(**th), total_cost_two
     else:
-        band = BandOne(th["y2"], th["y3"], th["y1"])
-        surface = total_cost(model, band)
+        band, cost = BandOne(**th), total_cost
+    surface = cost(model, band)
     strat = SimStrategy.from_band(band, model)
 
     print(f"\nMonte Carlo spot-check ({paths} paths per state):")

@@ -13,7 +13,7 @@ from .cost_one import (
     CostSurface,
     total_cost,
 )
-from .cost_two import total_cost_two, upper_phase1_costs
+from .cost_two import total_cost_two
 from .model import (
     DemandLaw,
     HoldingCost,
@@ -32,7 +32,7 @@ from .optimize import (
     optimize_type_one,
     optimize_type_two,
 )
-from .scale import ScaleSet, build_scale, check_laplace_identity, eval_W_family, eval_Z_family
+from .scale import ScaleSet, build_scale, check_laplace_identity
 from .simulate import SimEstimate, SimStrategy, estimate_cost, estimate_occupation, simulate_path
 from .verify import VerificationReport, operator_L, operator_L0, verify_strategy
 
@@ -40,9 +40,8 @@ __all__ = [
     "BandOne", "BandTwo", "CostSurface", "DemandLaw", "HoldingCost", "ModelConfig",
     "OptimizationResult", "PenaltyCost", "ScaleSet", "SimEstimate", "SimStrategy",
     "SwitchMatrix", "VerificationReport", "build_scale", "check_laplace_identity",
-    "drift_mean", "escalate", "estimate_cost", "estimate_occupation", "eval_W_family",
-    "eval_Z_family", "laplace_exponent", "operator_L", "operator_L0", "optimize_doshi",
-    "optimize_type_one", "optimize_type_two", "simulate_path", "total_cost",
-    "total_cost_two", "upper_cost_bound", "upper_phase1_costs", "validate",
+    "drift_mean", "escalate", "estimate_cost", "estimate_occupation", "laplace_exponent",
+    "operator_L", "operator_L0", "optimize_doshi", "optimize_type_one", "optimize_type_two",
+    "simulate_path", "total_cost", "total_cost_two", "upper_cost_bound", "validate",
     "verify_strategy",
 ]

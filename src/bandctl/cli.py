@@ -51,36 +51,48 @@ _NUMERIC_ERRORS = (QuadratureNotConverged, FixedPointNotContractive, RootFinding
                    NoFeasiblePoint)
 
 
+def _demand(d) -> DemandLaw:
+    if d["kind"] == "exponential":
+        return DemandLaw.exponential(d["rate"])
+    if d["kind"] == "hyperexponential":
+        return DemandLaw.hyperexponential(d["weights"], d["rates"])
+    raise ValidationError(f"unknown demand kind {d['kind']!r}")
+
+
 def load_config(path: str) -> ModelConfig:
+    """Read a JSON config; a missing or malformed field raises ValidationError naming it."""
     with open(path) as fh:
         raw = json.load(fh)
-    d = raw["demand"]
-    if d["kind"] == "exponential":
-        demand = DemandLaw.exponential(d["rate"])
-    elif d["kind"] == "hyperexponential":
-        demand = DemandLaw.hyperexponential(d["weights"], d["rates"])
-    else:
-        raise ValidationError(f"unknown demand kind {d['kind']!r}")
-    K = raw["switching"]
-    model = ModelConfig(
-        sigma1=float(raw["sigma1"]),
-        sigma2=float(raw["sigma2"]),
-        lam=float(raw["lambda"]),
-        q=float(raw["q"]),
-        b=float(raw["b"]),
-        l=float(raw.get("l", 0.0)),
-        demand=demand,
-        h1=HoldingCost(float(raw["h1"]["a"]), float(raw["h1"]["c"])),
-        h2=HoldingCost(float(raw["h2"]["a"]), float(raw["h2"]["c"])),
-        h0_b=float(raw["h0_b"]),
-        penalty=PenaltyCost(float(raw["penalty"]["p0"]), float(raw["penalty"]["p1"])),
-        switching=SwitchMatrix(
-            k01=float(K[0][1]), k02=float(K[0][2]),
-            k10=float(K[1][0]), k12=float(K[1][2]),
-            k20=float(K[2][0]), k21=float(K[2][1]),
-        ),
+
+    def field(name: str, parse):
+        try:
+            return parse()
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise ValidationError(f"config field {name}: {type(exc).__name__}: {exc}") from None
+
+    def num(key: str, sub: str | None = None) -> float:
+        if sub is None:
+            return field(key, lambda: float(raw[key]))
+        return field(f"{key}.{sub}", lambda: float(raw[key][sub]))
+
+    def k(i: int, j: int) -> float:
+        return field(f"switching[{i}][{j}]", lambda: float(raw["switching"][i][j]))
+
+    return ModelConfig(
+        sigma1=num("sigma1"),
+        sigma2=num("sigma2"),
+        lam=num("lambda"),
+        q=num("q"),
+        b=num("b"),
+        l=field("l", lambda: float(raw.get("l", 0.0))),
+        demand=field("demand", lambda: _demand(raw["demand"])),
+        h1=HoldingCost(num("h1", "a"), num("h1", "c")),
+        h2=HoldingCost(num("h2", "a"), num("h2", "c")),
+        h0_b=num("h0_b"),
+        penalty=PenaltyCost(num("penalty", "p0"), num("penalty", "p1")),
+        switching=SwitchMatrix(k01=k(0, 1), k02=k(0, 2), k10=k(1, 0),
+                               k12=k(1, 2), k20=k(2, 0), k21=k(2, 1)),
     )
-    return model
 
 
 def model_echo(model: ModelConfig) -> dict:

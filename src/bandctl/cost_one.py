@@ -477,27 +477,3 @@ def total_cost(model: ModelConfig, band: BandOne) -> CostSurface:
         branches=_make_branches(asm),
         thresholds=(band.y2, band.y3, band.y1),
     )
-
-
-# -- spec-level operation wrappers -------------------------------------------
-
-def holding_exit_two_sided(model: ModelConfig, band: BandOne, x):
-    """H2-part only: discounted holding until leaving (y2, b) from phase 2."""
-    if np.any(np.asarray(x) < band.y2 - 1e-12) or np.any(np.asarray(x) > model.b + 1e-12):
-        raise OutOfBand(f"x outside [{band.y2}, {model.b}]")
-    exit2 = ExitContext(build_scale(model, 2), band.check(model.b).y2, model.b)
-    return exit2.holding(x, model.h2)
-
-
-def holding_reflected(model: ModelConfig, band: BandOne, x):
-    """Discounted holding at phase 1 (reflected at the floor) until y1."""
-    if np.any(np.asarray(x) < -1e-12) or np.any(np.asarray(x) > band.y1 + 1e-12):
-        raise OutOfBand(f"x outside [0, {band.y1}]")
-    return _assembly(model, band.check(model.b)).H1xy(x)
-
-
-def shortage_reflected(model: ModelConfig, band: BandOne, x):
-    """Discounted shortage at phase 1 (reflected at the floor) until y1."""
-    if np.any(np.asarray(x) < -1e-12) or np.any(np.asarray(x) > band.y1 + 1e-12):
-        raise OutOfBand(f"x outside [0, {band.y1}]")
-    return _assembly(model, band.check(model.b)).S1xy(x)

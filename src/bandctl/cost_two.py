@@ -21,10 +21,8 @@ from .cost_one import (
     _assembly,
     _make_branches,
 )
-from .errors import OutOfBand
 from .model import ModelConfig
 from .passage import ExitContext
-from .scale import build_scale
 
 
 class TypeTwoOverlay:
@@ -58,45 +56,22 @@ class TypeTwoOverlay:
         self._coef_K = ws * mus * AK + ws * K1_0
 
     def costs(self, x):
-        """(H, S, K) of phase 1 at x in [y4, b]; K includes the K10 charge at capacity."""
-        x1 = np.atleast_1d(np.asarray(x, dtype=float))
+        """(H, S, K) of phase 1 at a 1-D x in [y4, b]; K includes the K10 charge at capacity."""
+        x = np.asarray(x, dtype=float)
         m, asm = self.model, self.asm
-        up = self.exit1.up(x1)
-        down = self.exit1.down(x1, up)
-        G = self.exit1.resolvent_transform(x1, up)
-        H = (self.exit1.holding(x1, m.h1, up, down) + up * asm.H0
+        up = self.exit1.up(x)
+        down = self.exit1.down(x, up)
+        G = self.exit1.resolvent_transform(x, up)
+        H = (self.exit1.holding(x, m.h1, up, down) + up * asm.H0
              + m.lam * np.tensordot(self._coef_H, G, axes=(0, 0)))
         S = up * asm.S0 + m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
         K = up * (m.switching.k10 + asm.K0) + m.lam * np.tensordot(self._coef_K, G, axes=(0, 0))
-        if np.asarray(x).ndim:
-            return H, S, K
-        return float(H[0]), float(S[0]), float(K[0])
+        return H, S, K
 
 
 @lru_cache(maxsize=64)
 def _overlay(model: ModelConfig, band: BandTwo) -> TypeTwoOverlay:
     return TypeTwoOverlay(model, band)
-
-
-def holding_exit_phase1(model: ModelConfig, band: BandTwo, x):
-    """Discounted holding at phase 1 until leaving (y4, b)."""
-    if np.any(np.asarray(x) < band.y4 - 1e-12) or np.any(np.asarray(x) > model.b + 1e-12):
-        raise OutOfBand(f"x outside [{band.y4}, {model.b}]")
-    exit1 = ExitContext(build_scale(model, 1), band.check(model.b).y4, model.b)
-    return exit1.holding(x, model.h1)
-
-
-def upper_phase1_costs(model: ModelConfig, band: BandTwo, type_one_surface: CostSurface, x):
-    """(holding, shortage, switching) phase-1 values on the upper component.
-
-    type_one_surface must have been built from band.lower(); its level-b
-    scalars enter the up-crossing terms.
-    """
-    if np.any(np.asarray(x) < band.y4 - 1e-12) or np.any(np.asarray(x) > model.b + 1e-12):
-        raise OutOfBand(f"x outside [{band.y4}, {model.b}]")
-    if type_one_surface.band != band.lower():
-        raise ValueError("type-one surface was built from different thresholds")
-    return _overlay(model, band.check(model.b)).costs(x)
 
 
 def total_cost_two(model: ModelConfig, band: BandTwo) -> CostSurface:

@@ -8,7 +8,7 @@ reals; units are documented, not enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable
 
 import numpy as np
@@ -147,13 +147,6 @@ class SwitchMatrix:
     k20: float
     k21: float
 
-    def cost(self, i: int, j: int) -> float:
-        return {
-            (0, 1): self.k01, (0, 2): self.k02,
-            (1, 0): self.k10, (1, 2): self.k12,
-            (2, 0): self.k20, (2, 1): self.k21,
-        }[(i, j)]
-
     def check(self) -> None:
         vals = (self.k01, self.k02, self.k10, self.k12, self.k20, self.k21)
         if any(v < 0 for v in vals):
@@ -195,12 +188,26 @@ class ModelConfig:
         return self.sigma1 if phase == 1 else self.sigma2
 
 
+def _check_finite(value, name: str) -> None:
+    """Raise ValidationError at the first NaN or infinity in a config value."""
+    if is_dataclass(value):
+        for f in fields(value):
+            _check_finite(getattr(value, f.name), f"{name}.{f.name}" if name else f.name)
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{name}[{i}]")
+    elif not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def validate(model: ModelConfig, allow_backlog: bool = False) -> ModelConfig:
     """Check every invariant; return the config unchanged if all hold.
 
-    With allow_backlog=True a negative floor l passes validation (the
-    simulator supports it); the analytic engine always rejects l < 0.
+    Every number must be finite.  With allow_backlog=True a negative floor
+    l passes validation (the simulator supports it); the analytic engine
+    always rejects l < 0.
     """
+    _check_finite(model, "")
     if not (0 < model.sigma2 < model.sigma1):
         raise NonOrderedRates(f"need 0 < sigma2 < sigma1, got {model.sigma2}, {model.sigma1}")
     if model.lam <= 0:

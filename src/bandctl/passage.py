@@ -1,4 +1,4 @@
-"""Two-sided exit identities, resolvent density, and the phase-2 transfer map.
+"""Two-sided exit identities, the killed-resolvent transform, and the phase-2 transfer map.
 
 The transfer map's integrals are closed-form convolutions of exponential
 sums (scale.ExpConvolution).  The module also declares the shared quadrature
@@ -24,11 +24,6 @@ from .scale import ExpConvolution, ScaleSet
 GL_START = 16
 GL_MAX = 1024
 GL_REL_TOL = 1e-9
-
-
-def _as_out(val):
-    val = np.asarray(val)
-    return val if val.shape else float(val)
 
 
 @lru_cache(maxsize=16)
@@ -126,12 +121,6 @@ class ExitContext:
             dtype=float,
         )
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.a - 1e-12) or np.any(x > self.d + 1e-12):
-            raise OutOfBand(f"x outside [{self.a}, {self.d}]")
-        return x
-
     def up(self, x):
         """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""
         return self.scale.W(np.asarray(x, dtype=float) - self.a) / self.W_span
@@ -161,9 +150,9 @@ class ExitContext:
     def resolvent_transform(self, x, up=None) -> np.ndarray:
         """int_a^d u(x, z) exp(-mu_k z) dz per demand component, shape (k,) + x.shape.
 
-        u is the killed-resolvent density (potential_density); the integral
-        is _B[k] up(x) minus int_a^x W(x-z) exp(-mu_k z) dz.  x must be an
-        array of at least one dimension.
+        u(x, z) = W(x-a) W(d-z) / W(d-a) - W(x-z) is the killed-resolvent
+        density; the integral is _B[k] up(x) minus int_a^x W(x-z)
+        exp(-mu_k z) dz.  x must be an array of at least one dimension.
         """
         x = np.asarray(x, dtype=float)
         k = len(self._mus)
@@ -174,45 +163,6 @@ class ExitContext:
         below = integrate_rows(lambda z: self.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
         shape = (k,) + (1,) * x.ndim
         return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
-
-
-def up_crossing_factor(ctx: ExitContext, x):
-    """Discounted chance of reaching d before falling below a: W(x-a)/W(d-a)."""
-    return _as_out(ctx.up(ctx._check_x(x)))
-
-
-def exit_down(ctx: ExitContext, x, theta: float = 0.0):
-    """E_x[e^{-q tau_a^-} e^{theta (X - a)}; down before up] after shifting a to 0."""
-    x = ctx._check_x(x)
-    s = ctx.scale
-    return _as_out(s.Z_theta(x - ctx.a, theta) - ctx.up(x) * s.Z_theta(ctx.d - ctx.a, theta))
-
-
-def potential_density(ctx: ExitContext, x, y):
-    """Resolvent density of the process killed at exiting [a, d]."""
-    x = ctx._check_x(x)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= ctx.a) or np.any(y >= ctx.d):
-        raise OutOfBand(f"y must lie strictly inside ({ctx.a}, {ctx.d})")
-    s = ctx.scale
-    return _as_out(s.W(x - ctx.a) * s.W(ctx.d - y) / ctx.W_span - s.W(x - y))
-
-
-def reflected_up_factor(scale: ScaleSet, x, y1: float):
-    """E_x[e^{-q kappa_{y1}^+}] for the process reflected at 0: Z(x)/Z(y1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > y1 + 1e-12):
-        raise OutOfBand(f"x outside [0, {y1}]")
-    return _as_out(scale.Z(x) / scale.Z(y1))
-
-
-def reflected_local_time(scale: ScaleSet, x, y1: float):
-    """Expected discounted regulator mass at the floor before reaching y1."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > y1 + 1e-12):
-        raise OutOfBand(f"x outside [0, {y1}]")
-    shift = scale.phi_prime0 / scale.q
-    return _as_out(scale.Z(x) / scale.Z(y1) * (scale.Zbar(y1) + shift) - (scale.Zbar(x) + shift))
 
 
 class Omega2:
@@ -267,21 +217,11 @@ class Omega2:
         """Omega(g)(x) = g(x) - up(x) g(b) + up(x) const - tail(x); up may be given."""
         x = np.asarray(x, dtype=float)
         up = self.exit2.up(x) if up is None else up
-        return _as_out(g(x) - up * g(self.exit2.d) + up * const - self._tail(x, kind))
+        out = np.asarray(g(x) - up * g(self.exit2.d) + up * const - self._tail(x, kind))
+        return out if out.shape else float(out)
 
     def apply_Z1(self, x, up=None):
         return self._apply(self.s1.Z, self._const_z, "Z1", x, up)
 
     def apply_Wbarbar1(self, x, up=None):
         return self._apply(self.s1.Wbarbar, self._const_w, "W", x, up)
-
-
-def omega2(ctx: ExitContext, scale1: ScaleSet, g_id: str, x):
-    """Spec-level entry point for the transfer map; g_id in {"Z1", "Wbarbar1"}."""
-    x = ctx._check_x(x)
-    op = Omega2(scale1, ctx)
-    if g_id == "Z1":
-        return op.apply_Z1(x)
-    if g_id == "Wbarbar1":
-        return op.apply_Wbarbar1(x)
-    raise ValueError(f"unsupported payoff {g_id!r}")

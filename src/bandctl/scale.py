@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RootFindingFailed, ThetaInsideSpectrum
-from .model import DemandLaw, ModelConfig
+from .model import DemandLaw, ModelConfig, laplace_exponent
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
@@ -94,27 +94,6 @@ class ScaleSet:
         out = x + self.q * self.Wbarbar(x)
         return out if out.shape else float(out)
 
-    def Z_theta(self, x, theta: float):
-        """exp(theta x) * (1 + (q - phi(theta)) int_0^x exp(-theta y) W(y) dy).
-
-        Reduces to Z(x) at theta = 0 and to exp(theta x) when theta is one of
-        the exponents (there q = phi(theta)).  For x < 0 returns exp(theta x).
-        """
-        x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        diff = self.exponents - theta
-        small = np.abs(diff) < 1e-12
-        safe = np.where(small, 1.0, diff)
-        terms = np.where(
-            small,
-            xp[..., None] * np.ones_like(diff),
-            np.expm1(xp[..., None] * safe) / safe,
-        )
-        inner = terms @ self.weights
-        val = np.exp(theta * xp) * (1.0 + (self.q - self.phi(theta)) * inner)
-        out = np.where(x >= 0, val, np.exp(theta * x))
-        return out if out.shape else float(out)
-
 
 class ExpConvolution:
     """int_lo^x A(z) B(x - z) dz for A = sum_i a_coef_i exp(a_exp_i z) and
@@ -184,7 +163,7 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     )
     weights = 1.0 / phi_prime
 
-    resid = np.abs(model.sigma(phase) * roots - model.lam + model.lam * d.laplace(roots) - model.q)
+    resid = np.abs(laplace_exponent(model, phase, roots) - model.q)
     if np.any(resid > 1e-8 * (1 + abs(model.q))):
         raise RootFindingFailed(f"roots do not satisfy phi(theta) = q: residual {resid}")
     if abs(float(np.sum(weights)) - 1.0 / sigma) > _INIT_TOL:
@@ -202,19 +181,6 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
         weights=weights,
         phi_prime0=float(sigma + model.lam * d.laplace_deriv(0.0)),
     )
-
-
-def eval_W_family(scale: ScaleSet, x):
-    """(W, int W, double integral of W) at x; zeros for x < 0."""
-    return scale.W(x), scale.Wbar(x), scale.Wbarbar(x)
-
-
-def eval_Z_family(scale: ScaleSet, x, theta: float | None = None):
-    """(Z, Zbar, Z(x, theta)); the last entry is Z(x) when theta is omitted."""
-    z = scale.Z(x)
-    zb = scale.Zbar(x)
-    zt = z if theta is None else scale.Z_theta(x, theta)
-    return z, zb, zt
 
 
 def check_laplace_identity(scale: ScaleSet, theta: float) -> float:

@@ -157,8 +157,7 @@ def operator_L0(model: ModelConfig, surface: CostSurface, selection: str = "min"
 
 @dataclass
 class VerificationReport:
-    grid1: np.ndarray = field(repr=False)
-    grid2: np.ndarray = field(repr=False)
+    grid: np.ndarray = field(repr=False)
     residual_L1: np.ndarray = field(repr=False)
     residual_L2: np.ndarray = field(repr=False)
     switch_slack_12: np.ndarray = field(repr=False)
@@ -205,16 +204,14 @@ def verify_strategy(
     m = model
     k = m.switching
     kinks = tuple(getattr(surface, "thresholds", ()))
-    g1 = _grid(m, kinks, grid_points)
-    g2 = g1.copy()
+    g = _grid(m, kinks, grid_points)
     w1 = lambda x: surface.V(1, x)
     w2 = lambda x: surface.V(2, x)
-    breaks = kinks
-    # each phase is evaluated once on the grid (g2 holds the same points)
-    v1, v2 = w1(g1), w2(g2)
+    # each phase is evaluated once on the grid
+    v1, v2 = w1(g), w2(g)
 
-    L1 = operator_L(m, 1, w1, g1, breakpoints=breaks, w_x=v1)
-    L2 = operator_L(m, 2, w2, g2, breakpoints=breaks, w_x=v2)
+    L1 = operator_L(m, 1, w1, g, breakpoints=kinks, w_x=v1)
+    L2 = operator_L(m, 2, w2, g, breakpoints=kinks, w_x=v2)
     slack12 = v2 + k.k12 - v1
     slack21 = v1 + k.k21 - v2
 
@@ -231,13 +228,11 @@ def verify_strategy(
         hjb = np.minimum(L, slack)
         lo_i = int(np.argmin(hjb))
         if hjb[lo_i] < -tol_eff:
-            g = g1 if phase == 1 else g2
             failures.append(
                 f"phase {phase}: min(L, switch slack) = {hjb[lo_i]:.6g} at x = {g[lo_i]:.4f}"
             )
         hi_i = int(np.argmax(hjb))
         if hjb[hi_i] > tol_eff:
-            g = g1 if phase == 1 else g2
             failures.append(
                 f"phase {phase}: HJB minimum not tight: {hjb[hi_i]:.6g} at x = {g[hi_i]:.4f}"
             )
@@ -254,8 +249,7 @@ def verify_strategy(
         failures.append(f"capacity condition phase 2: w2(b-) - w0 - K20 = {b2:.6g} > 0")
 
     return VerificationReport(
-        grid1=g1,
-        grid2=g2,
+        grid=g,
         residual_L1=L1,
         residual_L2=L2,
         switch_slack_12=slack12,

@@ -3,12 +3,16 @@
 Nothing here shares code with the package's quadrature or its counter-based
 random streams: integration is adaptive Simpson or mpmath, simulation uses
 numpy's default generator.  Values produced here arbitrate the closed forms.
+potential_density is the one exception: the reference formula for the
+killed-resolvent density, written out with the package's scale functions.
 """
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+
+from bandctl.errors import OutOfBand
 
 
 def simpson_adaptive(f, a: float, b: float, tol: float = 1e-11, depth: int = 48) -> float:
@@ -85,6 +89,22 @@ class MpScale:
 
     def Z(self, x):
         return 1 + self.q * self.Wbar(x)
+
+
+def potential_density(ctx, x, y):
+    """Resolvent density u(x, y) of the process killed on exiting [a, d].
+
+    ctx is an ExitContext on [a, d].  The reference formula W(x-a) W(d-y) /
+    W(d-a) - W(x-y), from ctx's scale functions; the engine only uses its
+    demand transforms (ExitContext.resolvent_transform).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= ctx.a) or np.any(y >= ctx.d):
+        raise OutOfBand(f"y must lie strictly inside ({ctx.a}, {ctx.d})")
+    s = ctx.scale
+    out = np.asarray(s.W(x - ctx.a) * s.W(ctx.d - y) / ctx.W_span - s.W(x - y))
+    return out if out.shape else float(out)
 
 
 def _sample_y(rng, model, n):

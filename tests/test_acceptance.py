@@ -80,7 +80,7 @@ def test_criterion_01b_reference_thresholds(solve_cached, ex1):
                 and res.surface.V0 < tab.V0)
     # (c) switching 1->2 strictly improves on part of the tabulated keep-fast zone
     rep = verify_strategy(ex1, tab)
-    slack12 = float(np.min(rep.switch_slack_12[rep.grid1 < tab_band.y1]))
+    slack12 = float(np.min(rep.switch_slack_12[rep.grid < tab_band.y1]))
     ok_rejected = not rep.passed and slack12 < -rep.tol * rep.scale
     # (d) from (b, phase 0) each simulated mean confirms its own analytic V0,
     # and the tabulated band costs more than the computed one

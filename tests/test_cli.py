@@ -37,6 +37,16 @@ def test_evaluate_byte_deterministic(tmp_path):
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
 
 
+def test_verify_matches_recorded_report(tmp_path):
+    # the whole verify report, byte for byte apart from the timing field
+    out = tmp_path / "v.json"
+    rc = main(["verify", str(CONFIGS / "ex3.json"), "--y2", "2.468", "--y3", "3.114",
+               "--y1", "4.610", "--y4", "7.660", "--grid", "100", "--output", str(out)])
+    assert rc == 0
+    want = (DATA / "verify-ex3.json").read_text()
+    assert strip_timing(out.read_text()) == strip_timing(want)
+
+
 def test_simulate_jobs_invariant_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = ["simulate", str(CONFIGS / "ex1.json"), "--y2", "1.526", "--y1", "5.077",
@@ -127,6 +137,31 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["evaluate", str(bad), "--y2", "1.0", "--y1", "5.0"]) == 2
     assert main(["evaluate", str(tmp_path / "missing.json"), "--y2", "1.0",
                  "--y1", "5.0"]) == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("b", '"ten"', "config field b: ValueError"),
+    ("switching", "[[null, 0, 0], [null, null, 0.05], [0, 0.05, null]]",
+     "config field switching[1][0]: TypeError"),
+    ("switching", "[[null, 0, 0], [0.01, null, 0.05]]",
+     "config field switching[2][0]: IndexError"),
+    ("demand", "[1.5]", "config field demand: TypeError"),
+    ("q", "NaN", "q must be finite"),
+    ("lambda", "NaN", "lam must be finite"),
+    ("h0_b", "NaN", "h0_b must be finite"),
+    ("b", "Infinity", "b must be finite"),
+], ids=["b-string", "switching-null", "switching-short", "demand-list", "q-nan",
+        "lambda-nan", "h0_b-nan", "b-inf"])
+def test_malformed_config_exits_two(tmp_path, capsys, field, value, message):
+    cfg = json.loads((CONFIGS / "ex3.json").read_text())
+    text = json.dumps(cfg).replace(f'"{field}": {json.dumps(cfg[field])}', f'"{field}": {value}')
+    assert json.loads(text)[field] != cfg[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["evaluate", str(bad), "--y2", "2.468", "--y1", "4.61", "--grid", "5"]) == 2
+    err = capsys.readouterr().err
+    assert f"bandctl: invalid configuration: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_solve_require_verified_exit_three(tmp_path):

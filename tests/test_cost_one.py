@@ -4,18 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandctl import BandOne, SimStrategy, estimate_cost, total_cost, upper_cost_bound
+from bandctl import BandOne, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
 from bandctl import cost_one, cost_two, optimize, passage, scale
-from bandctl.cost_one import (
-    TypeOneAssembly,
-    _against_exp,
-    _contractive,
-    phase_two_context,
-    holding_exit_two_sided,
-    holding_reflected,
-    shortage_reflected,
-)
-from bandctl.errors import FixedPointNotContractive, OutOfBand, ValidationError
+from bandctl.cost_one import TypeOneAssembly, _against_exp, _contractive, phase_two_context
+from bandctl.passage import ExitContext
+from bandctl.errors import FixedPointNotContractive, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from ._oracles import MpScale, mc_reflected, mc_two_sided
 from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex3
@@ -43,51 +36,50 @@ def test_band_ordering_checked():
         BandOne(1.0, 2.0, m.b).check(m.b)
 
 
+def exit2(model):
+    """Phase 2 killed on leaving (y2, b) of EX1_BAND."""
+    return ExitContext(build_scale(model, 2), EX1_BAND.y2, model.b)
+
+
 def test_holding_two_sided_edges():
     m = make_ex1()
-    assert holding_exit_two_sided(m, EX1_BAND, m.b) == pytest.approx(0.0, abs=1e-12)
+    assert exit2(m).holding(m.b, m.h2) == pytest.approx(0.0, abs=1e-12)
     free = ModelConfig(**{**m.__dict__, "h2": HoldingCost(0.0, 0.0)})
     xs = np.linspace(EX1_BAND.y2, m.b, 9)
-    assert holding_exit_two_sided(free, EX1_BAND, xs) == pytest.approx(
-        np.zeros(9), abs=1e-12
-    )
-    with pytest.raises(OutOfBand):
-        holding_exit_two_sided(m, EX1_BAND, EX1_BAND.y2 - 0.1)
+    assert exit2(free).holding(xs, free.h2) == pytest.approx(np.zeros(9), abs=1e-12)
 
 
 def test_holding_two_sided_against_mc():
     m = make_ex1()
     mc = mc_two_sided(m, 2, EX1_BAND.y2, m.b, 3.0, 100_000, seed=11)
     mean, se = mc["hold"]
-    assert abs(holding_exit_two_sided(m, EX1_BAND, 3.0) - mean) < 3 * se
+    assert abs(exit2(m).holding(3.0, m.h2) - mean) < 3 * se
 
 
 def test_holding_reflected_edges():
     m = make_ex1()
     y1 = EX1_BAND.y1
-    assert holding_reflected(m, EX1_BAND, y1) == pytest.approx(0.0, abs=1e-12)
+    assert TypeOneAssembly(m, EX1_BAND).H1xy(y1) == pytest.approx(0.0, abs=1e-12)
     pure = ModelConfig(**{**m.__dict__, "h1": HoldingCost(m.h1.a, 0.0)})
-    from bandctl import build_scale
-
     s1 = build_scale(m, 1)
     xs = np.linspace(0, y1, 7)
     expected = (m.h1.a / m.q) * (1 - s1.Z(xs) / s1.Z(y1))
-    assert holding_reflected(pure, EX1_BAND, xs) == pytest.approx(expected, rel=1e-12)
+    assert TypeOneAssembly(pure, EX1_BAND).H1xy(xs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_holding_reflected_against_mc():
     m = make_ex1()
     mc = mc_reflected(m, 1, EX1_BAND.y1, 0.0, 100_000, seed=13)
     mean, se = mc["hold"]
-    assert abs(holding_reflected(m, EX1_BAND, 0.0) - mean) < 3 * se
+    assert abs(TypeOneAssembly(m, EX1_BAND).H1xy(0.0) - mean) < 3 * se
 
 
 def test_shortage_reflected_cases():
     m = make_ex1()
     nop = ModelConfig(**{**m.__dict__, "penalty": PenaltyCost(0.0, 0.0)})
     xs = np.linspace(0.0, EX1_BAND.y1, 6)
-    assert shortage_reflected(nop, EX1_BAND, xs) == pytest.approx(np.zeros(6), abs=1e-14)
-    assert shortage_reflected(m, EX1_BAND, EX1_BAND.y1) == pytest.approx(0.0, abs=1e-10)
+    assert TypeOneAssembly(nop, EX1_BAND).S1xy(xs) == pytest.approx(np.zeros(6), abs=1e-14)
+    assert TypeOneAssembly(m, EX1_BAND).S1xy(EX1_BAND.y1) == pytest.approx(0.0, abs=1e-10)
     # closed-form demand tail of the affine penalty at z = 1
     assert m.demand.penalty_tail(1.0, 0.8, 0.4) == pytest.approx(
         math.exp(-1.5) * (0.8 + 0.4 / 1.5)
@@ -98,7 +90,7 @@ def test_shortage_reflected_against_mc():
     m = make_ex1()
     mc = mc_reflected(m, 1, EX1_BAND.y1, 1.0, 100_000, seed=15)
     mean, se = mc["penalty"]
-    assert abs(shortage_reflected(m, EX1_BAND, 1.0) - mean) < 3 * se
+    assert abs(TypeOneAssembly(m, EX1_BAND).S1xy(1.0) - mean) < 3 * se
 
 
 @pytest.mark.parametrize("make, band", [

@@ -8,12 +8,11 @@ from bandctl import (
     total_cost,
     total_cost_two,
     upper_cost_bound,
-    upper_phase1_costs,
 )
-from bandctl import passage
-from bandctl.cost_two import holding_exit_phase1
-from bandctl.errors import OutOfBand, ValidationError
+from bandctl import build_scale, passage
+from bandctl.errors import ValidationError
 from bandctl.model import HoldingCost, ModelConfig
+from bandctl.passage import ExitContext
 from ._oracles import mc_two_sided
 from .conftest import assert_within_se, make_ex3
 
@@ -27,39 +26,35 @@ def test_band_two_ordering():
         BandTwo(2.0, 3.0, 5.0, 10.0).check(10.0)
 
 
+def exit1(model):
+    """Phase 1 killed on leaving (y4, b) of EX3_BAND."""
+    return ExitContext(build_scale(model, 1), EX3_BAND.y4, model.b)
+
+
 def test_holding_exit_phase1_edges():
     m = make_ex3()
-    assert holding_exit_phase1(m, EX3_BAND, m.b) == pytest.approx(0.0, abs=1e-12)
+    assert exit1(m).holding(m.b, m.h1) == pytest.approx(0.0, abs=1e-12)
     free = ModelConfig(**{**m.__dict__, "h1": HoldingCost(0.0, 0.0)})
     xs = np.linspace(EX3_BAND.y4, m.b, 7)
-    assert holding_exit_phase1(free, EX3_BAND, xs) == pytest.approx(np.zeros(7), abs=1e-12)
-    with pytest.raises(OutOfBand):
-        holding_exit_phase1(m, EX3_BAND, EX3_BAND.y4 - 0.5)
+    assert exit1(free).holding(xs, free.h1) == pytest.approx(np.zeros(7), abs=1e-12)
 
 
 def test_holding_exit_phase1_against_mc():
     m = make_ex3()
     mc = mc_two_sided(m, 1, EX3_BAND.y4, m.b, 8.5, 100_000, seed=23)
     mean, se = mc["hold"]
-    assert abs(holding_exit_phase1(m, EX3_BAND, 8.5) - mean) < 3 * se
+    assert abs(exit1(m).holding(8.5, m.h1) - mean) < 3 * se
 
 
 def test_upper_costs_capacity_limits():
     # up-crossing factor tends to one; landing integrals vanish; the
     # switching component keeps the switch-off charge
     m = make_ex3()
-    surf1 = total_cost(m, EX3_BAND.lower())
-    h, s, k = upper_phase1_costs(m, EX3_BAND, surf1, m.b)
-    assert float(h) == pytest.approx(surf1.H0, abs=1e-9)
-    assert float(s) == pytest.approx(surf1.S0, abs=1e-9)
-    assert float(k) == pytest.approx(surf1.K0 + m.switching.k10, abs=1e-9)
-
-
-def test_upper_costs_require_matching_band():
-    m = make_ex3()
-    other = total_cost(m, BandTwo(2.0, 3.0, 4.6, 7.0).lower())
-    with pytest.raises(ValueError):
-        upper_phase1_costs(m, EX3_BAND, other, 9.0)
+    surf = total_cost_two(m, EX3_BAND)
+    h, s, k = surf.components(1, m.b)[1:]
+    assert h == pytest.approx(surf.H0, abs=1e-9)
+    assert s == pytest.approx(surf.S0, abs=1e-9)
+    assert k == pytest.approx(surf.K0 + m.switching.k10, abs=1e-9)
 
 
 def test_switch_cost_free_model_zero_kbar():
@@ -67,9 +62,8 @@ def test_switch_cost_free_model_zero_kbar():
     from bandctl.model import SwitchMatrix
 
     free = ModelConfig(**{**m.__dict__, "switching": SwitchMatrix(0, 0, 0, 0, 0, 0)})
-    surf1 = total_cost(free, EX3_BAND.lower())
-    _, _, k = upper_phase1_costs(free, EX3_BAND, surf1, 9.0)
-    assert float(k) == pytest.approx(0.0, abs=1e-12)
+    _, _, k = total_cost_two(free, EX3_BAND).components(1, 9.0)[1:]
+    assert k == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_cost_two_zones():

@@ -115,9 +115,8 @@ def test_lattice_values_match_total_cost(name):
 
 
 def _fake_report(margin: float, passed: bool) -> VerificationReport:
-    grid = np.linspace(0.0, 1.0, 3)
     return VerificationReport(
-        grid1=grid, grid2=grid,
+        grid=np.linspace(0.0, 1.0, 3),
         residual_L1=np.full(3, margin), residual_L2=np.zeros(3),
         switch_slack_12=np.full(3, margin + 1.0), switch_slack_21=np.zeros(3),
         L0_residual=0.0, boundary_1=0.0, boundary_2=0.0, tol=1e-3, scale=1.0,

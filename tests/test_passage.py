@@ -2,21 +2,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandctl import build_scale, estimate_occupation
+from bandctl import BandOne, build_scale, estimate_occupation
+from bandctl.cost_one import TypeOneAssembly
 from bandctl.errors import OutOfBand
 from bandctl.model import ModelConfig
-from bandctl.passage import (
-    ExitContext,
-    Omega2,
-    exit_down,
-    integrate,
-    omega2,
-    potential_density,
-    reflected_local_time,
-    reflected_up_factor,
-    up_crossing_factor,
-)
-from ._oracles import MpScale, mc_reflected, mc_two_sided, simpson_adaptive
+from bandctl.passage import ExitContext, Omega2, integrate
+from ._oracles import MpScale, mc_reflected, mc_two_sided, potential_density, simpson_adaptive
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 
@@ -28,19 +19,17 @@ def ex3_ctx():
 
 def test_up_crossing_endpoints(ex3_ctx):
     m, ctx = ex3_ctx
-    assert up_crossing_factor(ctx, ctx.d) == pytest.approx(1.0)
+    assert ctx.up(ctx.d) == pytest.approx(1.0)
     s = ctx.scale
-    assert up_crossing_factor(ctx, ctx.a) == pytest.approx(s.W(0.0) / s.W(ctx.d - ctx.a))
-    with pytest.raises(OutOfBand):
-        up_crossing_factor(ctx, ctx.a - 0.5)
+    assert ctx.up(ctx.a) == pytest.approx(s.W(0.0) / s.W(ctx.d - ctx.a))
 
 
 def test_exit_down_endpoints(ex3_ctx):
     m, ctx = ex3_ctx
-    assert exit_down(ctx, ctx.d, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert ctx.down(ctx.d) == pytest.approx(0.0, abs=1e-12)
     s = ctx.scale
     span = ctx.d - ctx.a
-    assert exit_down(ctx, ctx.a, 0.0) == pytest.approx(
+    assert ctx.down(ctx.a) == pytest.approx(
         1.0 - s.W(0.0) * s.Z(span) / s.W(span)
     )
 
@@ -50,8 +39,8 @@ def test_two_sided_factors_against_mc(ex3_ctx):
     mc = mc_two_sided(m, 2, ctx.a, ctx.d, 5.0, 100_000, seed=101)
     up_mean, up_se = mc["up"]
     dn_mean, dn_se = mc["down"]
-    assert abs(up_crossing_factor(ctx, 5.0) - up_mean) < 3 * up_se
-    assert abs(exit_down(ctx, 5.0, 0.0) - dn_mean) < 3 * dn_se
+    assert abs(ctx.up(5.0) - up_mean) < 3 * up_se
+    assert abs(ctx.down(5.0) - dn_mean) < 3 * dn_se
 
 
 def test_potential_density_endpoints(ex3_ctx):
@@ -77,14 +66,14 @@ def test_potential_density_nonnegative_and_occupation_identity(ex3_ctx):
     assert np.all(dens >= -1e-12)
     mass = integrate(lambda y: potential_density(ctx, x, y), ctx.a + 1e-12,
                      ctx.d - 1e-12, breakpoints=(x,))
-    expected = (1.0 - up_crossing_factor(ctx, x) - exit_down(ctx, x, 0.0)) / m.q
+    expected = (1.0 - ctx.up(x) - ctx.down(x)) / m.q
     assert mass == pytest.approx(expected, abs=1e-8)
 
 
 def test_up_plus_down_below_one(ex3_ctx):
     m, ctx = ex3_ctx
     xs = np.linspace(ctx.a, ctx.d, 50)
-    tot = up_crossing_factor(ctx, xs) + exit_down(ctx, xs, 0.0)
+    tot = ctx.up(xs) + ctx.down(xs)
     assert np.all(tot <= 1.0 + 1e-12)
 
 
@@ -100,7 +89,7 @@ def test_occupation_histogram_matches_density(ex3_ctx):
         assert abs(exact - occ.mean[i]) < 3 * occ.std_error[i] + 1e-4, \
             f"bin {i} [{lo:.2f},{hi:.2f})"
     # total mass identity within Monte Carlo error
-    expected = (1.0 - up_crossing_factor(ctx, 5.0) - exit_down(ctx, 5.0, 0.0)) / m.q
+    expected = (1.0 - ctx.up(5.0) - ctx.down(5.0)) / m.q
     assert abs(occ.total - expected) < 3 * occ.total_std_error
 
 
@@ -124,23 +113,15 @@ def test_resolvent_transform_against_simpson(make, a):
 
 
 def test_reflected_factors_basic():
+    # the reflected up-crossing factor kappa(x) = Z1(x)/Z1(y1) scales each
+    # phase-1 slope row: it is 1 at y1 and 1/Z1(y1) at the floor
     m = make_ex1()
-    s1 = build_scale(m, 1)
-    y1 = 5.077
-    assert reflected_up_factor(s1, y1, y1) == pytest.approx(1.0)
-    assert reflected_up_factor(s1, 0.0, y1) == pytest.approx(1.0 / s1.Z(y1))
-    assert reflected_local_time(s1, y1, y1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_reflected_local_time_decreases_in_q():
-    m = make_ex1()
-    prev = np.inf
-    for q in (0.1, 0.5, 2.0, 8.0):
-        mq = ModelConfig(**{**m.__dict__, "q": q})
-        s1 = build_scale(mq, 1)
-        val = reflected_local_time(s1, 1.0, 5.0)
-        assert 0 <= val < prev
-        prev = val
+    asm = TypeOneAssembly(m, BandOne(1.526, 1.526, 5.077))
+    alpha, _, gamma, _, delta, _ = asm.phase1(np.array([5.077, 0.0]))
+    kappa = np.array([1.0, 1.0 / asm.Z1y1])
+    assert alpha == pytest.approx(kappa * asm.alpha2_y1, rel=1e-12)
+    assert gamma == pytest.approx(kappa * asm.gamma2_y1, rel=1e-12)
+    assert delta == pytest.approx(kappa * asm.delta2_y1, rel=1e-12)
 
 
 def test_reflected_factors_against_mc():
@@ -149,10 +130,7 @@ def test_reflected_factors_against_mc():
     y1 = 5.077
     mc = mc_reflected(m, 1, y1, 2.0, 100_000, seed=55)
     k_mean, k_se = mc["kappa"]
-    assert abs(reflected_up_factor(s1, 2.0, y1) - k_mean) < 3 * k_se
-    mc0 = mc_reflected(m, 1, y1, 0.0, 100_000, seed=56)
-    l_mean, l_se = mc0["local_time"]
-    assert abs(reflected_local_time(s1, 0.0, y1) - l_mean) < 3 * l_se
+    assert abs(s1.Z(2.0) / s1.Z(y1) - k_mean) < 3 * k_se
 
 
 def test_omega2_equal_rates_drops_correction():
@@ -179,10 +157,9 @@ def test_omega2_vanishes_at_capacity():
     m = make_ex3()
     ctx = ExitContext(build_scale(m, 2), a=2.468, d=m.b)
     s1 = build_scale(m, 1)
-    assert omega2(ctx, s1, "Z1", m.b) == pytest.approx(0.0, abs=1e-9)
-    assert omega2(ctx, s1, "Wbarbar1", m.b) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        omega2(ctx, s1, "nope", 5.0)
+    op = Omega2(s1, ctx)
+    assert op.apply_Z1(m.b) == pytest.approx(0.0, abs=1e-9)
+    assert op.apply_Wbarbar1(m.b) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_omega2_range_invariant():
@@ -190,7 +167,7 @@ def test_omega2_range_invariant():
     ctx = ExitContext(build_scale(m, 2), a=2.468, d=m.b)
     s1 = build_scale(m, 1)
     xs = np.linspace(ctx.a, ctx.d, 40)
-    vals = omega2(ctx, s1, "Z1", xs)
+    vals = Omega2(s1, ctx).apply_Z1(xs)
     assert np.all(vals >= -1e-10)
     assert np.all(vals <= s1.Z(m.b) + 1e-10)
 
@@ -201,7 +178,7 @@ def test_omega2_against_mc(ex3_ctx):
     mc = mc_two_sided(m, 2, ctx.a, ctx.d, 5.0, 100_000, seed=77,
                       payoff=lambda v: s1.Z(v))
     mean, se = mc["payoff"]
-    assert abs(omega2(ctx, s1, "Z1", 5.0) - mean) < 3 * se
+    assert abs(Omega2(s1, ctx).apply_Z1(5.0) - mean) < 3 * se
 
 
 def test_omega2_matches_jump_decomposition(ex3_ctx):
@@ -227,8 +204,9 @@ def test_omega2_matches_jump_decomposition(ex3_ctx):
         return float(integrate(outer, y2 + 1e-12, b - 1e-12, breakpoints=(x,)))
 
     x = 5.0
-    assert omega2(ctx, s1, "Z1", x) == pytest.approx(rhs(x, s1.Z), abs=1e-7)
-    assert omega2(ctx, s1, "Wbarbar1", x) == pytest.approx(rhs(x, s1.Wbarbar), abs=1e-7)
+    op = Omega2(s1, ctx)
+    assert op.apply_Z1(x) == pytest.approx(rhs(x, s1.Z), abs=1e-7)
+    assert op.apply_Wbarbar1(x) == pytest.approx(rhs(x, s1.Wbarbar), abs=1e-7)
 
 
 @pytest.mark.parametrize("make, y2", [(make_ex1, 1.526), (make_ex3, 2.468),

@@ -11,8 +11,6 @@ from bandctl import (
     SwitchMatrix,
     build_scale,
     check_laplace_identity,
-    eval_W_family,
-    eval_Z_family,
     validate,
 )
 from bandctl.errors import ThetaInsideSpectrum
@@ -48,10 +46,8 @@ def test_initial_values():
 
 def test_w_family_at_origin_and_negatives():
     sc = build_scale(make_ex3(), 2)
-    w, wb, wbb = eval_W_family(sc, 0.0)
-    assert (w, wb, wbb) == (pytest.approx(1 / 2.5), 0.0, 0.0)
-    w, wb, wbb = eval_W_family(sc, -0.5)
-    assert (w, wb, wbb) == (0.0, 0.0, 0.0)
+    assert (sc.W(0.0), sc.Wbar(0.0), sc.Wbarbar(0.0)) == (pytest.approx(1 / 2.5), 0.0, 0.0)
+    assert (sc.W(-0.5), sc.Wbar(-0.5), sc.Wbarbar(-0.5)) == (0.0, 0.0, 0.0)
 
 
 def test_w_integrals_match_simpson():
@@ -65,25 +61,7 @@ def test_w_integrals_match_simpson():
 
 def test_z_family_basics():
     sc = build_scale(make_ex1(), 1)
-    z, zb, zt = eval_Z_family(sc, 0.0, theta=0.7)
-    assert (z, zb, zt) == (pytest.approx(1.0), pytest.approx(0.0), pytest.approx(1.0))
-    xs = np.linspace(0.1, 9.0, 7)
-    assert sc.Z_theta(xs, 0.0) == pytest.approx(sc.Z(xs), rel=1e-12)
-
-
-def test_z_theta_matches_quadrature():
-    sc = build_scale(make_ex3(), 2)
-    x, theta = 2.0, 0.5
-    inner = simpson_adaptive(lambda y: math.exp(-theta * y) * sc.W(y), 0.0, x, tol=1e-13)
-    expected = math.exp(theta * x) * (1.0 + (sc.q - sc.phi(theta)) * inner)
-    assert sc.Z_theta(x, theta) == pytest.approx(expected, abs=1e-10)
-
-
-def test_z_theta_at_root_is_exponential():
-    sc = build_scale(make_ex3(), 2)
-    th = sc.phi_q
-    xs = np.array([0.5, 2.0, 5.0])
-    assert sc.Z_theta(xs, th) == pytest.approx(np.exp(th * xs), rel=1e-10)
+    assert (sc.Z(0.0), sc.Zbar(0.0)) == (pytest.approx(1.0), pytest.approx(0.0))
 
 
 def test_laplace_identity_examples():

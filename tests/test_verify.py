@@ -110,8 +110,7 @@ def test_grid_avoids_thresholds():
     surf = total_cost(m, BandOne(1.526, 1.526, 5.077))
     rep = verify_strategy(m, surf)
     for t in surf.thresholds:
-        assert np.min(np.abs(rep.grid1 - t)) > 1e-4
-        assert np.min(np.abs(rep.grid2 - t)) > 1e-4
+        assert np.min(np.abs(rep.grid - t)) > 1e-4
 
 
 def test_level_b_value_matches_assembly_for_optimal_selection():
@@ -141,5 +140,5 @@ def test_each_phase_evaluated_once_on_the_grid(monkeypatch):
     monkeypatch.setattr(CostSurface, "V", counting)
     rep = verify_strategy(m, surf)
     on_grid = [phase for phase, x in calls
-               if x.shape == rep.grid1.shape and np.array_equal(x, rep.grid1)]
+               if x.shape == rep.grid.shape and np.array_equal(x, rep.grid)]
     assert sorted(on_grid) == [1, 2]
