@@ -283,6 +283,13 @@ def cmd_plot_data(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bandctl",
                                 description="band switching policies for a two-rate "
@@ -309,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evaluate", help="cost surface for given thresholds")
     common(sp, thresholds=True)
-    sp.add_argument("--grid", type=int, default=200)
+    sp.add_argument("--grid", type=_positive_int, default=200)
     sp.set_defaults(fn=cmd_evaluate)
 
     sp = sub.add_parser("verify", help="HJB verification report for given thresholds")
     common(sp, thresholds=True)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=_positive_int, default=400)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate for given thresholds")
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("plot-data", help="CSV of the cost decomposition on a grid")
     common(sp, thresholds=True)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=_positive_int, default=400)
     sp.set_defaults(fn=cmd_plot_data)
 
     return p

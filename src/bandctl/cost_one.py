@@ -12,7 +12,7 @@ built from one evaluation of the exit and transfer-map quantities at x.  The
 level-b scalars solve one-dimensional linear fixed points assembled by
 quadrature of the stacks over the demand density.  A lattice row of bands
 that share (y2, y3) is assembled in one pass, with y1 along a band axis
-(lattice_V0).
+(lattice_V0); one band is a row of one and runs through the same code.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class BandOne:
     """Thresholds 0 <= y2 <= y3 < y1 < b; Doshi policies have y3 = y2.
 
     y1 may be a 1-D array: a lattice row of bands sharing (y2, y3), which
-    TypeOneAssembly evaluates together (see lattice_V0).
+    TypeOneAssembly evaluates with the code for one band (see lattice_V0).
     """
 
     y2: float
@@ -86,7 +86,7 @@ def _contractive(ok, value, message: str) -> None:
     """
     ok = np.asarray(ok)
     if not ok.all():
-        bad = np.asarray(value)[~ok].flat[0] if ok.ndim else value
+        bad = np.asarray(value)[~ok].flat[0]
         raise FixedPointNotContractive(message.format(bad))
 
 
@@ -164,11 +164,10 @@ class TypeOneAssembly:
     y2 comes from the shared PhaseTwoContext, whose node memo only the
     level-b J2 integrand reads; each exit quantity is evaluated once per x.
 
-    With an array band.y1 the assembly holds a lattice row: the
-    y1-dependent scalars become columns of shape (bands, 1) along a
-    band axis that broadcasts against the node axis, and H0, S0, K0 are
-    arrays along y1.  Only the level-b scalars of such an assembly are
-    meant to be read.
+    One band is a lattice row of one: its y1-dependent scalars are 0-d, a
+    row's are (bands, 1) columns along a band axis that broadcasts against
+    the node axis.  H0, S0, K0 are then 0-d or arrays along y1, and a row's
+    costs(phase, x) gain a leading band axis.
     """
 
     def __init__(self, model: ModelConfig, band: BandOne):
@@ -176,8 +175,8 @@ class TypeOneAssembly:
         self.model = m = model
         self.band = band
         y2 = band.y2
-        self._lattice = np.ndim(band.y1) == 1
-        y1 = np.asarray(band.y1, dtype=float)[:, None] if self._lattice else band.y1
+        y1 = np.asarray(band.y1, dtype=float)
+        y1 = y1.reshape(y1.shape + (1,) * y1.ndim)
         p2 = self.p2 = phase_two_context(m, float(y2))
         s1 = self.s1 = p2.om.s1
         self._mus, self._ws = p2.mus, p2.ws
@@ -193,26 +192,24 @@ class TypeOneAssembly:
 
         # demand-transform constant for the phase-2 landing integrals
         mus, ws = self._mus, self._ws
-        self._cS = _against_exp(mus, self.S1xy, 0.0, y2, np.shape(y1)[:-1])
+        self._cS = _against_exp(mus, self.S1xy, 0.0, y2, y1.shape[:-1])
         self._coef_S = ws * (p0 + p1 / mus + self.S1xy0) + ws * mus * self._cS
 
         # scalars at y1 feeding the linear representations
         self.up_y1 = p2.exit2.up(y1)
         self.down_y1 = p2.exit2.down(y1, self.up_y1)
-        self.omZ_y1 = p2.om.apply_Z1(np.asarray(y1), self.up_y1)
+        self.omZ_y1 = p2.om.apply_Z1(y1, self.up_y1)
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
         _contractive((0 <= self.r) & (self.r < 1), self.r,
                      "phase-2 return factor r={} outside [0,1)")
-        at_y1 = self._phase2_bases(y1 if self._lattice else np.asarray([y1]))
-        _, _, _, A_y1, mu_y1, g_y1 = (v if self._lattice else float(v[0]) for v in at_y1)
-        self.A_y1 = A_y1
+        at_y1 = self._phase2_bases(np.atleast_1d(y1))
+        _, _, _, self.A_y1, self._mu_y1, g_y1 = (v.reshape(y1.shape) for v in at_y1)
         _contractive((0 <= g_y1) & (g_y1 < 1), g_y1, "shortage renewal factor {} outside [0,1)")
         self._gamma_y1 = g_y1
-        self._mu_y1 = mu_y1
         self.alpha2_y1 = self.up_y1 * self.Z1y1 / self.denom
         self.beta2_y1 = self.A_y1 * self.Z1y1 / self.denom
-        self.mu2_y1 = mu_y1 / (1.0 - g_y1)
+        self.mu2_y1 = self._mu_y1 / (1.0 - g_y1)
         self.gamma2_y1 = self.up_y1 / (1.0 - g_y1)
         k = m.switching
         k2num = k.k20 * self.up_y1 + k.k12 * self.r + k.k21 * self.down_y1
@@ -235,13 +232,9 @@ class TypeOneAssembly:
         up, down, omZ, hold2, omW, G, ZG = (self.p2.at_nodes if memo else self.p2.bases)(x)
         zr = omZ / self.Z1y1
         A = hold2 + (m.h1.a / m.q) * (down - zr) + m.h1.c * (zr * self.Wbb1y1 - omW)
-        if self._lattice:
-            # each band's coefficients (bands, 1, k) against G with the
-            # demand components moved last; x is (nodes,) or (bands, 1)
-            coef = self._coef_S[:, None, :]
-            mu_base = m.lam * np.sum(coef * np.moveaxis(G, 0, -1), axis=-1)
-        else:
-            mu_base = m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
+        # each band's coefficients, (1, k) or (bands, 1, k), against G with
+        # the demand components moved last; x is (nodes,) or (bands, 1)
+        mu_base = m.lam * (self._coef_S[..., None, :] * np.moveaxis(G, 0, -1)).sum(axis=-1)
         gamma_base = m.lam / self.Z1y1 * ZG
         return up, down, omZ, A, mu_base, gamma_base
 
@@ -343,8 +336,7 @@ class TypeOneAssembly:
         for name, mm in (("holding", mH), ("shortage", mS), ("switching", mK)):
             _contractive(np.logical_not(np.abs(mm) >= 1.0), mm,
                          name + " level-b multiplier |m|={} >= 1")
-        values = (cH / (1.0 - mH), cS / (1.0 - mS), cK / (1.0 - mK))
-        self.H0, self.S0, self.K0 = values if self._lattice else (float(v) for v in values)
+        self.H0, self.S0, self.K0 = cH / (1.0 - mH), cS / (1.0 - mS), cK / (1.0 - mK)
 
     # -- assembled costs -----------------------------------------------------
 
@@ -357,10 +349,10 @@ class TypeOneAssembly:
 def lattice_V0(model: ModelConfig, y2: float, y3: float, y1s) -> np.ndarray:
     """V0(b) of the bands (y2, y3, y1) for every y1 in y1s, from one assembly.
 
-    Each value agrees with total_cost(model, BandOne(y2, y3, y1)).V0 up to
-    rounding (the node count of the shared level-b quadrature and the order
-    of the sum over demand components may differ); total_cost stays the
-    reference evaluation.
+    One band runs through the same code as a row, so each value equals
+    total_cost(model, BandOne(y2, y3, y1)).V0 up to the node count of the
+    shared level-b quadrature, whose doubling stops only when every band of
+    the row has converged; for a row of one the two are equal.
     """
     asm = TypeOneAssembly(model, BandOne(y2, y3, np.asarray(y1s, dtype=float)))
     return asm.H0 + asm.S0 + asm.K0
@@ -471,9 +463,9 @@ def total_cost(model: ModelConfig, band: BandOne) -> CostSurface:
         model=model,
         band=band,
         kind="doshi" if band.is_doshi else "one",
-        H0=asm.H0,
-        S0=asm.S0,
-        K0=asm.K0,
+        H0=float(asm.H0),
+        S0=float(asm.S0),
+        K0=float(asm.K0),
         branches=_make_branches(asm),
         thresholds=(band.y2, band.y3, band.y1),
     )

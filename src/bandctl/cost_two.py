@@ -83,9 +83,9 @@ def total_cost_two(model: ModelConfig, band: BandTwo) -> CostSurface:
         model=model,
         band=band,
         kind="two",
-        H0=ov.asm.H0,
-        S0=ov.asm.S0,
-        K0=ov.asm.K0,
+        H0=float(ov.asm.H0),
+        S0=float(ov.asm.S0),
+        K0=float(ov.asm.K0),
         branches=branches,
         thresholds=(band.y2, band.y3, band.y1, band.y4),
     )

@@ -100,7 +100,7 @@ def _type_one_lattice(model: ModelConfig) -> tuple[list, float]:
     cands = []
     for y2 in g:
         for y3 in g[g >= y2]:
-            row = g[(g > y3 + 1e-4) & (g < b)]
+            row = g[g > y3 + 1e-4]
             if row.size:
                 cands.extend(zip(lattice_V0(model, y2, y3, row), ((y2, y3, y1) for y1 in row)))
     return cands, float(g[1] - g[0])
@@ -192,16 +192,10 @@ def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult
     result is returned flagged, with its report attached (wider classes are
     reported, not searched).
     """
-    result = optimize_doshi(model)
-    report = verify_strategy(model, result.surface, tol=tol)
-    result.verified, result.report = report.passed, report
-    if report.passed:
-        return result
-
-    result = optimize_type_one(model)
-    report = verify_strategy(model, result.surface, tol=tol)
-    result.verified, result.report = report.passed, report
-    if report.passed:
-        return result
-
+    for stage in (optimize_doshi, optimize_type_one):
+        result = stage(model)
+        report = verify_strategy(model, result.surface, tol=tol)
+        result.verified, result.report = report.passed, report
+        if report.passed:
+            return result
     return optimize_type_two(model, result, tol=tol)

@@ -4,11 +4,11 @@ The transfer map's integrals are closed-form convolutions of exponential
 sums (scale.ExpConvolution).  The module also declares the shared quadrature
 policy, used for the resolvent transform's below-x integral, the exit
 constant _B and the callers' landing and level-b integrals: Gauss-Legendre
-with node doubling (16 -> ... -> 1024) until successive composite
-estimates agree to 1e-9 relative.  Integrands here are products of
-exponentials, so convergence is fast; callers must split at the one known
-kink (the diagonal z = x of the resolvent density, where W jumps at the
-origin).
+with node doubling (16 -> ... -> 1024) until successive estimates agree to
+1e-9 relative, in one loop (_doubling) under both rules, integrate and
+integrate_rows.  Integrands are products of exponentials, so convergence
+is fast; callers must split at the one known kink (the diagonal z = x of
+the resolvent density, where W jumps at the origin).
 """
 
 from __future__ import annotations
@@ -33,35 +33,42 @@ def _gl_nodes(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def integrate(f, a: float, b: float, breakpoints=(), rel_tol: float = GL_REL_TOL,
-              max_nodes: int = GL_MAX):
-    """Integrate a vectorized integrand over [a, b] under the doubling policy.
+def _doubling(estimate, failure):
+    """Run estimate(t, w) on GL_START, 2 GL_START, ... GL_MAX nodes per unit
+    interval until two successive results agree to GL_REL_TOL relative;
+    failure() gives the message of the QuadratureNotConverged raised if not."""
+    prev = None
+    n = GL_START
+    while n <= GL_MAX:
+        total = estimate(*_gl_nodes(n))
+        if prev is not None:
+            err = np.max(np.abs(total - prev))
+            if err <= GL_REL_TOL * (1.0 + np.max(np.abs(total))):
+                return total
+        prev = total
+        n *= 2
+    raise QuadratureNotConverged(failure())
+
+
+def integrate(f, a: float, b: float, breakpoints=()):
+    """Integrate a vectorized integrand over [a, b], a < b, under the doubling policy.
 
     f maps a node array of shape (m,) to values of shape (..., m); the result
     has shape (...).  breakpoints inside (a, b) split the composite rule.
     """
-    if b <= a:
-        probe = np.asarray(f(np.array([max(a, b)])))
-        return np.zeros(probe.shape[:-1]) if probe.ndim > 1 else 0.0
     cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    prev = None
-    n = GL_START
-    while n <= max_nodes:
-        t, w = _gl_nodes(n)
+
+    def composite(t, w):
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             z = lo + (hi - lo) * t
             total = total + (hi - lo) * np.tensordot(np.asarray(f(z)), w, axes=([-1], [0]))
-        if prev is not None:
-            err = np.max(np.abs(total - prev))
-            if err <= rel_tol * (1.0 + np.max(np.abs(total))):
-                return total
-        prev = total
-        n *= 2
-    raise QuadratureNotConverged(f"integrate on [{a}, {b}] did not reach {rel_tol}")
+        return total
+
+    return _doubling(composite, lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
 
 
-def integrate_rows(f, lo, hi, rel_tol: float = GL_REL_TOL, max_nodes: int = GL_MAX):
+def integrate_rows(f, lo, hi):
     """Row-wise integrals int_{lo_i}^{hi_i} f(z) dz with shared relative nodes.
 
     lo/hi broadcast against each other; f maps a node array of shape
@@ -77,20 +84,11 @@ def integrate_rows(f, lo, hi, rel_tol: float = GL_REL_TOL, max_nodes: int = GL_M
     span = np.maximum(hi - lo, 0.0)
     if not span.any():
         return np.zeros(span.shape)
-    prev = None
-    n = GL_START
-    while n <= max_nodes:
-        t, w = _gl_nodes(n)
-        z = lo[..., None] + span[..., None] * t
-        vals = np.asarray(f(z))
-        total = span * (vals @ w)
-        if prev is not None:
-            err = np.max(np.abs(total - prev))
-            if err <= rel_tol * (1.0 + np.max(np.abs(total))):
-                return total
-        prev = total
-        n *= 2
-    raise QuadratureNotConverged("row-wise quadrature did not converge")
+
+    def rows(t, w):
+        return span * (np.asarray(f(lo[..., None] + span[..., None] * t)) @ w)
+
+    return _doubling(rows, lambda: "row-wise quadrature did not converge")
 
 
 class ExitContext:

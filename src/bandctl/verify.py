@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost_one import CostSurface
+from .errors import ValidationError
 from .model import ModelConfig
 from .passage import integrate_rows
 
@@ -201,6 +202,9 @@ def verify_strategy(
     grid_points: int = 400,
 ) -> VerificationReport:
     """Check supersolution slack, solution tightness and capacity conditions."""
+    if not (np.isfinite(tol) and tol > 0 and grid_points >= 1):  # NaN would pass any check
+        raise ValidationError(f"verification needs a finite tol > 0 and grid_points >= 1, "
+                              f"got tol={tol}, grid_points={grid_points}")
     m = model
     k = m.switching
     kinks = tuple(getattr(surface, "thresholds", ()))

@@ -164,6 +164,26 @@ def test_malformed_config_exits_two(tmp_path, capsys, field, value, message):
     assert "Traceback" not in err
 
 
+def test_verify_nan_tolerance_exits_two(capsys):
+    # the tabulated ex1 band fails verification; a NaN tolerance must not pass it
+    rc = main(["verify", str(CONFIGS / "ex1.json"), "--y2", "1.526", "--y1", "5.077",
+               "--tol", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bandctl: invalid configuration: verification needs a finite tol > 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd, grid", [("evaluate", "-3"), ("verify", "0"), ("plot-data", "-2")])
+def test_nonpositive_grid_is_a_usage_error(capsys, cmd, grid):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(CONFIGS / "ex3.json"), "--y2", "2.468", "--y1", "4.61", "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be a positive integer" in err
+    assert "Traceback" not in err
+
+
 def test_solve_require_verified_exit_three(tmp_path):
     # the best two-threshold policy for the second example is unverifiable
     out = tmp_path / "s.json"

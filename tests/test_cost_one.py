@@ -6,12 +6,13 @@ import pytest
 
 from bandctl import BandOne, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
 from bandctl import cost_one, cost_two, optimize, passage, scale
-from bandctl.cost_one import TypeOneAssembly, _against_exp, _contractive, phase_two_context
+from bandctl.cost_one import (TypeOneAssembly, _against_exp, _contractive, lattice_V0,
+                              phase_two_context)
 from bandctl.passage import ExitContext
 from bandctl.errors import FixedPointNotContractive, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from ._oracles import MpScale, mc_reflected, mc_two_sided
-from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex3
+from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
 EX1_BAND = BandOne(1.526, 1.526, 5.077)
 
@@ -262,6 +263,28 @@ def test_lattice_row_checks_every_band():
     for y1s in ([3.0, 2.0 + 1e-12], [3.0, m.b], [1.5, 3.0]):
         with pytest.raises(ValidationError):
             TypeOneAssembly(m, BandOne(1.0, 2.0, np.array(y1s)))
+
+
+@pytest.mark.parametrize("make, bands", [
+    (make_ex1, [BandOne(0.0, 0.0, 3.3743305488598034), BandOne(1.526, 1.526, 5.077)]),
+    (make_ex2, [BandOne(6.2125852514684965, 9.804502364299498, 17.294129965012793),
+                BandOne(6.213, 9.805, 17.294)]),
+    (make_ex3, [BandOne(2.4680949887268673, 3.1139494044399276, 4.610298075485835),
+                BandOne(2.468, 3.114, 4.610)]),
+], ids=["ex1", "ex2", "ex3"])
+def test_one_band_is_a_row_of_one(make, bands):
+    # the recorded optimum (the crosscheck base) and the tabulated band of each
+    # config: one band and a lattice row holding only it give the same bits
+    m = make()
+    for band in bands:
+        row_band = BandOne(band.y2, band.y3, np.array([band.y1]))
+        assert total_cost(m, band).V0 == lattice_V0(m, band.y2, band.y3, [band.y1])[0]
+        one, row = TypeOneAssembly(m, band), TypeOneAssembly(m, row_band)
+        for phase, lo, hi in ((1, 0.0, band.y1), (2, band.y2, m.b)):
+            xs = np.linspace(lo, hi, 41)
+            for a, b in zip(one.costs(phase, xs), row.costs(phase, xs)):
+                assert b.shape == (1,) + a.shape
+                assert np.array_equal(a, b[0])
 
 
 def test_contraction_failure_names_first_failing_band():

@@ -4,9 +4,9 @@ import pytest
 
 from bandctl import BandOne, build_scale, estimate_occupation
 from bandctl.cost_one import TypeOneAssembly
-from bandctl.errors import OutOfBand
+from bandctl.errors import OutOfBand, QuadratureNotConverged
 from bandctl.model import ModelConfig
-from bandctl.passage import ExitContext, Omega2, integrate
+from bandctl.passage import ExitContext, Omega2, integrate, integrate_rows
 from ._oracles import MpScale, mc_reflected, mc_two_sided, potential_density, simpson_adaptive
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
@@ -236,3 +236,13 @@ def test_omega2_tails_against_mpmath(make, y2):
                 assert abs(val - ref) <= 1e-12 * abs(ref), (kind, x, val, ref)
             ref = tail(m.b)
             assert abs(consts[kind] - ref) <= 1e-12 * abs(ref), (kind, consts[kind], ref)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (lambda f: integrate(f, 0.0, 1.0), r"integrate on \[0\.0, 1\.0\] did not reach 1e-09"),
+    (lambda f: integrate_rows(f, 0.0, 1.0), "row-wise quadrature did not converge"),
+], ids=["integrate", "integrate_rows"])
+def test_quadrature_not_converged(rule, message):
+    # sin(1e5 z) oscillates far faster than 1024 nodes on [0, 1] resolve
+    with pytest.raises(QuadratureNotConverged, match=message):
+        rule(lambda z: np.sin(1e5 * z))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bandctl import BandOne, BandTwo, total_cost, total_cost_two
+from bandctl.errors import ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from bandctl.verify import level_b_value, operator_L, operator_L0, verify_strategy
 from .conftest import make_ex1, make_ex2, make_ex3
@@ -142,3 +143,13 @@ def test_each_phase_evaluated_once_on_the_grid(monkeypatch):
     on_grid = [phase for phase, x in calls
                if x.shape == rep.grid.shape and np.array_equal(x, rep.grid)]
     assert sorted(on_grid) == [1, 2]
+
+
+@pytest.mark.parametrize("tol, grid_points", [
+    (float("nan"), 400), (float("inf"), 400), (0.0, 400), (-1.0, 400), (5e-4, 0),
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "grid-zero"])
+def test_verify_rejects_degenerate_tolerance(tol, grid_points):
+    # NaN compares false against every residual, so it would certify any band
+    surf = total_cost(make_ex1(), BandOne(1.526, 1.526, 5.077))
+    with pytest.raises(ValidationError, match="finite tol > 0"):
+        verify_strategy(make_ex1(), surf, tol=tol, grid_points=grid_points)
