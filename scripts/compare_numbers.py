@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dump the numbers the analytic engine and the optimizer produce, and diff two dumps.
+"""Dump the numbers the analytic engine, the optimizer and the simulator produce, and diff two dumps.
 
     PYTHONPATH=src python3 scripts/compare_numbers.py dump OUT.npz
     python3 scripts/compare_numbers.py diff A.npz B.npz
@@ -19,7 +19,13 @@ first on the path.  It writes:
 * band/<case>/V0 and band/<case>/p<phase>s<side>: V0, and V, H, S, K of
   both phases at sides -1/0/+1 on a 401-point grid over [0, b], for the 44
   bands of perfbench/reference/crosscheck-inputs.json (each base policy,
-  then its perturbations 0-9).
+  then its perturbations 0-9);
+* sim/<config>-base-<case>: the simulator's estimate for each of the 24
+  recorded start states (sim_cases) of those base policies, at SIM_PATHS
+  paths with jobs=1, as the SimEstimate fields in order (mean, std_error,
+  n_paths, holding, shortage and switching mean and std_error,
+  truncation_horizon, truncation_bound).  Only SimStrategy.from_band and
+  estimate_cost are called, so the script dumps older trees too.
 
 Only crosscheck-inputs.json and the four configs are read.  `diff` lists
 every array that is missing from one dump or not bit-identical, with its
@@ -29,6 +35,7 @@ largest relative difference, and exits 1 when there is any.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -43,6 +50,7 @@ CONFIGS = {
     "ex1-hyper": "perfbench/configs/ex1-hyper.json",
 }
 GRID = 401
+SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surfaces.py
 
 
 def _models():
@@ -101,7 +109,7 @@ def _escalate_with_polish(model):
 
 
 def dump(out: str) -> None:
-    from bandctl import BandOne, BandTwo, total_cost, total_cost_two
+    from bandctl import BandOne, BandTwo, SimStrategy, estimate_cost, total_cost, total_cost_two
 
     models = _models()
     arrays = {}
@@ -130,6 +138,12 @@ def dump(out: str) -> None:
                 for side in (-1, 0, 1):
                     arrays[f"{case}/p{phase}s{side}"] = np.stack(
                         surface.components(phase, xs, side))
+        th = pol["band"]
+        strategy = SimStrategy.from_band(BandTwo(*th) if len(th) == 4 else BandOne(*th), model)
+        for c, start in enumerate(pol["sim_cases"]):
+            est = estimate_cost(model, strategy, start["x0"], start["phase"], SIM_PATHS,
+                                base_seed=start["seed"], jobs=1)
+            arrays[f"sim/{pol['config']}-base-{c}"] = np.hstack(dataclasses.astuple(est))
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 

@@ -20,7 +20,6 @@ from .model import (
     ModelConfig,
     PenaltyCost,
     SwitchMatrix,
-    drift_mean,
     laplace_exponent,
     upper_cost_bound,
     validate,
@@ -33,15 +32,14 @@ from .optimize import (
     optimize_type_two,
 )
 from .scale import ScaleSet, build_scale, check_laplace_identity
-from .simulate import SimEstimate, SimStrategy, estimate_cost, estimate_occupation, simulate_path
+from .simulate import SimEstimate, SimStrategy, estimate_cost
 from .verify import VerificationReport, operator_L, operator_L0, verify_strategy
 
 __all__ = [
     "BandOne", "BandTwo", "CostSurface", "DemandLaw", "HoldingCost", "ModelConfig",
     "OptimizationResult", "PenaltyCost", "ScaleSet", "SimEstimate", "SimStrategy",
     "SwitchMatrix", "VerificationReport", "build_scale", "check_laplace_identity",
-    "drift_mean", "escalate", "estimate_cost", "estimate_occupation", "laplace_exponent",
-    "operator_L", "operator_L0", "optimize_doshi", "optimize_type_one", "optimize_type_two",
-    "simulate_path", "total_cost", "total_cost_two", "upper_cost_bound", "validate",
-    "verify_strategy",
+    "escalate", "estimate_cost", "laplace_exponent", "operator_L", "operator_L0",
+    "optimize_doshi", "optimize_type_one", "optimize_type_two", "total_cost",
+    "total_cost_two", "upper_cost_bound", "validate", "verify_strategy",
 ]

@@ -38,7 +38,7 @@ from .model import (
 )
 from .optimize import escalate, optimize_doshi, optimize_type_one, optimize_type_two
 from .simulate import SimStrategy, estimate_cost
-from .verify import DEFAULT_TOL, verify_strategy
+from .verify import DEFAULT_TOL, check_settings, verify_strategy
 
 log = logging.getLogger("bandctl")
 
@@ -158,6 +158,7 @@ def _surface_report(surface) -> dict:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     model = validate(load_config(args.config))
+    check_settings(args.tol)  # before the ladder, which verifies only after its first stage
     if args.strategy == "auto":
         result = escalate(model, tol=args.tol)
     elif args.strategy == "two":
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phase", type=int, choices=(0, 1, 2), required=True)
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("plot-data", help="CSV of the cost decomposition on a grid")

@@ -239,11 +239,6 @@ def laplace_exponent(model: ModelConfig, phase: int, theta):
     return out if out.shape else float(out)
 
 
-def drift_mean(model: ModelConfig, phase: int) -> float:
-    """phi_i'(0) = sigma_i - lam*E[Y], the net drift of the free process."""
-    return model.sigma(phase) - model.lam * model.demand.mean
-
-
 def upper_cost_bound(model: ModelConfig) -> float:
     """Explicit upper bound on every optimal cost value.
 

@@ -1,10 +1,10 @@
 """Discrete-event Monte Carlo simulator of the controlled inventory.
 
-Strictly more general than the analytic engine: arbitrary finite unions of
-switching/selection intervals, any backlog floor l <= 0, and optional
-non-affine holding rates.  There is no time discretization anywhere: drift
-segments are integrated in closed form and threshold crossings are solved
-exactly, so results are reproducible bit for bit.
+It runs the band strategies the analytic engine prices, with one or two
+bands, and also admits a backlog floor l < 0, which the engine rejects.
+There is no time discretization anywhere: drift segments are integrated in
+closed form and threshold crossings are solved exactly, so results are
+reproducible bit for bit.
 
 Randomness is counter-based (a splitmix64-style hash of (seed, path, draw)),
 which makes every path's draws independent of batch size and worker count.
@@ -63,66 +63,35 @@ def _round_uniforms(keys: np.ndarray, counter: int, mixture: bool):
 
 @dataclass(frozen=True)
 class SimStrategy:
-    """Band strategy as closed intervals inside [l, b).
+    """A band strategy by its thresholds, l <= y2 <= y3 < y1 <= top <= b.
 
-    a12 / a21 are the switching zones, c1 the restart-selection zone for
-    phase 1 (its complement selects phase 2).
+    Phase 1 switches to phase 2 on [y1, top], where top is y4 for a type-two
+    band and b otherwise; phase 2 switches to phase 1 on [l, y2].  A restart
+    from capacity selects phase 1 when the demand lands at or below y3, and
+    phase 2 otherwise.
     """
 
-    a12: tuple[tuple[float, float], ...]
-    a21: tuple[tuple[float, float], ...]
-    c1: tuple[tuple[float, float], ...]
+    y2: float
+    y3: float
+    y1: float
+    top: float
 
     @classmethod
     def from_band(cls, band, model: ModelConfig) -> "SimStrategy":
         y4 = getattr(band, "y4", None)
-        hi = band.y4 if y4 is not None else model.b
-        return cls(
-            a12=((band.y1, hi),),
-            a21=((model.l, band.y2),),
-            c1=((model.l, band.y3),),
-        )
+        return cls(band.y2, band.y3, band.y1, model.b if y4 is None else y4)
 
     def check(self, model: ModelConfig) -> "SimStrategy":
-        for name, ivs in (("a12", self.a12), ("a21", self.a21), ("c1", self.c1)):
-            for lo, hi in ivs:
-                if lo > hi or lo < model.l - 1e-12 or hi > model.b + 1e-12:
-                    raise ValidationError(f"{name} interval [{lo}, {hi}] outside [l, b]")
-        for lo, hi in self.a12:
-            for lo2, hi2 in self.a21:
-                if max(lo, lo2) <= min(hi, hi2):
-                    raise ValidationError("a12 and a21 must be disjoint")
-            for lo2, hi2 in self.c1:
-                if max(lo, lo2) <= min(hi, hi2):
-                    raise ValidationError("a12 must avoid the phase-1 selection zone")
-        for lo, hi in self.a21:
-            if not any(lo2 - 1e-12 <= lo and hi <= hi2 + 1e-12 for lo2, hi2 in self.c1):
-                raise ValidationError("a21 must lie inside the phase-1 selection zone")
-        return self
+        """Raise ValidationError unless l <= y2 <= y3 < y1 <= top <= b.
 
-    @staticmethod
-    def _contains(ivs, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape, dtype=bool)
-        for lo, hi in ivs:
-            out |= (x >= lo) & (x <= hi)
-        return out
-
-    def in_zone(self, which: str, x: np.ndarray) -> np.ndarray:
-        return self._contains(getattr(self, which), x)
-
-    def switching_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each phase's own switching zone as padded bounds lo, hi[interval, phase].
-
-        Phase 1 switches on entering a12 and phase 2 on entering a21; the
-        idle phase 0 and the padding hold the empty interval [inf, inf].
+        y2 may exceed y3, and top may exceed b, by up to 1e-12.
         """
-        width = max(1, len(self.a12), len(self.a21))
-        lo = np.full((width, 3), np.inf)
-        hi = np.full((width, 3), np.inf)
-        for p, ivs in ((1, self.a12), (2, self.a21)):
-            for i, iv in enumerate(ivs):
-                lo[i, p], hi[i, p] = iv
-        return lo, hi
+        l, y2, y3 = model.l, self.y2, self.y3
+        if not (l <= min(y2, y3) and y2 <= y3 + 1e-12
+                and max(y2, y3) < self.y1 <= self.top <= model.b + 1e-12):
+            raise ValidationError(
+                f"band needs l <= y2 <= y3 < y1 <= top <= b, got {self} with l={l}, b={model.b}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -174,7 +143,6 @@ def _run_paths(
     x0: float,
     phase0: int,
     keys: np.ndarray,
-    holding_fn=None,
 ):
     """Evolve one batch of paths to the truncation horizon.
 
@@ -208,25 +176,6 @@ def _run_paths(
     cs_of = c_of * sig_of
     stop_cost = np.array([0.0, k.k10, k.k20])   # reaching capacity b
     switch_cost = np.array([0.0, k.k12, k.k21])  # entering the switching zone
-    if holding_fn is None:
-        def segment_holding(phs, xs, ts, dur):
-            return _segment_cost(a_of[phs], c_of[phs], cs_of[phs], xs, dur, q, ts)
-    else:
-        # general bounded holding rate: 32-node Gauss rule per segment
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        nodes = (nodes + 1.0) / 2.0
-        half_w = weights / 2.0
-
-        def segment_holding(phs, xs, ts, dur):
-            s = dur[:, None] * nodes
-            rates = holding_fn(xs[:, None] + sig_of[phs][:, None] * s, phs[:, None])
-            vals = np.exp(-q * (ts[:, None] + s)) * rates
-            # node by node, so that a row's sum cannot depend on the other rows
-            acc = np.zeros(len(dur))
-            for j, w in enumerate(half_w):
-                acc += vals[:, j] * w
-            return dur * acc
-
     n = len(keys)
     out = np.empty((3, n))
     pos = np.arange(n)  # path index of each row
@@ -237,21 +186,16 @@ def _run_paths(
     short = np.zeros(n)
     switch = np.zeros(n)
 
-    lo_of, hi_of = strategy.switching_bounds()
+    # each phase's switching zone [lo, hi]; the idle phase 0 has the empty [inf, inf]
+    lo_of = np.array([np.inf, strategy.y1, l])
+    hi_of = np.array([np.inf, strategy.top, strategy.y2])
 
     def zone_entry(phs, xs):
         """Smallest point of each row's switching zone at or above x; +inf when none."""
-        entry = np.where(xs <= hi_of[0][phs], np.maximum(xs, lo_of[0][phs]), np.inf)
-        for lo, hi in zip(lo_of[1:], hi_of[1:]):
-            np.minimum(entry, np.where(xs <= hi[phs], np.maximum(xs, lo[phs]), np.inf),
-                       out=entry)
-        return entry
+        return np.where(xs <= hi_of[phs], np.maximum(xs, lo_of[phs]), np.inf)
 
     def in_switching_zone(phs, xs):
-        inside = (xs >= lo_of[0][phs]) & (xs <= hi_of[0][phs])
-        for lo, hi in zip(lo_of[1:], hi_of[1:]):
-            inside |= (xs >= lo[phs]) & (xs <= hi[phs])
-        return inside
+        return (xs >= lo_of[phs]) & (xs <= hi_of[phs])
 
     def drift(rows, seg_end):
         """Drift rows (all rows, or an index array) up to their next event or seg_end.
@@ -274,7 +218,7 @@ def _run_paths(
             tf = ts[loc] + t_evt[loc]
             hit_cap = (b - xf) / df <= (ef - xf) / df
             dur[loc] = t_evt[loc]
-        hold[rows] += segment_holding(phs, xs, ts, dur)
+        hold[rows] += _segment_cost(a_of[phs], c_of[phs], cs_of[phs], xs, dur, q, ts)
         x[rows] = xs + sig_of[phs] * dur  # the fired rows are overwritten below
         t[rows] = se
         if not loc.size:
@@ -285,9 +229,8 @@ def _run_paths(
         ph[fired] = np.where(hit_cap, 0, 3 - pf)  # 3 - p: the other producing phase
         # a row stopped at capacity idles there until seg_end
         i = np.flatnonzero(hit_cap)
-        hold[fired[i]] += segment_holding(
-            np.zeros(i.size, dtype=np.intp), x[fired[i]], tf[i], sf[i] - tf[i]
-        )
+        hold[fired[i]] += _segment_cost(a_of[0], c_of[0], cs_of[0], x[fired[i]],
+                                        sf[i] - tf[i], q, tf[i])
         i = np.flatnonzero(~hit_cap)
         t[fired[i]] = tf[i]
         return fired[i]
@@ -322,7 +265,7 @@ def _run_paths(
             short[j] += m.penalty(l - raw[j]) * np.exp(-q * t[j])
             x = np.maximum(raw, l)
             if cap.size:
-                to1 = strategy.in_zone("c1", x[cap])
+                to1 = x[cap] <= strategy.y3
                 switch[cap] += np.where(to1, k.k01, k.k02) * np.exp(-q * t[cap])
                 ph[cap] = np.where(to1, 1, 2)
             # landing inside the other phase's switching zone triggers an
@@ -348,18 +291,6 @@ def _run_paths(
     return out[0], out[1], out[2]
 
 
-def simulate_path(model: ModelConfig, strategy: SimStrategy, x0: float, phase0: int,
-                  rng_seed: int, holding_fn=None):
-    """One path; returns (total, holding, shortage, switching).
-
-    Identical to path 0 of estimate_cost(base_seed=rng_seed).
-    """
-    strategy.check(model)
-    keys = _path_keys(rng_seed, 0, 1)
-    h, s, w = _run_paths(model, strategy, x0, phase0, keys, holding_fn=holding_fn)
-    return float(h[0] + s[0] + w[0]), float(h[0]), float(s[0]), float(w[0])
-
-
 def _worker_paths(model, strategy, x0, phase0, base_seed, span):
     lo, hi = span
     keys = _path_keys(base_seed, lo, hi - lo)
@@ -374,7 +305,6 @@ def estimate_cost(
     n_paths: int,
     base_seed: int,
     jobs: int = 1,
-    holding_fn=None,
 ) -> SimEstimate:
     """Mean and standard error over independent per-path seed streams.
 
@@ -392,7 +322,7 @@ def estimate_cost(
     chunk = 100_000 if jobs <= 1 else max(10_000, n_paths // (4 * jobs))
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
-    if jobs > 1 and len(spans) > 1 and holding_fn is None:
+    if jobs > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_worker_paths, model, strategy, x0, phase0, base_seed, s)
@@ -404,7 +334,7 @@ def estimate_cost(
     else:
         for lo, hi in spans:
             keys = _path_keys(base_seed, lo, hi - lo)
-            h, s, w = _run_paths(model, strategy, x0, phase0, keys, holding_fn=holding_fn)
+            h, s, w = _run_paths(model, strategy, x0, phase0, keys)
             hold[lo:hi], short[lo:hi], switch[lo:hi] = h, s, w
 
     total = hold + short + switch
@@ -425,89 +355,4 @@ def estimate_cost(
         switching=comp(switch),
         truncation_horizon=truncation_horizon(model),
         truncation_bound=TRUNCATION_FRACTION * upper_cost_bound(model),
-    )
-
-
-@dataclass(frozen=True)
-class OccupationEstimate:
-    edges: np.ndarray
-    mean: np.ndarray       # per-bin discounted occupation
-    std_error: np.ndarray
-    total: float           # per-path total occupation, averaged
-    total_std_error: float
-
-
-def estimate_occupation(
-    model: ModelConfig,
-    phase: int,
-    a: float,
-    d: float,
-    x0: float,
-    n_paths: int,
-    bins: int,
-    base_seed: int,
-) -> OccupationEstimate:
-    """Discounted occupation histogram of the free process killed at exiting [a, d].
-
-    Oracle for the resolvent density: bin means estimate the integral of
-    u(a, d, x0, y) over the bin; the total obeys the exit-discount identity
-    q * total = 1 - up - down.
-    """
-    if not a <= x0 <= d:
-        raise InvalidStart(f"x0={x0} outside [{a}, {d}]")
-    m = model
-    q, lam = m.q, m.lam
-    sig = m.sigma(phase)
-    t_star = truncation_horizon(m)
-    mixture = len(m.demand.rates) > 1
-    edges = np.linspace(a, d, bins + 1)
-    occ = np.zeros((n_paths, bins))
-    keys = _path_keys(base_seed, 0, n_paths)
-
-    # pos is each working row's path index; once the live rows fall to half
-    # of the working set it is compacted, as in _run_paths
-    pos = np.arange(n_paths)
-    x = np.full(n_paths, float(x0))
-    t = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
-    counter = 0
-    while np.any(alive):
-        u_tau, u_sel, u_size = _round_uniforms(keys, counter, mixture)
-        counter += 1
-        tau = -np.log(u_tau) / lam
-        # segment runs until the demand, the upper barrier, or the horizon
-        t_cap = (d - x) / sig
-        dur = np.minimum(np.minimum(tau, t_cap), t_star - t)
-        idx = np.where(alive)[0]
-        xs, ts, dus = x[idx], t[idx], dur[idx]
-        # discounted time spent below each interior edge during the segment
-        cross = np.clip((edges[None, 1:-1] - xs[:, None]) / sig, 0.0, dus[:, None])
-        stamps = np.concatenate(
-            [np.zeros((len(idx), 1)), cross, dus[:, None]], axis=1
-        )
-        disc = np.exp(-q * (ts[:, None] + stamps))
-        occ[pos[idx]] += (disc[:, :-1] - disc[:, 1:]) / q
-        killed_up = alive & (t_cap <= tau) & (t + t_cap <= t_star - 1e-15)
-        timed_out = alive & (t_star - t <= np.minimum(tau, t_cap))
-        alive = alive & ~killed_up & ~timed_out
-        if not np.any(alive):
-            break
-        t = np.where(alive, t + tau, t)
-        y = _sample_demand(m, u_sel, u_size)
-        x = np.where(alive, x + sig * tau - y, x)
-        killed_down = alive & (x < a)
-        alive = alive & ~killed_down
-        if 2 * np.count_nonzero(alive) <= len(pos):
-            keep = np.flatnonzero(alive)
-            keys, pos, x, t, alive = keys[keep], pos[keep], x[keep], t[keep], alive[keep]
-
-    mean = occ.mean(axis=0)
-    se = occ.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    totals = occ.sum(axis=1)
-    return OccupationEstimate(
-        edges=edges,
-        mean=mean,
-        std_error=se,
-        total=float(totals.mean()),
-        total_std_error=float(totals.std(ddof=1) / np.sqrt(n_paths)),
     )

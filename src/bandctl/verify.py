@@ -28,6 +28,7 @@ from .model import ModelConfig
 from .passage import integrate_rows
 
 DEFAULT_TOL = 5e-4
+DEFAULT_GRID = 400
 _FD_STEP = 1e-5
 _EDGE = 1e-3        # keep the grid this far from 0 and b
 _KINK_WINDOW = 1e-4  # exclusion half-width around thresholds
@@ -195,16 +196,21 @@ def _grid(model: ModelConfig, kinks, n: int) -> np.ndarray:
     return xs
 
 
+def check_settings(tol: float, grid_points: int = DEFAULT_GRID) -> None:
+    """Raise ValidationError unless tol is finite and > 0 and grid_points >= 1."""
+    if not (np.isfinite(tol) and tol > 0 and grid_points >= 1):  # NaN would pass any check
+        raise ValidationError(f"verification needs a finite tol > 0 and grid_points >= 1, "
+                              f"got tol={tol}, grid_points={grid_points}")
+
+
 def verify_strategy(
     model: ModelConfig,
     surface: CostSurface,
     tol: float = DEFAULT_TOL,
-    grid_points: int = 400,
+    grid_points: int = DEFAULT_GRID,
 ) -> VerificationReport:
     """Check supersolution slack, solution tightness and capacity conditions."""
-    if not (np.isfinite(tol) and tol > 0 and grid_points >= 1):  # NaN would pass any check
-        raise ValidationError(f"verification needs a finite tol > 0 and grid_points >= 1, "
-                              f"got tol={tol}, grid_points={grid_points}")
+    check_settings(tol, grid_points)
     m = model
     k = m.switching
     kinks = tuple(getattr(surface, "thresholds", ()))

@@ -3,16 +3,22 @@
 Nothing here shares code with the package's quadrature or its counter-based
 random streams: integration is adaptive Simpson or mpmath, simulation uses
 numpy's default generator.  Values produced here arbitrate the closed forms.
-potential_density is the one exception: the reference formula for the
-killed-resolvent density, written out with the package's scale functions.
+There are two exceptions.  potential_density is the reference formula for
+the killed-resolvent density, written out with the package's scale
+functions.  estimate_occupation, the Monte Carlo oracle for that density,
+draws from the simulator's counter-based streams.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 
-from bandctl.errors import OutOfBand
+from bandctl.errors import InvalidStart, OutOfBand
+from bandctl.model import ModelConfig
+from bandctl.simulate import _path_keys, _round_uniforms, _sample_demand, truncation_horizon
 
 
 def simpson_adaptive(f, a: float, b: float, tol: float = 1e-11, depth: int = 48) -> float:
@@ -241,3 +247,88 @@ def mc_reflected(model, phase, y1, x0, n_paths, seed):
         "local_time": stat(local),
         "penalty": stat(pen),
     }
+
+
+@dataclass(frozen=True)
+class OccupationEstimate:
+    edges: np.ndarray
+    mean: np.ndarray       # per-bin discounted occupation
+    std_error: np.ndarray
+    total: float           # per-path total occupation, averaged
+    total_std_error: float
+
+
+def estimate_occupation(
+    model: ModelConfig,
+    phase: int,
+    a: float,
+    d: float,
+    x0: float,
+    n_paths: int,
+    bins: int,
+    base_seed: int,
+) -> OccupationEstimate:
+    """Discounted occupation histogram of the free process killed at exiting [a, d].
+
+    Oracle for the resolvent density: bin means estimate the integral of
+    u(a, d, x0, y) over the bin; the total obeys the exit-discount identity
+    q * total = 1 - up - down.
+    """
+    if not a <= x0 <= d:
+        raise InvalidStart(f"x0={x0} outside [{a}, {d}]")
+    m = model
+    q, lam = m.q, m.lam
+    sig = m.sigma(phase)
+    t_star = truncation_horizon(m)
+    mixture = len(m.demand.rates) > 1
+    edges = np.linspace(a, d, bins + 1)
+    occ = np.zeros((n_paths, bins))
+    keys = _path_keys(base_seed, 0, n_paths)
+
+    # pos is each working row's path index; once the live rows fall to half
+    # of the working set it is compacted, as in _run_paths
+    pos = np.arange(n_paths)
+    x = np.full(n_paths, float(x0))
+    t = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    counter = 0
+    while np.any(alive):
+        u_tau, u_sel, u_size = _round_uniforms(keys, counter, mixture)
+        counter += 1
+        tau = -np.log(u_tau) / lam
+        # segment runs until the demand, the upper barrier, or the horizon
+        t_cap = (d - x) / sig
+        dur = np.minimum(np.minimum(tau, t_cap), t_star - t)
+        idx = np.where(alive)[0]
+        xs, ts, dus = x[idx], t[idx], dur[idx]
+        # discounted time spent below each interior edge during the segment
+        cross = np.clip((edges[None, 1:-1] - xs[:, None]) / sig, 0.0, dus[:, None])
+        stamps = np.concatenate(
+            [np.zeros((len(idx), 1)), cross, dus[:, None]], axis=1
+        )
+        disc = np.exp(-q * (ts[:, None] + stamps))
+        occ[pos[idx]] += (disc[:, :-1] - disc[:, 1:]) / q
+        killed_up = alive & (t_cap <= tau) & (t + t_cap <= t_star - 1e-15)
+        timed_out = alive & (t_star - t <= np.minimum(tau, t_cap))
+        alive = alive & ~killed_up & ~timed_out
+        if not np.any(alive):
+            break
+        t = np.where(alive, t + tau, t)
+        y = _sample_demand(m, u_sel, u_size)
+        x = np.where(alive, x + sig * tau - y, x)
+        killed_down = alive & (x < a)
+        alive = alive & ~killed_down
+        if 2 * np.count_nonzero(alive) <= len(pos):
+            keep = np.flatnonzero(alive)
+            keys, pos, x, t, alive = keys[keep], pos[keep], x[keep], t[keep], alive[keep]
+
+    mean = occ.mean(axis=0)
+    se = occ.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    totals = occ.sum(axis=1)
+    return OccupationEstimate(
+        edges=edges,
+        mean=mean,
+        std_error=se,
+        total=float(totals.mean()),
+        total_std_error=float(totals.std(ddof=1) / np.sqrt(n_paths)),
+    )

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bandctl import BandTwo, OptimizationResult, cli
+from bandctl import BandTwo, OptimizationResult, cli, optimize
 from bandctl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -174,10 +174,36 @@ def test_verify_nan_tolerance_exits_two(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("strategy", ["doshi", "one", "two", "auto"])
+def test_solve_nan_tolerance_exits_before_optimizing(monkeypatch, capsys, strategy):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an optimizer stage ran before the tolerance was checked")
+
+    for module in (cli, optimize):
+        for name in ("optimize_doshi", "optimize_type_one", "optimize_type_two"):
+            monkeypatch.setattr(module, name, unreachable)
+    rc = main(["solve", str(CONFIGS / "ex2.json"), "--strategy", strategy, "--tol", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bandctl: invalid configuration: verification needs a finite tol > 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd, grid", [("evaluate", "-3"), ("verify", "0"), ("plot-data", "-2")])
 def test_nonpositive_grid_is_a_usage_error(capsys, cmd, grid):
     with pytest.raises(SystemExit) as exc:
         main([cmd, str(CONFIGS / "ex3.json"), "--y2", "2.468", "--y1", "4.61", "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be a positive integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(CONFIGS / "ex1.json"), "--y2", "1.526", "--y1", "5.077",
+              "--x0", "3.0", "--phase", "2", "--paths", "100", "--jobs", jobs])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be a positive integer" in err

@@ -9,8 +9,8 @@ from bandctl import cost_one, cost_two, optimize, passage, scale
 from bandctl.cost_one import (TypeOneAssembly, _against_exp, _contractive, lattice_V0,
                               phase_two_context)
 from bandctl.passage import ExitContext
-from bandctl.errors import FixedPointNotContractive, ValidationError
-from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
+from bandctl.errors import FixedPointNotContractive, QuadratureNotConverged, ValidationError
+from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix, validate
 from ._oracles import MpScale, mc_reflected, mc_two_sided
 from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
@@ -390,3 +390,19 @@ def test_against_exp_on_empty_segment_skips_the_integrand():
     out = _against_exp(np.array([1.0, 2.0]), fn, 1.5, 1.5, (3,))
     assert out.shape == (3, 2) and not out.any()
     assert _against_exp(np.array([1.0]), fn, 2.0, 1.0).shape == (1,)
+
+
+@pytest.mark.parametrize("make, b_ok, b_fails", [(make_ex1, 80.0, 90.0), (make_ex2, 100.0, 150.0),
+                                                 (make_ex3, 100.0, 150.0)],
+                         ids=["ex1", "ex2", "ex3"])
+def test_large_b_envelope(make, b_ok, b_fails):
+    # the documented limit (README): on bands (0.2b, 0.2b, 0.5b) the
+    # level-b quadrature stops converging between these capacities, through
+    # cancellation between exponentially large kernel terms
+    def band_cost(b):
+        model = validate(ModelConfig(**{**make().__dict__, "b": b}))
+        return total_cost(model, BandOne(0.2 * b, 0.2 * b, 0.5 * b)).V0
+
+    assert np.isfinite(band_cost(b_ok))
+    with pytest.raises(QuadratureNotConverged):
+        band_cost(b_fails)

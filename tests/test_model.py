@@ -9,7 +9,7 @@ from bandctl import (
     ModelConfig,
     PenaltyCost,
     SwitchMatrix,
-    drift_mean,
+    build_scale,
     laplace_exponent,
     upper_cost_bound,
     validate,
@@ -89,11 +89,11 @@ def test_laplace_exponent_values():
 
 
 def test_drift_mean_values():
-    assert drift_mean(make_ex1(), 1) == pytest.approx(3 - 2 / 1.5)
-    assert drift_mean(make_ex3(), 2) == pytest.approx(0.5)
+    assert build_scale(make_ex1(), 1).phi_prime0 == pytest.approx(3 - 2 / 1.5)
+    assert build_scale(make_ex3(), 2).phi_prime0 == pytest.approx(0.5)
     m = make_ex1()
     balanced = ModelConfig(**{**m.__dict__, "sigma2": 2 / 1.5, "sigma1": 3.0})
-    assert drift_mean(balanced, 2) == pytest.approx(0.0, abs=1e-14)
+    assert build_scale(balanced, 2).phi_prime0 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_drift_matches_numerical_derivative():
@@ -103,12 +103,10 @@ def test_drift_matches_numerical_derivative():
         for phase in (1, 2):
             central = (laplace_exponent(m, phase, h)
                        - laplace_exponent(m, phase, -h)) / (2 * h)
-            assert abs(drift_mean(m, phase) - central) < 1e-6
+            assert abs(build_scale(m, phase).phi_prime0 - central) < 1e-6
 
 
 def test_convexity_beyond_largest_root():
-    from bandctl import build_scale
-
     for m in (make_ex1(), make_ex3()):
         for phase in (1, 2):
             phi_q = build_scale(m, phase).phi_q
@@ -140,6 +138,6 @@ def test_random_models_phi_properties(sigma2, extra, lam, rate, q):
     ))
     for phase in (1, 2):
         assert laplace_exponent(m, phase, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert drift_mean(m, phase) == pytest.approx(
+        assert build_scale(m, phase).phi_prime0 == pytest.approx(
             m.sigma(phase) - lam / rate, rel=1e-12
         )

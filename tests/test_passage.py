@@ -2,12 +2,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandctl import BandOne, build_scale, estimate_occupation
+from bandctl import BandOne, build_scale
 from bandctl.cost_one import TypeOneAssembly
 from bandctl.errors import OutOfBand, QuadratureNotConverged
 from bandctl.model import ModelConfig
 from bandctl.passage import ExitContext, Omega2, integrate, integrate_rows
-from ._oracles import MpScale, mc_reflected, mc_two_sided, potential_density, simpson_adaptive
+from ._oracles import (
+    MpScale,
+    estimate_occupation,
+    mc_reflected,
+    mc_two_sided,
+    potential_density,
+    simpson_adaptive,
+)
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 

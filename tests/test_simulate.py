@@ -10,15 +10,23 @@ from bandctl import (
     ModelConfig,
     SimStrategy,
     estimate_cost,
-    estimate_occupation,
-    simulate_path,
     upper_cost_bound,
     validate,
 )
 from bandctl.errors import InvalidStart, ValidationError
 from bandctl.model import HoldingCost, PenaltyCost, SwitchMatrix
 from bandctl.simulate import TRUNCATION_FRACTION, _path_keys, _run_paths, truncation_horizon
+from ._oracles import estimate_occupation
 from .conftest import make_ex1, make_ex3
+
+EX1 = make_ex1()
+BACKLOG = validate(ModelConfig(**{**EX1.__dict__, "l": -2.0}), allow_backlog=True)
+
+
+def _path(model, strategy, x0, phase, seed):
+    """(holding, shortage, switching) of path 0 of seed's stream."""
+    keys = _path_keys(seed, 0, 1)
+    return tuple(float(c[0]) for c in _run_paths(model, strategy, x0, phase, keys))
 
 
 @pytest.fixture(scope="module")
@@ -30,20 +38,46 @@ def ex1_strategy():
 
 def test_from_band_doshi_sets(ex1_strategy):
     m, band, strat = ex1_strategy
-    assert strat.a12 == ((band.y1, m.b),)
-    assert strat.a21 == ((0.0, band.y2),)
-    assert strat.c1 == ((0.0, band.y3),)
+    assert strat == SimStrategy(y2=band.y2, y3=band.y3, y1=band.y1, top=m.b)
     strat.check(m)
+    assert SimStrategy.from_band(BandTwo(1.0, 1.5, 4.0, 7.0), m).top == 7.0
 
 
-def test_strategy_validation_rejects_overlap():
-    m = make_ex1()
-    bad = SimStrategy(a12=((2.0, 5.0),), a21=((4.0, 6.0),), c1=((0.0, 6.0),))
-    with pytest.raises(ValidationError):
-        bad.check(m)
-    bad2 = SimStrategy(a12=((5.0, 9.0),), a21=((0.0, 2.0),), c1=((0.0, 1.0),))
-    with pytest.raises(ValidationError):
-        bad2.check(m)  # a21 not inside c1
+# (model, band, accepted) at the edges of l <= y2 <= y3 < y1 <= top <= b and
+# of its 1e-12 slack at y3 and b; a NaN threshold or a switching zone that
+# lies below l is rejected too
+@pytest.mark.parametrize("model, band, accepted", [
+    pytest.param(EX1, BandOne(1.526, 1.526, 5.077), True, id="doshi"),
+    pytest.param(EX1, BandOne(0.0, 0.0, 3.374), True, id="y2-at-l"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 4.0, 7.0), True, id="two"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 4.0, 4.0), True, id="y4-at-y1"),
+    pytest.param(EX1, BandOne(2.0, 1.5, 5.0), False, id="y2-above-y3"),
+    pytest.param(EX1, BandOne(1.5 + 5e-13, 1.5, 5.0), True, id="y2-above-y3-in-slack"),
+    pytest.param(EX1, BandOne(1.5 + 2e-12, 1.5, 5.0), False, id="y2-above-y3-past-slack"),
+    pytest.param(EX1, BandOne(1.0, 3.0, 3.0), False, id="y1-at-y3"),
+    pytest.param(EX1, BandOne(1.0, 4.0, 3.0), False, id="y1-below-y3"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 5.0, 4.0), False, id="y4-below-y1"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 5.0, 10.5), False, id="top-above-b"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 5.0, 10.0 + 5e-13), True, id="top-above-b-in-slack"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 5.0, 10.0 + 2e-12), False,
+                 id="top-above-b-past-slack"),
+    pytest.param(EX1, BandOne(1.0, 1.5, 11.0), False, id="y1-above-b"),
+    pytest.param(EX1, BandOne(-0.5, 1.5, 5.0), False, id="y2-below-l"),
+    pytest.param(EX1, BandOne(0.0, -5e-13, 5.0), False, id="y3-below-l"),
+    pytest.param(BACKLOG, BandOne(-1.0, 0.5, 5.0), True, id="backlog"),
+    pytest.param(BACKLOG, BandOne(-2.0, -2.0, 5.0), True, id="backlog-y2-at-l"),
+    pytest.param(BACKLOG, BandOne(-2.5, 0.5, 5.0), False, id="backlog-y2-below-l"),
+    pytest.param(EX1, BandOne(1.0, 1.5, np.nan), False, id="nan-y1"),
+    pytest.param(EX1, BandTwo(1.0, 1.5, 5.0, np.nan), False, id="nan-y4"),
+    pytest.param(EX1, BandTwo(0.0, 0.0, -5e-13, -4e-13), False, id="zone-below-l"),
+])
+def test_strategy_check_verdicts(model, band, accepted):
+    strategy = SimStrategy.from_band(band, model)
+    if accepted:
+        assert strategy.check(model) is strategy
+    else:
+        with pytest.raises(ValidationError):
+            strategy.check(model)
 
 
 def test_constant_cost_closure_path():
@@ -58,11 +92,9 @@ def test_constant_cost_closure_path():
     t_star = truncation_horizon(flat)
     expected = (1.0 - np.exp(-flat.q * t_star)) / flat.q
     for seed in (0, 1, 99):
-        total, hold, short, sw = simulate_path(flat, strat, 3.0, 2, rng_seed=seed)
+        hold, short, sw = _path(flat, strat, 3.0, 2, seed)
         assert hold == pytest.approx(expected, abs=1e-9)
         assert short == 0.0
-        # the only switches cost 0.001 each at zone boundaries; exclude them
-        assert total == pytest.approx(hold + sw)
 
 
 def test_idle_at_capacity_until_first_demand():
@@ -71,19 +103,17 @@ def test_idle_at_capacity_until_first_demand():
     sleepy = validate(ModelConfig(**{**m.__dict__, "lam": 1e-9}))
     strat = SimStrategy.from_band(BandOne(1.5, 1.5, 5.0), sleepy)
     t_star = truncation_horizon(sleepy)
-    total, hold, short, sw = simulate_path(sleepy, strat, sleepy.b, 0, rng_seed=3)
-    assert total == pytest.approx(sleepy.h0_b * (1 - np.exp(-sleepy.q * t_star)) / sleepy.q,
+    hold, short, sw = _path(sleepy, strat, sleepy.b, 0, 3)
+    assert hold + short + sw == pytest.approx(sleepy.h0_b * (1 - np.exp(-sleepy.q * t_star)) / sleepy.q,
                                   rel=1e-12)
     assert (short, sw) == (0.0, 0.0)
 
 
 def test_path_determinism(ex1_strategy):
     m, band, strat = ex1_strategy
-    a = simulate_path(m, strat, 3.0, 1, rng_seed=12345)
-    b = simulate_path(m, strat, 3.0, 1, rng_seed=12345)
-    assert a == b
-    c = simulate_path(m, strat, 3.0, 1, rng_seed=12346)
-    assert a != c
+    a = _path(m, strat, 3.0, 1, 12345)
+    assert a == _path(m, strat, 3.0, 1, 12345)
+    assert a != _path(m, strat, 3.0, 1, 12346)
 
 
 def test_estimate_matches_single_paths(ex1_strategy):
@@ -132,65 +162,32 @@ def test_estimate_respects_cost_bound(ex1_strategy):
 def test_invalid_starts(ex1_strategy):
     m, band, strat = ex1_strategy
     with pytest.raises(InvalidStart):
-        simulate_path(m, strat, 5.0, 0, rng_seed=1)  # phase 0 away from b
+        estimate_cost(m, strat, 5.0, 0, 2, base_seed=1)  # phase 0 away from b
     with pytest.raises(InvalidStart):
-        simulate_path(m, strat, m.b + 1.0, 1, rng_seed=1)
+        estimate_cost(m, strat, m.b + 1.0, 1, 2, base_seed=1)
     with pytest.raises(InvalidStart):
         estimate_occupation(m, 2, 2.0, 8.0, 9.0, 100, 5, base_seed=1)
 
 
-def test_holding_fn_matches_affine(ex1_strategy):
-    # the quadrature path for a callable holding rate must agree with the
-    # closed form when the callable is the same affine function
-    m, band, strat = ex1_strategy
-
-    def holding(x, phase):
-        a = np.where(phase == 1, m.h1.a, np.where(phase == 2, m.h2.a, m.h0_b))
-        c = np.where(phase == 1, m.h1.c, np.where(phase == 2, m.h2.c, 0.0))
-        return a + c * x
-
-    exact = simulate_path(m, strat, 3.0, 2, rng_seed=17)
-    quad = simulate_path(m, strat, 3.0, 2, rng_seed=17, holding_fn=holding)
-    assert quad[1] == pytest.approx(exact[1], rel=1e-9)
-    assert quad[2:] == exact[2:]
-
-
 def test_backlog_floor_supported():
-    m = make_ex1()
-    backlog = validate(ModelConfig(**{**m.__dict__, "l": -2.0}), allow_backlog=True)
-    strat = SimStrategy(a12=((5.0, backlog.b),), a21=((-2.0, 1.0),), c1=((-2.0, 1.0),))
-    strat.check(backlog)
-    total, hold, short, sw = simulate_path(backlog, strat, 0.0, 1, rng_seed=4)
-    assert np.isfinite(total) and total == pytest.approx(hold + short + sw)
-    est = estimate_cost(backlog, strat, 0.0, 1, 2000, base_seed=4)
-    assert est.mean < upper_cost_bound(backlog)
-
-
-def test_general_interval_strategy_reproduces_band(ex1_strategy):
-    # assembling the same zones from redundant closed pieces cannot change paths
-    m, band, strat = ex1_strategy
-    split = SimStrategy(
-        a12=((band.y1, 7.0), (7.0, m.b)),
-        a21=((0.0, 1.0), (1.0, band.y2)),
-        c1=((0.0, band.y2),),
-    )
-    for seed in (1, 2, 3):
-        assert simulate_path(m, strat, 3.0, 1, seed) == simulate_path(m, split, 3.0, 1, seed)
+    strat = SimStrategy.from_band(BandOne(1.0, 1.0, 5.0), BACKLOG).check(BACKLOG)
+    assert np.isfinite(sum(_path(BACKLOG, strat, 0.0, 1, 4)))
+    est = estimate_cost(BACKLOG, strat, 0.0, 1, 2000, base_seed=4)
+    assert est.mean < upper_cost_bound(BACKLOG)
 
 
 def _batch_setups():
     """(model, strategy) pairs: a band, a type-two band, mixture demand, a backlog floor."""
-    ex1, ex3 = make_ex1(), make_ex3()
+    ex3 = make_ex3()
     hyper = validate(ModelConfig(**{
-        **ex1.__dict__,
+        **EX1.__dict__,
         "demand": DemandLaw.hyperexponential([0.3, 0.4, 0.3], [0.8, 1.5, 4.0]),
     }))
-    backlog = validate(ModelConfig(**{**ex1.__dict__, "l": -2.0}), allow_backlog=True)
     return [
-        (ex1, SimStrategy.from_band(BandOne(1.526, 1.526, 5.077), ex1)),
+        (EX1, SimStrategy.from_band(BandOne(1.526, 1.526, 5.077), EX1)),
         (ex3, SimStrategy.from_band(BandTwo(2.468, 3.114, 4.610, 7.660), ex3)),
         (hyper, SimStrategy.from_band(BandOne(1.0, 1.5, 4.0), hyper)),
-        (backlog, SimStrategy(a12=((5.0, backlog.b),), a21=((-2.0, 1.0),), c1=((-2.0, 1.0),))),
+        (BACKLOG, SimStrategy.from_band(BandOne(1.0, 1.0, 5.0), BACKLOG)),
     ]
 
 
@@ -217,19 +214,3 @@ def test_batch_composition_cannot_change_a_path(setup, phase, frac, seed, n, dat
     alone = _run_paths(model, strategy, x0, phase, keys[part])
     for w, a in zip(whole, alone):
         assert np.array_equal(w[part], a)
-
-
-def test_holding_fn_paths_do_not_depend_on_the_batch(ex1_strategy):
-    # the Gauss rule sums each row's nodes in a fixed order, so a callable
-    # holding rate gives every path the same bits alone and in a batch
-    m, band, strat = ex1_strategy
-
-    def holding(x, phase):
-        a = np.where(phase == 1, m.h1.a, np.where(phase == 2, m.h2.a, m.h0_b))
-        return a + 0.002 * np.sin(x) ** 2
-
-    keys = _path_keys(17, 0, 32)
-    batch = _run_paths(m, strat, 3.0, 2, keys, holding_fn=holding)
-    for p in range(len(keys)):
-        alone = _run_paths(m, strat, 3.0, 2, keys[p:p + 1], holding_fn=holding)
-        assert [c[p] for c in batch] == [c[0] for c in alone], f"path {p}"
