@@ -49,5 +49,5 @@ class NoFeasiblePoint(BandctlError):
     """No candidate on the search lattice satisfies the ordering constraints."""
 
 
-class InvalidStart(BandctlError):
+class InvalidStart(ValidationError):
     """Simulation start state is inconsistent (phase 0 only at capacity)."""

@@ -7,10 +7,12 @@ whose optimum verifies.  A lattice is evaluated per (y2, y3) group, the
 group's y1 values in one assembly (cost_one.lattice_V0).  Candidates are
 listed in (y2, y3, y1) order and the sort is stable, so ties keep that
 order and the polish starts do not depend on the grouping.  The polish
-evaluates one band per call through total_cost.  V0(b) does not depend on y4, so the
-type-two stage reuses the type-one thresholds and picks y4 separately: it
-minimizes the worst phase-1 value over a probe grid in (y1, b) by
-golden-section search, with verification as the final arbiter.
+evaluates one band per call through total_cost.  Its Nelder-Mead is a
+frozen port of scipy 1.17.1's (_nelder_mead), so the solve thresholds do not
+depend on which scipy version, if any, is installed.  V0(b) does not depend
+on y4, so the type-two stage reuses the type-one thresholds and picks y4
+separately: it minimizes the worst phase-1 value over a probe grid in (y1, b)
+by golden-section search, with verification as the final arbiter.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cost_one import BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
@@ -53,19 +54,99 @@ def _project_one(p, b: float, doshi: bool) -> BandOne:
     return BandOne(y2, y3, y1)
 
 
+class _MaxFev(Exception):
+    """The evaluation budget of _nelder_mead is spent."""
+
+
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxfev: int) -> np.ndarray:
+    """Nelder-Mead minimum of f from x0, as scipy 1.17.1 finds it.
+
+    A port of scipy.optimize._optimize._minimize_neldermead, operation for
+    operation, for the one configuration the polish uses: standard
+    coefficients (reflection 1, expansion 2, contraction and shrink 1/2), no
+    bounds, the default initial simplex, and a maxfev cut that stops before
+    the call that would exceed it (possibly inside the initial simplex or a
+    shrink).  f gets a copy of each point.  Freezing it here keeps the polish
+    path, and so the solve thresholds, independent of the scipy version.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    nfev = 0
+
+    def fun(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return f(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    try:
+        for k in range(n + 1):
+            fsim[k] = fun(sim[k])
+    except _MaxFev:
+        pass
+    # scipy sorts twice here; argsort is not stable, so the second sort may
+    # still reorder ties
+    sim, fsim = by_value(sim, fsim)
+    sim, fsim = by_value(sim, fsim)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+        except _MaxFev:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return sim[0]
+
+
 def _polish(model: ModelConfig, starts, doshi: bool) -> tuple[BandOne, float]:
     def objective(p):
         return total_cost(model, _project_one(p, model.b, doshi)).V0
 
     best_band, best_val = None, np.inf
     for p0 in starts:
-        res = minimize(
-            objective,
-            np.asarray(p0, dtype=float),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-4, fatol=1e-8, maxfev=800),
-        )
-        band = _project_one(res.x, model.b, doshi)
+        x = _nelder_mead(objective, p0, xatol=1e-4, fatol=1e-8, maxfev=800)
+        band = _project_one(x, model.b, doshi)
         val = total_cost(model, band).V0
         if val < best_val:
             best_band, best_val = band, val

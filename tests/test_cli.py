@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +13,7 @@ from bandctl.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def strip_timing(text: str) -> str:
@@ -208,6 +212,25 @@ def test_nonpositive_jobs_is_a_usage_error(capsys, jobs):
     err = capsys.readouterr().err
     assert "usage:" in err and "must be a positive integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x0, shown", [("nan", "nan"), ("inf", "inf"), ("11", "11.0")])
+def test_simulate_invalid_start_exits_two(capsys, x0, shown):
+    rc = main(["simulate", str(CONFIGS / "ex1.json"), "--y2", "1.526", "--y1", "5.077",
+               "--x0", x0, "--phase", "1", "--paths", "100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bandctl: invalid configuration: x0={shown} outside [0.0, 10.0]" in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_neither_scipy_nor_a_process_pool():
+    code = ("import sys, bandctl; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solve_require_verified_exit_three(tmp_path):

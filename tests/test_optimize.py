@@ -14,7 +14,13 @@ from bandctl import (
     upper_cost_bound,
 )
 from bandctl.errors import NoFeasiblePoint
-from bandctl.optimize import OptimizationResult, _doshi_lattice, _project_one, _type_one_lattice
+from bandctl.optimize import (
+    OptimizationResult,
+    _doshi_lattice,
+    _nelder_mead,
+    _project_one,
+    _type_one_lattice,
+)
 from bandctl.verify import VerificationReport
 from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
@@ -68,6 +74,66 @@ def test_interior_gradient_small(ex3):
         e[i] = h
         grad = (f(y + e) - f(y - e)) / (2 * h)
         assert abs(grad) < 1e-3, f"component {i}: {grad}"
+
+
+def _rosen(x):
+    return float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+
+
+def _quad3(x):
+    return float((x[0] - 1) ** 2 + 2 * (x[1] + 0.5) ** 2 + 3 * (x[2] - 2) ** 2
+                 + x[0] * x[1] - 0.5 * x[1] * x[2])
+
+
+def _cusp3(x):
+    # nonsmooth at its minimum, so the simplex shrinks (first at calls 116-118)
+    return float(np.sqrt(abs(x[0] - 1)) + np.sqrt(abs(x[1] + 0.5)) + np.sqrt(abs(x[2] - 2)))
+
+
+def _plateaus(fn, step):
+    # piecewise constant, so comparisons meet ties and their direction matters
+    return lambda x: float(np.floor(fn(x) / step) * step)
+
+
+# (objective, start, maxfev); the polish settings are xatol=1e-4, fatol=1e-8
+NM_CASES = {
+    "2d": (_rosen, (-1.2, 1.0), 800),
+    "3d": (_quad3, (0.5, -0.2, 1.0), 800),
+    "2d-plateaus": (_plateaus(_rosen, 0.25), (-1.2, 1.0), 800),
+    "3d-plateaus": (_plateaus(_quad3, 0.125), (0.5, -0.2, 1.0), 800),
+    "2d-plateaus-slope": (_plateaus(lambda x: -(x[0] + 2 * x[1]), 0.25), (2.0, 2.0), 800),
+    "zero-coordinates": (_rosen, (0.0, 0.0), 800),
+    "3d-zero-coordinate-shrinks": (_cusp3, (0.5, 0.0, 1.0), 800),
+    # the 3rd vertex of the initial simplex would be call 3
+    "cut-in-initial-simplex": (_rosen, (-1.2, 1.0), 2),
+    # call 4 is the first reflection, call 5 its expansion
+    "cut-in-expansion": (_rosen, (-1.2, 1.0), 4),
+    # calls 116-118 shrink; the cut stops the run after the first of them
+    "cut-in-shrink": (_cusp3, (0.5, 0.0, 1.0), 116),
+}
+
+
+@pytest.mark.parametrize("case", list(NM_CASES))
+def test_nelder_mead_matches_scipy_bitwise(case):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    fn, x0, maxfev = NM_CASES[case]
+
+    def recorder(calls):
+        def f(x):
+            calls.append(x.tobytes())
+            val = fn(x)
+            x[:] = np.nan  # harmless only if the minimizer hands out copies
+            return val
+        return f
+
+    ours, theirs = [], []
+    x = _nelder_mead(recorder(ours), np.array(x0), xatol=1e-4, fatol=1e-8, maxfev=maxfev)
+    res = minimize(recorder(theirs), np.array(x0), method="Nelder-Mead",
+                   options=dict(xatol=1e-4, fatol=1e-8, maxfev=maxfev))
+    assert ours == theirs
+    assert x.tobytes() == res.x.tobytes()
+    if maxfev < 800:
+        assert len(ours) == maxfev
 
 
 def test_no_feasible_point():

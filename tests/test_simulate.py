@@ -133,6 +133,14 @@ def test_estimate_jobs_invariance(ex1_strategy):
     assert e1 == e2
 
 
+def test_estimate_pool_matches_one_process(ex1_strategy):
+    # 26,000 paths: two chunks in one process, three chunks over a 2-worker pool
+    m, band, strat = ex1_strategy
+    e1 = estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=1)
+    e2 = estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=2)
+    assert e1 == e2
+
+
 def test_components_sum_to_total(ex1_strategy):
     m, band, strat = ex1_strategy
     est = estimate_cost(m, strat, 4.0, 2, 5000, base_seed=9)
