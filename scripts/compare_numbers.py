@@ -8,11 +8,15 @@ Run from the repository root.  `dump` imports bandctl from the current
 PYTHONPATH, so two trees are compared by dumping once with each tree's src
 first on the path.  It writes:
 
-* escalate/<ex>: repr of escalate() on configs/ex1.json, ex2.json, ex3.json;
+* escalate/<ex>: repr of escalate() on configs/ex1.json, ex2.json, ex3.json,
+  run as a user runs it, with the polish starts spread over the usable CPUs;
 * polish/<ex>/<stage>: rows (y2, y3, y1, V0) of every band the polish of
-  stage doshi or one evaluated during that escalate(), in call order
+  stage doshi or one evaluated during a second escalate(), in call order
   (captured by wrapping optimize.total_cost inside optimize._polish), so the
-  Nelder-Mead objective is compared bit for bit, not only its result;
+  Nelder-Mead objective is compared bit for bit, not only its result.  The
+  wrapper sees only this process, so that escalate() runs on one usable CPU,
+  which keeps every start in this process; it must give the same repr as
+  the first, or the dump stops;
 * starts/<config>/<stage>: the Nelder-Mead starts that optimize_doshi and
   optimize_type_one hand to the polish (stage doshi or one), on ex1, ex2,
   ex3 and ex1-hyper; the polish itself is skipped;
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 
@@ -81,7 +86,8 @@ def _starts(model) -> dict:
 
 
 def _escalate_with_polish(model):
-    """escalate(model), and the (y2, y3, y1, V0) rows each polish stage evaluated."""
+    """escalate(model) on one usable CPU, and the (y2, y3, y1, V0) rows each
+    polish stage evaluated."""
     import bandctl.optimize as opt
 
     rows, stage = {}, []
@@ -101,21 +107,28 @@ def _escalate_with_polish(model):
 
     real_polish, real_cost = opt._polish, opt.total_cost
     opt._polish, opt.total_cost = polish, total_cost
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
     try:
         result = opt.escalate(model)
     finally:
+        os.sched_setaffinity(0, cpus)
         opt._polish, opt.total_cost = real_polish, real_cost
     return result, {k: np.asarray(v, dtype=float) for k, v in rows.items()}
 
 
 def dump(out: str) -> None:
-    from bandctl import BandOne, BandTwo, SimStrategy, estimate_cost, total_cost, total_cost_two
+    from bandctl import (BandOne, BandTwo, SimStrategy, escalate, estimate_cost, total_cost,
+                         total_cost_two)
 
     models = _models()
     arrays = {}
     for name in ("ex1", "ex2", "ex3"):
-        result, polished = _escalate_with_polish(models[name])
-        arrays[f"escalate/{name}"] = np.array(repr(result))
+        result = repr(escalate(models[name]))
+        one_cpu, polished = _escalate_with_polish(models[name])
+        if repr(one_cpu) != result:
+            sys.exit(f"escalate/{name}: one usable CPU gives another result than the default")
+        arrays[f"escalate/{name}"] = np.array(result)
         for stage, rows in polished.items():
             arrays[f"polish/{name}/{stage}"] = rows
     for name, model in models.items():

@@ -38,7 +38,7 @@ from .model import (
 )
 from .optimize import escalate, optimize_doshi, optimize_type_one, optimize_type_two
 from .simulate import SimStrategy, estimate_cost
-from .verify import DEFAULT_TOL, check_settings, verify_strategy
+from .verify import DEFAULT_TOL, check_settings, sorted_unique, verify_strategy
 
 log = logging.getLogger("bandctl")
 
@@ -261,7 +261,7 @@ def cmd_plot_data(args) -> int:
     base = np.linspace(0.0, model.b, args.grid, endpoint=False)
     thresholds = [t for t in surface.thresholds if 0.0 < t < model.b]
     rows = []
-    xs = np.unique(np.concatenate([base, thresholds]))
+    xs = sorted_unique(np.concatenate([base, thresholds]))
     for x in xs:
         sides = (-1, +1) if any(abs(x - t) < 1e-12 for t in thresholds) else (0,)
         for side in sides:

@@ -34,6 +34,15 @@ _EDGE = 1e-3        # keep the grid this far from 0 and b
 _KINK_WINDOW = 1e-4  # exclusion half-width around thresholds
 
 
+def sorted_unique(a) -> np.ndarray:
+    """The distinct values of a float array, ascending, as np.unique gives them
+    for finite input, without the numpy.ma import that np.unique makes."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _segment_transforms(w, cuts: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """int over each [cuts_j, cuts_j+1] of w(u) exp(mu_k u) du, shape (k, nseg).
 
@@ -53,7 +62,7 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.nd
     mus = np.asarray(model.demand.rates)
     ws = np.asarray(model.demand.weights)
     inner = [p for p in set(breakpoints) if 0.0 < p < float(xs.max())]
-    cuts = np.unique(np.concatenate([[0.0], xs, inner]))
+    cuts = sorted_unique(np.concatenate([[0.0], xs, inner]))
     seg = _segment_transforms(w, cuts, mus)
     prefix = np.concatenate([np.zeros((len(mus), 1)), np.cumsum(seg, axis=1)], axis=1)
     pos = np.searchsorted(cuts, xs)
@@ -138,7 +147,7 @@ def level_b_value(model: ModelConfig, surface: CostSurface, selection: str = "mi
     breaks = sorted(set(surface.thresholds) | set(_min_crossovers(surface) if selection == "min" else []))
     mus = np.asarray(m.demand.rates)
     ws = np.asarray(m.demand.weights)
-    cuts = np.unique(np.concatenate([[0.0], [p for p in breaks if 0 < p < m.b], [m.b]]))
+    cuts = sorted_unique(np.concatenate([[0.0], [p for p in breaks if 0 < p < m.b], [m.b]]))
     seg = _segment_transforms(lambda u: vbar(surface, u), cuts, mus)
     C = seg.sum(axis=1)
     integral = float((ws * mus) @ (np.exp(-mus * m.b) * C))
@@ -190,7 +199,7 @@ def _grid(model: ModelConfig, kinks, n: int) -> np.ndarray:
     for t in kinks:
         w = b / 80.0
         extra.append(np.linspace(max(t - w, _EDGE), min(t + w, b - _EDGE), 32))
-    xs = np.unique(np.concatenate([xs] + extra))
+    xs = sorted_unique(np.concatenate([xs] + extra))
     for t in kinks:
         xs = xs[np.abs(xs - t) > _KINK_WINDOW]
     return xs

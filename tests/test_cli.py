@@ -233,6 +233,17 @@ def test_import_loads_neither_scipy_nor_a_process_pool():
     assert out.strip() == "[]"
 
 
+def test_escalate_and_verify_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use; the package sorts and dedups without it
+    code = ("import sys; from bandctl import escalate, validate, verify_strategy; "
+            "from bandctl.cli import load_config; m = validate(load_config(sys.argv[1])); "
+            "verify_strategy(m, escalate(m).surface); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code, str(CONFIGS / "ex1.json")], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_solve_require_verified_exit_three(tmp_path):
     # the best two-threshold policy for the second example is unverifiable
     out = tmp_path / "s.json"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -377,6 +378,9 @@ def test_doshi_builds_phase_two_objects_once_per_y2(monkeypatch):
     monkeypatch.setattr(TypeOneAssembly, "__init__", asm_init)
     monkeypatch.setattr(passage.ExitContext, "__init__", exit_init)
     monkeypatch.setattr(passage.Omega2, "__init__", omega_init)
+    # one usable CPU: the polish runs its starts in this process, where the
+    # stubs above see what it builds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     optimize.optimize_doshi(m)
     assert len(y2s) > 25
     for built in (exits, omegas):

@@ -1,4 +1,8 @@
+import os
+import sys
+from concurrent import futures
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +11,21 @@ import bandctl.optimize as optimize
 from bandctl import (
     BandOne,
     ModelConfig,
+    escalate,
     optimize_doshi,
     optimize_type_one,
     optimize_type_two,
     total_cost,
     upper_cost_bound,
 )
-from bandctl.errors import NoFeasiblePoint
+from bandctl.cli import EXIT_NUMERIC, main
+from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint
 from bandctl.optimize import (
     OptimizationResult,
     _doshi_lattice,
     _nelder_mead,
+    _polish,
+    _polish_workers,
     _project_one,
     _type_one_lattice,
 )
@@ -25,6 +33,7 @@ from bandctl.verify import VerificationReport
 from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
 MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # ex3's type-one optimum, rounded; the type-two stage only reads base.band
 EX3_ONE = BandOne(2.468, 3.114, 4.610)
 
@@ -134,6 +143,100 @@ def test_nelder_mead_matches_scipy_bitwise(case):
     assert x.tobytes() == res.x.tobytes()
     if maxfev < 800:
         assert len(ours) == maxfev
+
+
+def _polish_starts(stage, model) -> list:
+    """The starts that stage (optimize_doshi or optimize_type_one) hands to the polish."""
+    seen = []
+
+    def capture(model, starts, doshi):
+        seen.append(starts)
+        return _project_one(starts[0], model.b, doshi), 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_polish", capture)
+        stage(model)
+    return seen[0]
+
+
+def _record_pools(monkeypatch) -> list:
+    """Record (max_workers, start method) of each process pool made from now on."""
+    pools = []
+    real_pool = futures.ProcessPoolExecutor
+
+    def pool(max_workers, mp_context):
+        pools.append((max_workers, mp_context.get_start_method()))
+        return real_pool(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
+    return pools
+
+
+def _one_cpu(monkeypatch):
+    """Make the polish see one usable CPU, so it runs its starts in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.mark.parametrize("name, stage, doshi", [("ex1", optimize_doshi, True),
+                                                ("ex3", optimize_type_one, False)])
+def test_polish_in_workers_equals_serial_bitwise(name, stage, doshi, monkeypatch):
+    model = MODELS[name]()
+    starts = _polish_starts(stage, model)
+    if doshi:
+        # ex1's lattice winner has y2 = 0: the zero-coordinate initial simplex
+        assert starts[0][0] == 0.0
+    pools = _record_pools(monkeypatch)
+    parallel = _polish(model, starts, doshi)
+    workers = _polish_workers(len(starts))
+    made = [(workers, "fork")] if workers > 1 else []
+    assert pools == made
+    _one_cpu(monkeypatch)
+    serial = _polish(model, starts, doshi)
+    assert pools == made
+    assert repr(parallel) == repr(serial)
+
+
+def test_polish_without_sched_getaffinity_runs_serially(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the starts run in this process
+    model = make_ex1()
+    starts = _polish_starts(optimize_doshi, model)
+    default = _polish(model, starts, True)
+    pools = _record_pools(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _polish_workers(len(starts)) == 1
+    assert repr(_polish(model, starts, True)) == repr(default)
+    assert pools == []
+
+
+def test_polish_forks_no_workers_from_python_3_12(monkeypatch):
+    # there os.fork warns in a multi-threaded process, and numpy's BLAS threads make one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert _polish_workers(5) == 4
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    assert _polish_workers(5) == 1
+
+
+@pytest.mark.parametrize("cpus", ["default", "one"])
+def test_polish_error_in_a_start_reaches_the_caller(cpus, monkeypatch, tmp_path):
+    model = make_ex1()
+    starts = _polish_starts(optimize_doshi, model)
+    # the first point each start evaluates is its own projection
+    failing = {_project_one(starts[k], model.b, True): k for k in (2, 4)}
+    real_cost = optimize.total_cost
+
+    def total_cost(model, band):
+        if band in failing:
+            raise FixedPointNotContractive(f"stub: start {failing[band]}")
+        return real_cost(model, band)
+
+    monkeypatch.setattr(optimize, "total_cost", total_cost)
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    # start 2 fails first in start order, as a serial run meets it
+    with pytest.raises(FixedPointNotContractive, match="start 2"):
+        escalate(model)
+    rc = main(["solve", str(CONFIGS / "ex1.json"), "--output", str(tmp_path / "s.json")])
+    assert rc == EXIT_NUMERIC == 4
 
 
 def test_no_feasible_point():

@@ -4,7 +4,8 @@ import pytest
 from bandctl import BandOne, BandTwo, total_cost, total_cost_two
 from bandctl.errors import ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
-from bandctl.verify import level_b_value, operator_L, operator_L0, verify_strategy
+from bandctl.verify import (level_b_value, operator_L, operator_L0, sorted_unique,
+                            verify_strategy)
 from .conftest import make_ex1, make_ex2, make_ex3
 
 
@@ -153,3 +154,11 @@ def test_verify_rejects_degenerate_tolerance(tol, grid_points):
     surf = total_cost(make_ex1(), BandOne(1.526, 1.526, 5.077))
     with pytest.raises(ValidationError, match="finite tol > 0"):
         verify_strategy(make_ex1(), surf, tol=tol, grid_points=grid_points)
+
+
+def test_sorted_unique_matches_np_unique_bitwise():
+    rng = np.random.default_rng(7)
+    base = np.round(rng.uniform(-3.0, 3.0, 500), 1)
+    for a in (base, np.concatenate([base, [0.0, -0.0, 1e-300]]), np.array([2.5]), np.array([])):
+        ours, ref = sorted_unique(a), np.unique(a)
+        assert ours.tobytes() == ref.tobytes() and ours.dtype == ref.dtype
