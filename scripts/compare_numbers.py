@@ -29,7 +29,13 @@ first on the path.  It writes:
   paths with jobs=1, as the SimEstimate fields in order (mean, std_error,
   n_paths, holding, shortage and switching mean and std_error,
   truncation_horizon, truncation_bound).  Only SimStrategy.from_band and
-  estimate_cost are called, so the script dumps older trees too.
+  estimate_cost are called, so the script dumps older trees too;
+* verify/<case>/<field>: the residual_L1, residual_L2, switch_slack_12,
+  switch_slack_21, L0_residual, boundary_1 and boundary_2 of
+  verify_strategy at its default grid, for the four base policies
+  (<config>-base) and for the escalate winners (escalate-<ex>), each surface
+  rebuilt from its band by total_cost or total_cost_two.  Only those and
+  verify_strategy are called, so older trees dump these too.
 
 Only crosscheck-inputs.json and the four configs are read.  `diff` lists
 every array that is missing from one dump or not bit-identical, with its
@@ -56,6 +62,8 @@ CONFIGS = {
 }
 GRID = 401
 SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surfaces.py
+VERIFY_FIELDS = ("residual_L1", "residual_L2", "switch_slack_12", "switch_slack_21",
+                 "L0_residual", "boundary_1", "boundary_2")
 
 
 def _models():
@@ -117,18 +125,35 @@ def _escalate_with_polish(model):
     return result, {k: np.asarray(v, dtype=float) for k, v in rows.items()}
 
 
+def _surface(model, th):
+    """The cost surface of the band with thresholds th (three or four)."""
+    from bandctl import BandOne, BandTwo, total_cost, total_cost_two
+
+    return total_cost_two(model, BandTwo(*th)) if len(th) == 4 else total_cost(model, BandOne(*th))
+
+
+def _verify_arrays(case: str, model, th) -> dict:
+    """verify/<case>/<field> for the band with thresholds th."""
+    from bandctl import verify_strategy
+
+    report = verify_strategy(model, _surface(model, th))
+    return {f"verify/{case}/{name}": np.asarray(getattr(report, name)) for name in VERIFY_FIELDS}
+
+
 def dump(out: str) -> None:
-    from bandctl import (BandOne, BandTwo, SimStrategy, escalate, estimate_cost, total_cost,
-                         total_cost_two)
+    from bandctl import BandOne, BandTwo, SimStrategy, escalate, estimate_cost
 
     models = _models()
     arrays = {}
     for name in ("ex1", "ex2", "ex3"):
-        result = repr(escalate(models[name]))
+        winner = escalate(models[name])
+        result = repr(winner)
         one_cpu, polished = _escalate_with_polish(models[name])
         if repr(one_cpu) != result:
             sys.exit(f"escalate/{name}: one usable CPU gives another result than the default")
         arrays[f"escalate/{name}"] = np.array(result)
+        arrays.update(_verify_arrays(f"escalate-{name}", models[name],
+                                     dataclasses.astuple(winner.band)))
         for stage, rows in polished.items():
             arrays[f"polish/{name}/{stage}"] = rows
     for name, model in models.items():
@@ -142,16 +167,14 @@ def dump(out: str) -> None:
         xs = np.linspace(0.0, model.b, GRID)
         for j, th in enumerate([pol["band"]] + pol["perturbations"]):
             case = f"band/{pol['config']}-{'base' if j == 0 else j - 1}"
-            if len(th) == 4:
-                surface = total_cost_two(model, BandTwo(*th))
-            else:
-                surface = total_cost(model, BandOne(*th))
+            surface = _surface(model, th)
             arrays[f"{case}/V0"] = np.array(surface.V0)
             for phase in (1, 2):
                 for side in (-1, 0, 1):
                     arrays[f"{case}/p{phase}s{side}"] = np.stack(
                         surface.components(phase, xs, side))
         th = pol["band"]
+        arrays.update(_verify_arrays(f"{pol['config']}-base", model, th))
         strategy = SimStrategy.from_band(BandTwo(*th) if len(th) == 4 else BandOne(*th), model)
         for c, start in enumerate(pol["sim_cases"]):
             est = estimate_cost(model, strategy, start["x0"], start["phase"], SIM_PATHS,

@@ -35,7 +35,7 @@ from .cost_one import BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
 from .errors import NoFeasiblePoint
 from .model import ModelConfig
-from .verify import DEFAULT_TOL, VerificationReport, verify_strategy
+from .verify import DEFAULT_TOL, VerificationReport, check_settings, verify_strategy
 
 _GAP = 1e-9          # strict-ordering gap between thresholds
 _EDGE = 1e-6         # keep y1 (and y4) strictly below b
@@ -275,6 +275,7 @@ def optimize_type_two(
     invariant in y4), then y4 chosen to minimize the worst phase-1 value on a
     20-point probe grid in (y1, b); verification arbitrates, with a
     margin-maximizing scan as fallback."""
+    check_settings(tol)  # before the y4 search, which verifies only at its end
     y2, y3, y1 = base.band.y2, base.band.y3, base.band.y1
     b = model.b
     lo = y1 + max(1e-3, 0.01 * (b - y1))
@@ -315,6 +316,7 @@ def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult
     result is returned flagged, with its report attached (wider classes are
     reported, not searched).
     """
+    check_settings(tol)  # before the ladder, which verifies only after its first stage
     for stage in (optimize_doshi, optimize_type_one):
         result = stage(model)
         report = verify_strategy(model, result.surface, tol=tol)

@@ -9,6 +9,16 @@ with node doubling (16 -> ... -> 1024) until successive estimates agree to
 integrate_rows.  Integrands are products of exponentials, so convergence
 is fast; callers must split at the one known kink (the diagonal z = x of
 the resolvent density, where W jumps at the origin).
+
+Gauss-Legendre rules of different orders share no nodes, so each level
+costs one integrand call.  integrate gets its 16- and 32-node levels from
+one call on the 48 concatenated nodes, and reduces each level's slice of
+the values with that level's weights, so each estimate is the one a call
+per level gives, bit for bit; most quadratures stop at 32 nodes, so they
+take one call instead of two.  integrate_rows calls its integrand once per
+level: its callers nest one row-wise quadrature inside another (the
+verifier's segment transforms through resolvent_transform), and sharing
+the call there would grow the nested node grid from 32 x 32 to 48 x 48.
 """
 
 from __future__ import annotations
@@ -33,20 +43,35 @@ def _gl_nodes(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _doubling(estimate, failure):
-    """Run estimate(t, w) on GL_START, 2 GL_START, ... GL_MAX nodes per unit
-    interval until two successive results agree to GL_REL_TOL relative;
-    failure() gives the message of the QuadratureNotConverged raised if not."""
-    prev = None
-    n = GL_START
+def _orders(n: int = GL_START):
+    """The doubling orders n, 2n, ... GL_MAX."""
     while n <= GL_MAX:
-        total = estimate(*_gl_nodes(n))
+        yield n
+        n *= 2
+
+
+@lru_cache(maxsize=1)
+def _gl_first_two():
+    """The GL_START- and 2 GL_START-node rules as one call: their nodes
+    concatenated, and each rule's weights as an (n, 1) column."""
+    (t1, w1), (t2, w2) = _gl_nodes(GL_START), _gl_nodes(2 * GL_START)
+    return np.concatenate([t1, t2]), (w1.reshape(-1, 1), w2.reshape(-1, 1))
+
+
+def _doubling(estimates, failure):
+    """Take the per-level estimates on GL_START, 2 GL_START, ... GL_MAX nodes
+    per unit interval until two successive ones agree to GL_REL_TOL relative;
+    failure() gives the message of the QuadratureNotConverged raised if not.
+    estimates is consumed lazily, so no level past the converged one is
+    computed.  integrate's first two estimates come from one integrand call;
+    integrate_rows makes one call per estimate, as its callers nest."""
+    prev = None
+    for total in estimates:
         if prev is not None:
             err = np.max(np.abs(total - prev))
             if err <= GL_REL_TOL * (1.0 + np.max(np.abs(total))):
                 return total
         prev = total
-        n *= 2
     raise QuadratureNotConverged(failure())
 
 
@@ -55,17 +80,33 @@ def integrate(f, a: float, b: float, breakpoints=()):
 
     f maps a node array of shape (m,) to values of shape (..., m); the result
     has shape (...).  breakpoints inside (a, b) split the composite rule.
+    The first two levels share one call of f per segment.
     """
     cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
 
-    def composite(t, w):
-        total = 0.0
+    def composite(t, columns):
+        """One call of f per segment on nodes t; one estimate per weight
+        column, each on a fresh C-ordered copy of its slice of the values,
+        reduced as np.tensordot(values, w, axes=([-1], [0])) reduces them."""
+        totals = [0.0] * len(columns)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            z = lo + (hi - lo) * t
-            total = total + (hi - lo) * np.tensordot(np.asarray(f(z)), w, axes=([-1], [0]))
-        return total
+            values = np.asarray(f(lo + (hi - lo) * t))
+            start = 0
+            for i, w in enumerate(columns):
+                n = len(w)
+                part = values[..., start:start + n].copy()
+                start += n
+                totals[i] = totals[i] + (hi - lo) * np.dot(
+                    part.reshape(-1, n), w).reshape(part.shape[:-1])
+        return totals
 
-    return _doubling(composite, lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
+    def estimates():
+        yield from composite(*_gl_first_two())
+        for n in _orders(4 * GL_START):
+            t, w = _gl_nodes(n)
+            yield from composite(t, (w.reshape(-1, 1),))
+
+    return _doubling(estimates(), lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
 
 
 def integrate_rows(f, lo, hi):
@@ -88,7 +129,8 @@ def integrate_rows(f, lo, hi):
     def rows(t, w):
         return span * (np.asarray(f(lo[..., None] + span[..., None] * t)) @ w)
 
-    return _doubling(rows, lambda: "row-wise quadrature did not converge")
+    return _doubling((rows(*_gl_nodes(n)) for n in _orders()),
+                     lambda: "row-wise quadrature did not converge")
 
 
 class ExitContext:

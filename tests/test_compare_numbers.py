@@ -1,9 +1,13 @@
-"""scripts/compare_numbers.py diff: every missing or changed array is listed."""
+"""scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify arrays are verify_strategy's report fields."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from bandctl import BandOne, BandTwo, total_cost, total_cost_two, verify_strategy
+from .conftest import make_ex3
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_numbers.py"
 _spec = importlib.util.spec_from_file_location("compare_numbers", SCRIPT)
@@ -24,3 +28,15 @@ def test_diff_lists_changed_and_missing_arrays(tmp_path, capsys):
 
     assert compare_numbers.main(["diff", str(a), str(a)]) == 0
     assert "differing: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("th", [(2.468, 3.114, 4.610), (2.468, 3.114, 4.610, 7.66)],
+                         ids=["type-one", "type-two"])
+def test_verify_arrays_hold_the_report_fields(th):
+    model = make_ex3()
+    arrays = compare_numbers._verify_arrays("ex3-base", model, th)
+    assert list(arrays) == [f"verify/ex3-base/{name}" for name in compare_numbers.VERIFY_FIELDS]
+    surface = total_cost_two(model, BandTwo(*th)) if len(th) == 4 else total_cost(model, BandOne(*th))
+    report = verify_strategy(model, surface)
+    for name in compare_numbers.VERIFY_FIELDS:
+        assert np.array_equal(arrays[f"verify/ex3-base/{name}"], getattr(report, name))

@@ -19,7 +19,7 @@ from bandctl import (
     upper_cost_bound,
 )
 from bandctl.cli import EXIT_NUMERIC, main
-from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint
+from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint, ValidationError
 from bandctl.optimize import (
     OptimizationResult,
     _doshi_lattice,
@@ -334,3 +334,21 @@ def test_type_two_scan_without_a_pass_returns_golden_section_band(ex3, monkeypat
     assert res.report is report
     assert res.band.y4 == y4 and res.band.lower() == EX3_ONE
     assert res.surface.band == res.band
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_invalid_tolerance_raises_before_any_stage(tol, monkeypatch):
+    # escalate and optimize_type_two check tol before they optimize, as
+    # `bandctl solve` does, not when their first verification runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a stage ran before the tolerance was checked")
+
+    for name in ("optimize_doshi", "optimize_type_one", "optimize_type_two", "total_cost_two",
+                 "verify_strategy"):
+        monkeypatch.setattr(optimize, name, unreachable)
+    model = make_ex2()
+    base = OptimizationResult("one", BandOne(6.2, 9.8, 17.3), 0.0, surface=None)
+    with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
+        escalate(model, tol=tol)
+    with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
+        optimize_type_two(model, base, tol=tol)

@@ -6,7 +6,7 @@ from bandctl import BandOne, build_scale
 from bandctl.cost_one import TypeOneAssembly
 from bandctl.errors import OutOfBand, QuadratureNotConverged
 from bandctl.model import ModelConfig
-from bandctl.passage import ExitContext, Omega2, integrate, integrate_rows
+from bandctl.passage import ExitContext, Omega2, _gl_nodes, integrate, integrate_rows
 from ._oracles import (
     MpScale,
     estimate_occupation,
@@ -253,3 +253,77 @@ def test_quadrature_not_converged(rule, message):
     # sin(1e5 z) oscillates far faster than 1024 nodes on [0, 1] resolve
     with pytest.raises(QuadratureNotConverged, match=message):
         rule(lambda z: np.sin(1e5 * z))
+
+
+def _counting(f, counts: list):
+    """f, appending the node count of each call to counts."""
+    def counted(z):
+        counts.append(np.shape(z)[-1])
+        return f(z)
+
+    return counted
+
+
+def test_integrate_shares_one_call_for_the_first_two_levels():
+    # 16- and 32-node levels from one call on the 48 concatenated nodes;
+    # each later level is one more call
+    for f, expected in [(np.exp, [48]), (lambda z: np.cos(40.0 * z), [48, 64])]:
+        counts = []
+        integrate(_counting(f, counts), 0.0, 1.0)
+        assert counts == expected
+    counts = []
+    with pytest.raises(QuadratureNotConverged, match=r"integrate on \[0\.0, 1\.0\] did not reach 1e-09"):
+        integrate(_counting(lambda z: np.sin(1e5 * z), counts), 0.0, 1.0)
+    assert counts == [48, 64, 128, 256, 512, 1024]
+
+
+def test_integrate_rows_calls_its_integrand_once_per_level():
+    # its callers nest one row-wise quadrature in another, so sharing a call
+    # would grow the nested node grid from 32 x 32 to 48 x 48
+    counts = []
+    integrate_rows(_counting(np.exp, counts), 0.0, np.array([1.0, 2.0]))
+    assert counts == [16, 32]
+
+
+def _integrate_per_level(f, a, b, breakpoints=()):
+    """integrate as one integrand call per level on _gl_nodes(n): the reference."""
+    cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    prev = None
+    for n in (16, 32, 64, 128, 256, 512, 1024):
+        t, w = _gl_nodes(n)
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total = total + (hi - lo) * np.tensordot(np.asarray(f(lo + (hi - lo) * t)), w,
+                                                     axes=([-1], [0]))
+        if prev is not None and np.max(np.abs(total - prev)) <= 1e-9 * (1.0 + np.max(np.abs(total))):
+            return total, n
+        prev = total
+    raise AssertionError("reference did not converge")
+
+
+def _six_rows(s):
+    rates = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    return lambda z: s.W(z) * np.exp(-rates[:, None] * z)
+
+
+def _against_exp_shape(s):
+    mus = np.array([1.0, 2.5])
+    fn = lambda u: np.stack([s.W(u), s.Z(u), s.Wbar(u)])
+    return lambda u: np.asarray(fn(u))[..., None, :] * np.exp(mus[:, None] * u)
+
+
+@pytest.mark.parametrize("case", ["six-rows-two-breakpoints", "against-exp", "late-levels"])
+def test_integrate_equals_a_per_level_reference_bitwise(case):
+    s = build_scale(make_ex3(), 2)
+    # (integrand, a, b, breakpoints, result shape, nodes per unit at convergence)
+    f, a, b, breakpoints, shape, nodes = {
+        "six-rows-two-breakpoints": (_six_rows(s), 0.0, 6.0, (2.0, 4.5), (6,), 32),
+        "against-exp": (_against_exp_shape(s), 0.0, 2.468, (), (3, 2), 32),
+        "late-levels": (lambda z: np.stack([np.cos(40.0 * z), np.cos(100.0 * z)]),
+                        0.0, 1.0, (), (2,), 128),
+    }[case]
+    ref, n = _integrate_per_level(f, a, b, breakpoints)
+    got = integrate(f, a, b, breakpoints)
+    assert n == nodes
+    assert got.shape == ref.shape == shape
+    assert np.all(got == ref)
