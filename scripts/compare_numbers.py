@@ -35,7 +35,15 @@ first on the path.  It writes:
   verify_strategy at its default grid, for the four base policies
   (<config>-base) and for the escalate winners (escalate-<ex>), each surface
   rebuilt from its band by total_cost or total_cost_two.  Only those and
-  verify_strategy are called, so older trees dump these too.
+  verify_strategy are called, so older trees dump these too;
+* kernel/<config>/p<phase>/<fn>: W, Wbar, Wbarbar, Z and Zbar of both
+  phases of every config, on the fixed _kernel_inputs (a 0-d, two 1-d and a
+  (3, 200, 48) array over [-1, b + 1]), each result raveled and the four
+  concatenated; and kernel/<config>/p2/resolvent_transform, the
+  killed-resolvent transform of the phase-2 ExitContext on (b/4, b) at the
+  1-d and 2-d inputs of _resolvent_inputs, for ex3 and ex1-hyper.  Only
+  build_scale, ScaleSet and ExitContext are called, so older trees dump
+  these too.
 
 Only crosscheck-inputs.json and the four configs are read.  `diff` lists
 every array that is missing from one dump or not bit-identical, with its
@@ -62,6 +70,8 @@ CONFIGS = {
 }
 GRID = 401
 SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surfaces.py
+KERNEL_FNS = ("W", "Wbar", "Wbarbar", "Z", "Zbar")
+RESOLVENT_CONFIGS = ("ex3", "ex1-hyper")
 VERIFY_FIELDS = ("residual_L1", "residual_L2", "switch_slack_12", "switch_slack_21",
                  "L0_residual", "boundary_1", "boundary_2")
 
@@ -140,11 +150,44 @@ def _verify_arrays(case: str, model, th) -> dict:
     return {f"verify/{case}/{name}": np.asarray(getattr(report, name)) for name in VERIFY_FIELDS}
 
 
+def _kernel_inputs(b: float) -> list:
+    """The fixed kernel inputs over [-1, b + 1]: 0-d, 48 and 401 points, and (3, 200, 48)."""
+    rng = np.random.default_rng(16)
+    return [np.array(0.37 * b), np.linspace(-1.0, b + 1.0, 48), np.linspace(-1.0, b + 1.0, 401),
+            rng.uniform(-1.0, b + 1.0, (3, 200, 48))]
+
+
+def _resolvent_inputs(b: float) -> list:
+    """The fixed resolvent-transform inputs over [0, b]: 401 points and (20, 48)."""
+    rng = np.random.default_rng(17)
+    return [np.linspace(0.0, b, 401), rng.uniform(0.0, b, (20, 48))]
+
+
+def _kernel_arrays(config: str, model) -> dict:
+    """kernel/<config>/p<phase>/<fn> on the fixed inputs."""
+    from bandctl import build_scale
+    from bandctl.passage import ExitContext
+
+    arrays = {}
+    for phase in (1, 2):
+        scale = build_scale(model, phase)
+        for fn in KERNEL_FNS:
+            arrays[f"kernel/{config}/p{phase}/{fn}"] = np.concatenate(
+                [np.ravel(getattr(scale, fn)(x)) for x in _kernel_inputs(model.b)])
+    if config in RESOLVENT_CONFIGS:
+        ctx = ExitContext(build_scale(model, 2), 0.25 * model.b, model.b)
+        arrays[f"kernel/{config}/p2/resolvent_transform"] = np.concatenate(
+            [np.ravel(ctx.resolvent_transform(x)) for x in _resolvent_inputs(model.b)])
+    return arrays
+
+
 def dump(out: str) -> None:
     from bandctl import BandOne, BandTwo, SimStrategy, escalate, estimate_cost
 
     models = _models()
     arrays = {}
+    for name, model in models.items():
+        arrays.update(_kernel_arrays(name, model))
     for name in ("ex1", "ex2", "ex3"):
         winner = escalate(models[name])
         result = repr(winner)

@@ -24,6 +24,7 @@ final arbiter.
 
 from __future__ import annotations
 
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ _GAP = 1e-9          # strict-ordering gap between thresholds
 _EDGE = 1e-6         # keep y1 (and y4) strictly below b
 _RESTARTS = 4
 _SEED = 20240801
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -321,6 +324,16 @@ def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult
         result = stage(model)
         report = verify_strategy(model, result.surface, tol=tol)
         result.verified, result.report = report.passed, report
+        _log_stage(result)
         if report.passed:
             return result
-    return optimize_type_two(model, result, tol=tol)
+    result = optimize_type_two(model, result, tol=tol)
+    _log_stage(result)
+    return result
+
+
+def _log_stage(result: OptimizationResult) -> None:
+    """One INFO line per ladder stage: class, V0, verified, first verifier failure."""
+    failures = result.report.failures
+    log.info("stage %s: V0 = %.10g, verified = %s, first failure: %s", result.strategy_kind,
+             result.objective, result.verified, failures[0] if failures else "none")

@@ -19,6 +19,11 @@ take one call instead of two.  integrate_rows calls its integrand once per
 level: its callers nest one row-wise quadrature inside another (the
 verifier's segment transforms through resolvent_transform), and sharing
 the call there would grow the nested node grid from 32 x 32 to 48 x 48.
+
+The resolvent transform integrates W(x - z) exp(-mu_k z) over one row per
+x, not one per (demand component, x): its integrand evaluates W once per
+node and multiplies it by each component's exponential, as the verifier's
+segment transforms and cost_one._against_exp share theirs.
 """
 
 from __future__ import annotations
@@ -193,15 +198,17 @@ class ExitContext:
         u(x, z) = W(x-a) W(d-z) / W(d-a) - W(x-z) is the killed-resolvent
         density; the integral is _B[k] up(x) minus int_a^x W(x-z)
         exp(-mu_k z) dz.  x must be an array of at least one dimension.
+        The below-x integral has one row per x, on (a, max(x, a)): its
+        integrand maps nodes of shape x.shape + (m,) to W(x - z), evaluated
+        once per node, times exp(-mu_k z), of shape (k,) + x.shape + (m,).
+        When every x <= a it is a zero array of shape x.shape, which
+        broadcasts against the (k,) + x.shape exit term.
         """
         x = np.asarray(x, dtype=float)
-        k = len(self._mus)
-        lo = np.broadcast_to(self.a, (k,) + x.shape)
-        hi = np.broadcast_to(np.maximum(x, self.a), (k,) + x.shape)
-        mus = self._mus.reshape((k,) + (1,) * (x.ndim + 1))
-        xx = x.reshape((1,) + x.shape + (1,))
-        below = integrate_rows(lambda z: self.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
-        shape = (k,) + (1,) * x.ndim
+        shape = (-1,) + (1,) * x.ndim
+        mus = self._mus.reshape(shape + (1,))
+        below = integrate_rows(lambda z: self.scale.W(x[..., None] - z) * np.exp(-mus * z),
+                               self.a, np.maximum(x, self.a))
         return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
 
 

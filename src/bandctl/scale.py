@@ -24,6 +24,7 @@ from .model import DemandLaw, ModelConfig, laplace_exponent
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
+_FILL_MIN = 256  # ScaleSet._exp_sum fills columns from this many entries on
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,28 @@ class ScaleSet:
 
     # -- W family ---------------------------------------------------------
 
+    def _exp_sum(self, xp, fn, coef):
+        """fn(xp[..., None] * exponents) @ coef, with fn np.exp or np.expm1.
+
+        From _FILL_MIN entries on, each exponent's column of the C-ordered
+        (..., k) array is filled by one flat multiply and fn runs in place:
+        numpy walks a broadcast over the short trailing axis pair by pair,
+        several times slower on large inputs, while below that size the
+        per-column calls cost more than the walk.  Either way the matmul
+        gets the same operands, bit for bit; the k-first layout
+        (coef @ E) would be faster but is not bit-identical.
+        """
+        if xp.size < _FILL_MIN:
+            return fn(xp[..., None] * self.exponents) @ coef
+        e = np.empty(xp.shape + self.exponents.shape)
+        for j, th in enumerate(self.exponents):
+            np.multiply(xp, th, out=e[..., j])
+        return fn(e, out=e) @ coef
+
     def W(self, x):
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        val = np.exp(xp[..., None] * self.exponents) @ self.weights
+        val = self._exp_sum(xp, np.exp, self.weights)
         out = np.where(x >= 0, val, 0.0)
         return out if out.shape else float(out)
 
@@ -67,7 +86,7 @@ class ScaleSet:
         """int_0^x W."""
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        val = np.expm1(xp[..., None] * self.exponents) @ (self.weights / self.exponents)
+        val = self._exp_sum(xp, np.expm1, self.weights / self.exponents)
         out = np.where(x >= 0, val, 0.0)
         return out if out.shape else float(out)
 
@@ -76,7 +95,7 @@ class ScaleSet:
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
         th = self.exponents
-        val = np.expm1(xp[..., None] * th) @ (self.weights / th**2) - xp * float(
+        val = self._exp_sum(xp, np.expm1, self.weights / th**2) - xp * float(
             np.sum(self.weights / th)
         )
         out = np.where(x >= 0, val, 0.0)

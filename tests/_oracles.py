@@ -3,10 +3,13 @@
 Nothing here shares code with the package's quadrature or its counter-based
 random streams: integration is adaptive Simpson or mpmath, simulation uses
 numpy's default generator.  Values produced here arbitrate the closed forms.
-There are two exceptions.  potential_density is the reference formula for
+There are three exceptions.  potential_density is the reference formula for
 the killed-resolvent density, written out with the package's scale
 functions.  estimate_occupation, the Monte Carlo oracle for that density,
-draws from the simulator's counter-based streams.
+draws from the simulator's counter-based streams.  resolvent_transform_rows
+is a bit-for-bit reference, not an independent value: the killed-resolvent
+transform as it was computed with one integrate_rows row per demand
+component, which the engine's shared-W form must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from bandctl.errors import InvalidStart, OutOfBand
 from bandctl.model import ModelConfig
+from bandctl.passage import integrate_rows
 from bandctl.simulate import _path_keys, _round_uniforms, _sample_demand, truncation_horizon
 
 
@@ -111,6 +115,20 @@ def potential_density(ctx, x, y):
     s = ctx.scale
     out = np.asarray(s.W(x - ctx.a) * s.W(ctx.d - y) / ctx.W_span - s.W(x - y))
     return out if out.shape else float(out)
+
+
+def resolvent_transform_rows(ctx, x) -> np.ndarray:
+    """ExitContext.resolvent_transform with lo and hi broadcast to (k,) + x.shape,
+    so that W(x - z) is evaluated once per demand component on the same nodes."""
+    x = np.asarray(x, dtype=float)
+    k = len(ctx._mus)
+    lo = np.broadcast_to(ctx.a, (k,) + x.shape)
+    hi = np.broadcast_to(np.maximum(x, ctx.a), (k,) + x.shape)
+    mus = ctx._mus.reshape((k,) + (1,) * (x.ndim + 1))
+    xx = x.reshape((1,) + x.shape + (1,))
+    below = integrate_rows(lambda z: ctx.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
+    shape = (k,) + (1,) * x.ndim
+    return ctx._B.reshape(shape) * ctx.up(x)[None, ...] - below
 
 
 def _sample_y(rng, model, n):

@@ -1,4 +1,5 @@
-"""scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify arrays are verify_strategy's report fields."""
+"""scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify
+and kernel arrays are verify_strategy's report fields and the kernels' values."""
 
 import importlib.util
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, total_cost, total_cost_two, verify_strategy
-from .conftest import make_ex3
+from bandctl import BandOne, BandTwo, build_scale, total_cost, total_cost_two, verify_strategy
+from bandctl.passage import ExitContext
+from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_numbers.py"
 _spec = importlib.util.spec_from_file_location("compare_numbers", SCRIPT)
@@ -40,3 +42,27 @@ def test_verify_arrays_hold_the_report_fields(th):
     report = verify_strategy(model, surface)
     for name in compare_numbers.VERIFY_FIELDS:
         assert np.array_equal(arrays[f"verify/ex3-base/{name}"], getattr(report, name))
+
+
+@pytest.mark.parametrize("config, make", [("ex1", make_ex1), ("ex1-hyper", make_ex1_hyper)])
+def test_kernel_arrays_hold_the_kernel_values(config, make):
+    model = make()
+    arrays = compare_numbers._kernel_arrays(config, model)
+    names = [f"kernel/{config}/p{phase}/{fn}"
+             for phase in (1, 2) for fn in compare_numbers.KERNEL_FNS]
+    if config in compare_numbers.RESOLVENT_CONFIGS:
+        names.append(f"kernel/{config}/p2/resolvent_transform")
+    assert list(arrays) == names
+    inputs = compare_numbers._kernel_inputs(model.b)
+    assert [x.shape for x in inputs] == [(), (48,), (401,), (3, 200, 48)]
+    for phase in (1, 2):
+        scale = build_scale(model, phase)
+        for fn in compare_numbers.KERNEL_FNS:
+            want = np.concatenate([np.ravel(getattr(scale, fn)(x)) for x in inputs])
+            assert np.array_equal(arrays[f"kernel/{config}/p{phase}/{fn}"], want)
+    if config in compare_numbers.RESOLVENT_CONFIGS:
+        ctx = ExitContext(build_scale(model, 2), 0.25 * model.b, model.b)
+        want = np.concatenate([np.ravel(ctx.resolvent_transform(x))
+                               for x in compare_numbers._resolvent_inputs(model.b)])
+        assert want.size == len(model.demand.rates) * (401 + 20 * 48)
+        assert np.array_equal(arrays[f"kernel/{config}/p2/resolvent_transform"], want)

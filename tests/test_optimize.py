@@ -1,3 +1,4 @@
+import logging
 import os
 import sys
 from concurrent import futures
@@ -352,3 +353,12 @@ def test_invalid_tolerance_raises_before_any_stage(tol, monkeypatch):
         escalate(model, tol=tol)
     with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
         optimize_type_two(model, base, tol=tol)
+
+
+def test_escalate_logs_one_info_line_per_stage(caplog):
+    # ex1 verifies at the Doshi stage, so the ladder logs that stage only
+    with caplog.at_level(logging.INFO, logger="bandctl"):
+        res = escalate(make_ex1())
+    lines = [r.getMessage() for r in caplog.records if r.name == "bandctl.optimize"]
+    assert lines == [f"stage doshi: V0 = {res.objective:.10g}, verified = True, "
+                     "first failure: none"]

@@ -13,6 +13,7 @@ from ._oracles import (
     mc_reflected,
     mc_two_sided,
     potential_density,
+    resolvent_transform_rows,
     simpson_adaptive,
 )
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
@@ -117,6 +118,33 @@ def test_resolvent_transform_against_simpson(make, a):
             f = lambda z: potential_density(ctx, x, z) * np.exp(-mu * z)
             ref = simpson_adaptive(f, a + eps, x) + simpson_adaptive(f, x + eps, ctx.d - eps)
             assert got[k, i] == pytest.approx(ref, rel=1e-8, abs=1e-10), (k, x)
+
+
+@pytest.mark.parametrize("make, a", [(make_ex3, 2.468), (make_ex1_hyper, 1.0)],
+                         ids=["ex3", "ex1-hyper"])
+def test_resolvent_transform_equals_the_per_component_rows_bitwise(make, a):
+    # W(x - z) is evaluated once per node and shared across the demand
+    # components; the reference evaluates it once per component
+    m = make()
+    ctx = ExitContext(build_scale(m, 2), a=a, d=m.b)
+    rng = np.random.default_rng(16)
+    for xs in (np.linspace(0.0, m.b, 41), rng.uniform(0.0, m.b, (6, 9))):
+        ref = resolvent_transform_rows(ctx, xs)
+        assert ref.shape == (len(m.demand.rates),) + xs.shape
+        for got in (ctx.resolvent_transform(xs), ctx.resolvent_transform(xs, ctx.up(xs))):
+            assert np.array_equal(got, ref)
+
+
+def test_resolvent_transform_below_the_band_is_the_exit_term():
+    # every x <= a: integrate_rows does not call its integrand and returns
+    # zeros of shape x.shape, which broadcast against the (k, n) exit term
+    m = make_ex1_hyper()
+    ctx = ExitContext(build_scale(m, 2), a=1.0, d=m.b)
+    xs = np.array([0.0, 0.4, 1.0])
+    got = ctx.resolvent_transform(xs)
+    assert got.shape == (3, 3)
+    assert np.array_equal(got, ctx._B[:, None] * ctx.up(xs))
+    assert np.array_equal(got, resolvent_transform_rows(ctx, xs))
 
 
 def test_reflected_factors_basic():

@@ -17,7 +17,7 @@ from bandctl.errors import ThetaInsideSpectrum
 from bandctl.passage import integrate
 from bandctl.scale import ExpConvolution
 from ._oracles import simpson_adaptive
-from .conftest import make_ex1, make_ex3
+from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 
 def quadratic_roots(sigma, mu, lam, q):
@@ -165,3 +165,24 @@ def test_exp_convolution_freezes_its_pair_not_the_inputs():
     assert first[0] == 0.0
     conv(-1.0, xs, [3.0, 1.0], [1.0, 1.0, 1.0])
     assert np.array_equal(conv(0.3, xs, [1.0, -2.0], [0.5, 1.0, 2.0]), first)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("make", [make_ex1, make_ex1_hyper], ids=["ex1", "ex1-hyper"])
+def test_kernels_equal_the_broadcast_expressions_bitwise(make, phase):
+    # the W family fills its (..., k) exponent array one column at a time on
+    # large inputs; it must give the bits of the broadcast over the exponents
+    sc = build_scale(make(), phase)
+    th, w = sc.exponents, sc.weights
+    assert len(th) == len(make().demand.rates) + 1
+    rng = np.random.default_rng(phase)
+    for x in (np.array(-0.3), np.array(4.7), rng.uniform(-1.0, 10.0, 50),
+              rng.uniform(-1.0, 10.0, 400), rng.uniform(-1.0, 10.0, (3, 200, 48))):
+        xp = np.maximum(x, 0.0)
+        W = np.where(x >= 0, np.exp(xp[..., None] * th) @ w, 0.0)
+        Wbar = np.where(x >= 0, np.expm1(xp[..., None] * th) @ (w / th), 0.0)
+        Wbarbar = np.where(x >= 0, np.expm1(xp[..., None] * th) @ (w / th**2)
+                           - xp * float(np.sum(w / th)), 0.0)
+        for got, ref in ((sc.W(x), W), (sc.Wbar(x), Wbar), (sc.Wbarbar(x), Wbarbar)):
+            assert np.shape(got) == x.shape
+            assert np.array_equal(got, ref), x.shape
