@@ -24,7 +24,7 @@ def run(config: str, out_dir: str, paths: int, seed: int, jobs: int) -> int:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "solve.json"
-    rc = cli_main(["solve", config, "--output", str(report_path), "--seed", str(seed)])
+    rc = cli_main(["solve", config, "--output", str(report_path)])
     if rc != 0:
         return rc
     rep = json.loads(report_path.read_text())

@@ -38,7 +38,7 @@ from .model import (
 )
 from .optimize import escalate, optimize_doshi, optimize_type_one, optimize_type_two
 from .simulate import SimStrategy, estimate_cost
-from .verify import DEFAULT_TOL, check_settings, sorted_unique, verify_strategy
+from .verify import DEFAULT_TOL, sorted_unique, verify_strategy
 
 log = logging.getLogger("bandctl")
 
@@ -158,16 +158,13 @@ def _surface_report(surface) -> dict:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     model = validate(load_config(args.config))
-    check_settings(args.tol)  # before the ladder, which verifies only after its first stage
     if args.strategy == "auto":
         result = escalate(model, tol=args.tol)
     elif args.strategy == "two":
-        result = optimize_type_two(model, optimize_type_one(model), tol=args.tol)
+        result = optimize_type_two(model, optimize_type_one(model, tol=args.tol), tol=args.tol)
     else:
-        result = {"doshi": optimize_doshi, "one": optimize_type_one}[args.strategy](model)
-    if result.report is None:
-        report = verify_strategy(model, result.surface, tol=args.tol)
-        result.verified, result.report = report.passed, report
+        stage = {"doshi": optimize_doshi, "one": optimize_type_one}[args.strategy]
+        result = stage(model, tol=args.tol)
     rep = _report_base(args, model, "solve")
     rep.update(
         strategy_kind=result.strategy_kind,
@@ -175,7 +172,7 @@ def cmd_solve(args) -> int:
         objective=result.objective,
         level_b=_surface_report(result.surface),
         verified=result.verified,
-        verification_failures=list(result.report.failures) if result.report else [],
+        verification_failures=list(result.report.failures),
     )
     _emit(rep, args.output, t0)
     if args.require_verified and not result.verified:
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("doshi", "one", "two", "auto"), default="auto")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--require-verified", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("evaluate", help="cost surface for given thresholds")

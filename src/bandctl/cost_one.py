@@ -196,15 +196,13 @@ class TypeOneAssembly:
         self._coef_S = ws * (p0 + p1 / mus + self.S1xy0) + ws * mus * self._cS
 
         # scalars at y1 feeding the linear representations
-        self.up_y1 = p2.exit2.up(y1)
-        self.down_y1 = p2.exit2.down(y1, self.up_y1)
-        self.omZ_y1 = p2.om.apply_Z1(y1, self.up_y1)
+        at_y1 = self._phase2_bases(np.atleast_1d(y1))
+        self.up_y1, self.down_y1, self.omZ_y1, self.A_y1, self._mu_y1, g_y1 = (
+            v.reshape(y1.shape) for v in at_y1)
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
         _contractive((0 <= self.r) & (self.r < 1), self.r,
                      "phase-2 return factor r={} outside [0,1)")
-        at_y1 = self._phase2_bases(np.atleast_1d(y1))
-        _, _, _, self.A_y1, self._mu_y1, g_y1 = (v.reshape(y1.shape) for v in at_y1)
         _contractive((0 <= g_y1) & (g_y1 < 1), g_y1, "shortage renewal factor {} outside [0,1)")
         self._gamma_y1 = g_y1
         self.alpha2_y1 = self.up_y1 * self.Z1y1 / self.denom

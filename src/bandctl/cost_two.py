@@ -9,8 +9,6 @@ module only overlays the phase-1 values on (y4, b).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .cost_one import (
@@ -69,14 +67,9 @@ class TypeTwoOverlay:
         return H, S, K
 
 
-@lru_cache(maxsize=64)
-def _overlay(model: ModelConfig, band: BandTwo) -> TypeTwoOverlay:
-    return TypeTwoOverlay(model, band)
-
-
 def total_cost_two(model: ModelConfig, band: BandTwo) -> CostSurface:
     """Full type-two surface: type-one everywhere except phase 1 above y4."""
-    ov = _overlay(model, band.check(model.b))
+    ov = TypeTwoOverlay(model, band)
     branches = _make_branches(ov.asm)
     branches["up"] = ov.costs
     return CostSurface(

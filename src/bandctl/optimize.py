@@ -1,13 +1,14 @@
 """Threshold search: best two-threshold policy, then type one, then type two.
 
-Each stage minimizes the level-b value V0(b) with a coarse feasible lattice
-followed by Nelder-Mead polish (with constraint repair by projection), and
-hands its winner to the HJB verifier; escalation stops at the first class
-whose optimum verifies.  A lattice is evaluated per (y2, y3) group, the
-group's y1 values in one assembly (cost_one.lattice_V0).  Candidates are
-listed in (y2, y3, y1) order and the sort is stable, so ties keep that
-order and the polish starts do not depend on the grouping.  The polish
-evaluates one band per call through total_cost.  Its starts are independent
+Each stage checks the verification tolerance before it searches, minimizes
+the level-b value V0(b) and verifies its own winner against the HJB system;
+escalation stops at the first class whose optimum verifies.  The Doshi
+(y3 = y2) and type-one stages share one body: a coarse feasible lattice, then
+a Nelder-Mead polish (with constraint repair by projection).  A lattice is
+evaluated per (y2, y3) group, the group's y1 values in one assembly
+(cost_one.lattice_V0).  Candidates are listed in (y2, y3, y1) order and the
+sort is stable, so ties keep that order and the polish starts do not depend
+on the grouping.  The polish evaluates one band per call through total_cost.  Its starts are independent
 Nelder-Mead runs, spread over up to min(starts, usable CPUs) forked worker
 processes, where the usable CPUs are the process's affinity set (so
 `taskset -c 0` gives the serial run).  Where Python cannot fork them cleanly
@@ -52,8 +53,8 @@ class OptimizationResult:
     band: BandOne | BandTwo
     objective: float              # V0(b)
     surface: CostSurface
-    verified: bool = False
-    report: VerificationReport | None = None
+    verified: bool
+    report: VerificationReport
 
 
 def _project_one(p, b: float, doshi: bool) -> BandOne:
@@ -206,53 +207,54 @@ def _multistart(winners, spacing: float):
     return starts
 
 
-def _doshi_lattice(model: ModelConfig) -> tuple[list, float]:
-    """(V0, (y2, y1)) on the feasible 25x25 lattice, y2-major; and the y1 spacing."""
+def _lattice(model: ModelConfig, doshi: bool) -> tuple[list, float]:
+    """(V0, point) on the feasible lattice, (y2, y3)-major, and its y1 spacing.
+
+    Doshi: points (y2, y1), y3 = y2, over 25 y2 and 25 y1 values.  Type one:
+    points (y2, y3, y1), y2 <= y3, over one 15-point grid for all three.
+    """
     b = model.b
-    y2s = np.linspace(0.0, b * 0.92, 25)
-    y1s = np.linspace(b * 0.02, b - _EDGE, 25)
+    if doshi:
+        y1s = np.linspace(b * 0.02, b - _EDGE, 25)
+        pairs = [(y2, y2) for y2 in np.linspace(0.0, b * 0.92, 25)]
+    else:
+        y1s = np.linspace(0.0, b - _EDGE, 15)
+        pairs = [(y2, y3) for y2 in y1s for y3 in y1s[y1s >= y2]]
     cands = []
-    for y2 in y2s:
-        row = y1s[y1s > y2 + 1e-4]
+    for y2, y3 in pairs:
+        row = y1s[y1s > y3 + 1e-4]
         if row.size:
-            cands.extend(zip(lattice_V0(model, y2, y2, row), ((y2, y1) for y1 in row)))
+            head = (y2,) if doshi else (y2, y3)
+            cands.extend(zip(lattice_V0(model, y2, y3, row), (head + (y1,) for y1 in row)))
     return cands, float(y1s[1] - y1s[0])
 
 
-def _type_one_lattice(model: ModelConfig) -> tuple[list, float]:
-    """(V0, (y2, y3, y1)) on the feasible 15^3 lattice, (y2, y3)-major; and its spacing."""
-    b = model.b
-    g = np.linspace(0.0, b - _EDGE, 15)
-    cands = []
-    for y2 in g:
-        for y3 in g[g >= y2]:
-            row = g[g > y3 + 1e-4]
-            if row.size:
-                cands.extend(zip(lattice_V0(model, y2, y3, row), ((y2, y3, y1) for y1 in row)))
-    return cands, float(g[1] - g[0])
-
-
-def optimize_doshi(model: ModelConfig) -> OptimizationResult:
-    """Best two-threshold policy (y3 = y2) on a 25x25 lattice + polish."""
-    cands, spacing = _doshi_lattice(model)
+def _lattice_stage(model: ModelConfig, doshi: bool, tol: float) -> OptimizationResult:
+    """Lattice, multistart polish and the verified winner of the Doshi or type-one class."""
+    check_settings(tol)  # before the lattice, so a bad tol costs no search
+    cands, spacing = _lattice(model, doshi)
     if not cands:
-        raise NoFeasiblePoint("no feasible (y2, y1) on the lattice")
+        raise NoFeasiblePoint(f"no feasible {'(y2, y1)' if doshi else '(y2, y3, y1)'} "
+                              "on the lattice")
     cands.sort(key=lambda t: t[0])
-    band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi=True)
-    return OptimizationResult("doshi", band, val, total_cost(model, band))
+    band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi)
+    surface = total_cost(model, band)
+    report = verify_strategy(model, surface, tol=tol)
+    return OptimizationResult("doshi" if doshi else "one", band, val, surface,
+                              report.passed, report)
 
 
-def optimize_type_one(model: ModelConfig) -> OptimizationResult:
-    """Type-one policy (free restart threshold y3) on a 15^3 lattice + polish."""
-    cands, spacing = _type_one_lattice(model)
-    if not cands:
-        raise NoFeasiblePoint("no feasible (y2, y3, y1) on the lattice")
-    cands.sort(key=lambda t: t[0])
-    band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi=False)
-    return OptimizationResult("one", band, val, total_cost(model, band))
+def optimize_doshi(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult:
+    """Best two-threshold policy (y3 = y2) on a 25x25 lattice + polish, verified."""
+    return _lattice_stage(model, True, tol)
 
 
-def _golden_section(f, lo: float, hi: float, xatol: float = 1e-4):
+def optimize_type_one(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult:
+    """Type-one policy (free restart threshold y3) on a 15^3 lattice + polish, verified."""
+    return _lattice_stage(model, False, tol)
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float = 1e-4) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, d = lo, hi
     c = d - invphi * (d - a)
@@ -267,8 +269,7 @@ def _golden_section(f, lo: float, hi: float, xatol: float = 1e-4):
             a, c, fc = c, b_, fb
             b_ = a + invphi * (d - a)
             fb = f(b_)
-    x = 0.5 * (a + d)
-    return x, f(x)
+    return 0.5 * (a + d)
 
 
 def optimize_type_two(
@@ -281,16 +282,16 @@ def optimize_type_two(
     check_settings(tol)  # before the y4 search, which verifies only at its end
     y2, y3, y1 = base.band.y2, base.band.y3, base.band.y1
     b = model.b
-    lo = y1 + max(1e-3, 0.01 * (b - y1))
-    hi = b - max(1e-3, 0.01 * (b - y1))
+    # at most a quarter of (y1, b) from each end, so y1 < lo <= hi < b even when y1 is near b
+    edge = min(max(1e-3, 0.01 * (b - y1)), 0.25 * (b - y1))
+    lo, hi = y1 + edge, b - edge
     probe = y1 + (b - y1) * (np.arange(20) + 0.5) / 20.0
 
     def worst_v1(y4: float) -> float:
         surf = total_cost_two(model, BandTwo(y2, y3, y1, y4))
         return float(np.max(surf.V(1, probe)))
 
-    y4, _ = _golden_section(worst_v1, lo, hi, xatol=1e-4)
-    band = BandTwo(y2, y3, y1, float(y4))
+    band = BandTwo(y2, y3, y1, float(_golden_section(worst_v1, lo, hi, xatol=1e-4)))
     surface = total_cost_two(model, band)
     report = verify_strategy(model, surface, tol=tol)
     if not report.passed:
@@ -307,9 +308,7 @@ def optimize_type_two(
         if best[0] is not None:
             band = BandTwo(y2, y3, y1, best[0])
             surface, report = best[2]
-    return OptimizationResult(
-        "two", band, surface.V0, surface, verified=report.passed, report=report
-    )
+    return OptimizationResult("two", band, surface.V0, surface, report.passed, report)
 
 
 def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult:
@@ -319,16 +318,14 @@ def escalate(model: ModelConfig, tol: float = DEFAULT_TOL) -> OptimizationResult
     result is returned flagged, with its report attached (wider classes are
     reported, not searched).
     """
-    check_settings(tol)  # before the ladder, which verifies only after its first stage
-    for stage in (optimize_doshi, optimize_type_one):
-        result = stage(model)
-        report = verify_strategy(model, result.surface, tol=tol)
-        result.verified, result.report = report.passed, report
+    result = None
+    for stage in (optimize_doshi, optimize_type_one, optimize_type_two):
+        # type two takes its (y2, y3, y1) from the type-one result
+        base = (result,) if stage is optimize_type_two else ()
+        result = stage(model, *base, tol=tol)
         _log_stage(result)
-        if report.passed:
-            return result
-    result = optimize_type_two(model, result, tol=tol)
-    _log_stage(result)
+        if result.verified:
+            break
     return result
 
 

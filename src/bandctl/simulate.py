@@ -16,6 +16,7 @@ not depend on the batch it runs in either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -322,23 +323,17 @@ def estimate_cost(
     chunk = 25_000 if jobs <= 1 else max(10_000, n_paths // (4 * jobs))
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
+    args = (repeat(model), repeat(strategy), repeat(x0), repeat(phase0), repeat(base_seed), spans)
     if jobs > 1 and len(spans) > 1:
         # imported here, so that `import bandctl` does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_worker_paths, model, strategy, x0, phase0, base_seed, s)
-                for s in spans
-            ]
-            for fut in futures:
-                (lo, hi), (h, s, w) = fut.result()
-                hold[lo:hi], short[lo:hi], switch[lo:hi] = h, s, w
+            results = list(pool.map(_worker_paths, *args))
     else:
-        for lo, hi in spans:
-            keys = _path_keys(base_seed, lo, hi - lo)
-            h, s, w = _run_paths(model, strategy, x0, phase0, keys)
-            hold[lo:hi], short[lo:hi], switch[lo:hi] = h, s, w
+        results = map(_worker_paths, *args)
+    for (lo, hi), (h, s, w) in results:
+        hold[lo:hi], short[lo:hi], switch[lo:hi] = h, s, w
 
     total = hold + short + switch
 

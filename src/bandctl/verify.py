@@ -89,19 +89,17 @@ def _derivative(w, xs: np.ndarray, w0: np.ndarray) -> np.ndarray:
     return np.where(kink, np.minimum(d_minus, d_plus), central)
 
 
-def operator_L(model: ModelConfig, phase: int, w, x, w_prime=None, breakpoints=(),
-               w_x=None):
+def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=(), w_x=None):
     """L_i(w)(x): drift and discount terms plus demand-jump expectations.
 
     w must be the full piecewise value function of its phase on [0, b)
-    (switching-zone branches included); w_prime overrides finite differences.
-    w_x, when given, holds w(x), so that a caller that already evaluated w
-    on x does not evaluate it again.
+    (switching-zone branches included).  w_x, when given, holds w(x), so
+    that a caller that already evaluated w on x does not evaluate it again.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     m = model
     w_xs = np.atleast_1d(w(xs) if w_x is None else w_x)
-    deriv = w_prime(xs) if w_prime is not None else _derivative(w, xs, w_xs)
+    deriv = _derivative(w, xs, w_xs)
     conv = _convolution(m, w, xs, breakpoints=breakpoints)
     ptail = m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
     w0 = float(np.atleast_1d(w(np.zeros(1)))[0])

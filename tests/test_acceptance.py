@@ -123,8 +123,7 @@ def test_criterion_01b_reference_thresholds(solve_cached, ex1):
 @pytest.fixture(scope="session")
 def ex2_doshi(ex2):
     res = optimize_doshi(ex2)
-    report = verify_strategy(ex2, res.surface)
-    return res, report
+    return res, res.report
 
 
 def test_criterion_02a_best_doshi_fails(ex2_doshi):
@@ -387,8 +386,7 @@ def test_criterion_10_determinism(tmp_path):
     outs = []
     for i in range(2):
         out = tmp_path / f"solve{i}.json"
-        assert main(["solve", cfg, "--strategy", "doshi", "--seed", "11",
-                     "--output", str(out)]) == 0
+        assert main(["solve", cfg, "--strategy", "doshi", "--output", str(out)]) == 0
         outs.append(strip(out))
     assert outs[0] == outs[1]
     sims = []

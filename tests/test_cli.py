@@ -66,20 +66,22 @@ def test_solve_two_passes_tol(tmp_path, monkeypatch):
     surface = SimpleNamespace(H0=1.0, S0=2.0, K0=3.0, V0=6.0)
     seen = {}
 
-    def type_one(model):
-        return OptimizationResult("one", band.lower(), surface.V0, surface)
+    report = SimpleNamespace(failures=[])
+
+    def type_one(model, tol=None):
+        seen["one"] = tol
+        return OptimizationResult("one", band.lower(), surface.V0, surface, True, report)
 
     def type_two(model, base, tol=None):
-        seen["tol"] = tol
-        return OptimizationResult("two", band, surface.V0, surface, True,
-                                  SimpleNamespace(failures=[]))
+        seen["two"] = tol
+        return OptimizationResult("two", band, surface.V0, surface, True, report)
 
     monkeypatch.setattr(cli, "optimize_type_one", type_one)
     monkeypatch.setattr(cli, "optimize_type_two", type_two)
     out = tmp_path / "s.json"
     assert main(["solve", str(CONFIGS / "ex3.json"), "--strategy", "two", "--tol", "0.123",
                  "--output", str(out)]) == 0
-    assert seen["tol"] == 0.123
+    assert seen == {"one": 0.123, "two": 0.123}
     assert json.loads(out.read_text())["strategy_kind"] == "two"
 
 
@@ -180,12 +182,12 @@ def test_verify_nan_tolerance_exits_two(capsys):
 
 @pytest.mark.parametrize("strategy", ["doshi", "one", "two", "auto"])
 def test_solve_nan_tolerance_exits_before_optimizing(monkeypatch, capsys, strategy):
+    # the first stage that runs checks the tolerance before it searches
     def unreachable(*args, **kwargs):
-        raise AssertionError("an optimizer stage ran before the tolerance was checked")
+        raise AssertionError("an optimizer stage searched before the tolerance was checked")
 
-    for module in (cli, optimize):
-        for name in ("optimize_doshi", "optimize_type_one", "optimize_type_two"):
-            monkeypatch.setattr(module, name, unreachable)
+    for name in ("_lattice", "_polish", "total_cost_two", "verify_strategy"):
+        monkeypatch.setattr(optimize, name, unreachable)
     rc = main(["solve", str(CONFIGS / "ex2.json"), "--strategy", strategy, "--tol", "nan"])
     assert rc == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bandctl import BandOne, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
-from bandctl import cost_one, cost_two, optimize, passage, scale
+from bandctl import cost_one, optimize, passage, scale
 from bandctl.cost_one import (TypeOneAssembly, _against_exp, _contractive, lattice_V0,
                               phase_two_context)
 from bandctl.passage import ExitContext
@@ -299,8 +299,7 @@ def test_contraction_failure_names_first_failing_band():
 
 def _clear_caches():
     for cached in (cost_one._assembly, cost_one.phase_two_context, cost_one._demand_conv,
-                   cost_one.PhaseTwoContext._bases_at, cost_two._overlay, scale.build_scale,
-                   passage._gl_nodes):
+                   cost_one.PhaseTwoContext._bases_at, scale.build_scale, passage._gl_nodes):
         cached.cache_clear()
 
 

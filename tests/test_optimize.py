@@ -23,12 +23,11 @@ from bandctl.cli import EXIT_NUMERIC, main
 from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint, ValidationError
 from bandctl.optimize import (
     OptimizationResult,
-    _doshi_lattice,
+    _lattice,
     _nelder_mead,
     _polish,
     _polish_workers,
     _project_one,
-    _type_one_lattice,
 )
 from bandctl.verify import VerificationReport
 from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
@@ -37,6 +36,11 @@ MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_e
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # ex3's type-one optimum, rounded; the type-two stage only reads base.band
 EX3_ONE = BandOne(2.468, 3.114, 4.610)
+
+
+def _type_one_base(band: BandOne) -> OptimizationResult:
+    """A type-one result for optimize_type_two, which reads only its band."""
+    return OptimizationResult("one", band, 0.0, None, False, None)
 
 
 def test_project_repairs_ordering():
@@ -261,8 +265,8 @@ def test_type_two_y4_verified_and_invariant(ex3):
 def _lattices(name: str):
     """(model, [(V0, band)]) over both lattices of a config, from the batched rows."""
     model = MODELS[name]()
-    rows = [(v, BandOne(th[0], th[0], th[1])) for v, th in _doshi_lattice(model)[0]]
-    rows += [(v, BandOne(*th)) for v, th in _type_one_lattice(model)[0]]
+    rows = [(v, BandOne(th[0], th[0], th[1])) for v, th in _lattice(model, True)[0]]
+    rows += [(v, BandOne(*th)) for v, th in _lattice(model, False)[0]]
     return model, rows
 
 
@@ -314,8 +318,7 @@ def test_type_two_scan_keeps_largest_passing_margin(ex3, monkeypatch):
     # scan candidates 3, 10 and 15 pass; 5 fails with the largest margin of all
     outcomes = {3: (-0.2, True), 10: (-0.05, True), 15: (-0.3, True), 5: (0.5, False)}
     calls = _stub_verifier(monkeypatch, outcomes)
-    base = OptimizationResult("one", EX3_ONE, 0.0, total_cost(ex3, EX3_ONE))
-    res = optimize_type_two(ex3, base)
+    res = optimize_type_two(ex3, _type_one_base(EX3_ONE))
     assert len(calls) == 22
     y4, report = calls[10]
     assert res.verified
@@ -327,8 +330,7 @@ def test_type_two_scan_keeps_largest_passing_margin(ex3, monkeypatch):
 
 def test_type_two_scan_without_a_pass_returns_golden_section_band(ex3, monkeypatch):
     calls = _stub_verifier(monkeypatch, {})
-    base = OptimizationResult("one", EX3_ONE, 0.0, total_cost(ex3, EX3_ONE))
-    res = optimize_type_two(ex3, base)
+    res = optimize_type_two(ex3, _type_one_base(EX3_ONE))
     assert len(calls) == 22
     y4, report = calls[0]
     assert not res.verified
@@ -339,20 +341,58 @@ def test_type_two_scan_without_a_pass_returns_golden_section_band(ex3, monkeypat
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
 def test_invalid_tolerance_raises_before_any_stage(tol, monkeypatch):
-    # escalate and optimize_type_two check tol before they optimize, as
-    # `bandctl solve` does, not when their first verification runs
+    # every stage checks tol before it searches, not when its verification
+    # runs, so escalate and `bandctl solve` reject it before any work
     def unreachable(*args, **kwargs):
-        raise AssertionError("a stage ran before the tolerance was checked")
+        raise AssertionError("a stage searched before the tolerance was checked")
 
-    for name in ("optimize_doshi", "optimize_type_one", "optimize_type_two", "total_cost_two",
-                 "verify_strategy"):
+    for name in ("_lattice", "_polish", "total_cost_two", "verify_strategy"):
         monkeypatch.setattr(optimize, name, unreachable)
     model = make_ex2()
-    base = OptimizationResult("one", BandOne(6.2, 9.8, 17.3), 0.0, surface=None)
-    with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
-        escalate(model, tol=tol)
-    with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
-        optimize_type_two(model, base, tol=tol)
+    base = _type_one_base(BandOne(6.2, 9.8, 17.3))
+    for run in (lambda: escalate(model, tol=tol), lambda: optimize_doshi(model, tol=tol),
+                lambda: optimize_type_one(model, tol=tol),
+                lambda: optimize_type_two(model, base, tol=tol)):
+        with pytest.raises(ValidationError, match="verification needs a finite tol > 0"):
+            run()
+
+
+@pytest.mark.parametrize("name, stage", [("ex1", "doshi"), ("ex3", "one"), ("ex3", "two")])
+def test_each_stage_returns_its_verification(name, stage):
+    # ex1's Doshi winner verifies and ex3's type-one winner does not
+    model = MODELS[name]()
+    if stage == "two":
+        res = optimize_type_two(model, _type_one_base(EX3_ONE))
+    else:
+        res = {"doshi": optimize_doshi, "one": optimize_type_one}[stage](model)
+    assert res.strategy_kind == stage
+    assert res.report.passed == res.verified == (stage != "one")
+    assert res.report.tol == optimize.DEFAULT_TOL
+    assert res.surface.band == res.band
+
+
+def test_escalate_verifies_once_on_example_one(monkeypatch):
+    calls = []
+    real_verify = optimize.verify_strategy
+
+    def verify(model, surface, tol):
+        calls.append(surface.band)
+        return real_verify(model, surface, tol=tol)
+
+    monkeypatch.setattr(optimize, "verify_strategy", verify)
+    res = escalate(make_ex1())
+    assert res.strategy_kind == "doshi" and res.verified
+    assert calls == [res.band]
+
+
+@pytest.mark.parametrize("gap", [1e-6, 5e-4, 1e-3])
+def test_type_two_with_y1_near_capacity(ex2, gap):
+    # the y4 search keeps inside (y1, b) however close to b the polish puts y1
+    base = _type_one_base(BandOne(6.2126, 9.8045, ex2.b - gap))
+    res = optimize_type_two(ex2, base)
+    assert isinstance(res, OptimizationResult)
+    assert res.strategy_kind == "two" and res.band.lower() == base.band
+    assert base.band.y1 < res.band.y4 < ex2.b
 
 
 def test_escalate_logs_one_info_line_per_stage(caplog):
