@@ -41,7 +41,8 @@ first on the path.  It writes:
   (3, 200, 48) array over [-1, b + 1]), each result raveled and the four
   concatenated; and kernel/<config>/p2/resolvent_transform, the
   killed-resolvent transform of the phase-2 ExitContext on (b/4, b) at the
-  1-d and 2-d inputs of _resolvent_inputs, for ex3 and ex1-hyper.  Only
+  1-d and 2-d inputs of _resolvent_inputs (the 3001-point one spans several
+  of integrate_rows' row blocks), for ex3 and ex1-hyper.  Only
   build_scale, ScaleSet and ExitContext are called, so older trees dump
   these too.
 
@@ -158,9 +159,11 @@ def _kernel_inputs(b: float) -> list:
 
 
 def _resolvent_inputs(b: float) -> list:
-    """The fixed resolvent-transform inputs over [0, b]: 401 points and (20, 48)."""
+    """The fixed resolvent-transform inputs over [0, b]: 401 points, (20, 48), 3001
+    points (several row blocks of integrate_rows) and (40, 9) (trailing row axis)."""
     rng = np.random.default_rng(17)
-    return [np.linspace(0.0, b, 401), rng.uniform(0.0, b, (20, 48))]
+    return [np.linspace(0.0, b, 401), rng.uniform(0.0, b, (20, 48)), np.linspace(0.0, b, 3001),
+            rng.uniform(0.0, b, (40, 9))]
 
 
 def _kernel_arrays(config: str, model) -> dict:

@@ -38,7 +38,7 @@ from .model import (
 )
 from .optimize import escalate, optimize_doshi, optimize_type_one, optimize_type_two
 from .simulate import SimStrategy, estimate_cost
-from .verify import DEFAULT_TOL, sorted_unique, verify_strategy
+from .verify import DEFAULT_GRID, DEFAULT_TOL, sorted_unique, verify_strategy
 
 log = logging.getLogger("bandctl")
 
@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
     if args.strategy == "auto":
         result = escalate(model, tol=args.tol)
     elif args.strategy == "two":
-        result = optimize_type_two(model, optimize_type_one(model, tol=args.tol), tol=args.tol)
+        result = optimize_type_two(model, tol=args.tol)  # its own type-one search, unverified
     else:
         stage = {"doshi": optimize_doshi, "one": optimize_type_one}[args.strategy]
         result = stage(model, tol=args.tol)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="HJB verification report for given thresholds")
     common(sp, thresholds=True)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--grid", type=_positive_int, default=400)
+    sp.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimate for given thresholds")

@@ -18,9 +18,10 @@ same inputs in any process, so the result does not depend on that count.
 Its Nelder-Mead is a frozen port of scipy 1.17.1's (_nelder_mead), so the
 solve thresholds do not depend on which scipy version, if any, is installed.
 V0(b) does not depend on y4, so the type-two stage reuses the type-one
-thresholds and picks y4 separately: it minimizes the worst phase-1 value over
-a probe grid in (y1, b) by golden-section search, with verification as the
-final arbiter.
+thresholds (of the result escalate hands it, or of its own type-one search,
+which it does not verify) and picks y4 separately: it minimizes the worst
+phase-1 value over a probe grid in (y1, b) by golden-section search, with
+verification as the final arbiter.
 """
 
 from __future__ import annotations
@@ -229,15 +230,20 @@ def _lattice(model: ModelConfig, doshi: bool) -> tuple[list, float]:
     return cands, float(y1s[1] - y1s[0])
 
 
-def _lattice_stage(model: ModelConfig, doshi: bool, tol: float) -> OptimizationResult:
-    """Lattice, multistart polish and the verified winner of the Doshi or type-one class."""
-    check_settings(tol)  # before the lattice, so a bad tol costs no search
+def _lattice_search(model: ModelConfig, doshi: bool) -> tuple[BandOne, float]:
+    """Lattice and multistart polish of the Doshi or type-one class: its best (band, V0)."""
     cands, spacing = _lattice(model, doshi)
     if not cands:
         raise NoFeasiblePoint(f"no feasible {'(y2, y1)' if doshi else '(y2, y3, y1)'} "
                               "on the lattice")
     cands.sort(key=lambda t: t[0])
-    band, val = _polish(model, _multistart([c[1] for c in cands], spacing), doshi)
+    return _polish(model, _multistart([c[1] for c in cands], spacing), doshi)
+
+
+def _lattice_stage(model: ModelConfig, doshi: bool, tol: float) -> OptimizationResult:
+    """The lattice search's winner of the Doshi or type-one class, verified."""
+    check_settings(tol)  # before the lattice, so a bad tol costs no search
+    band, val = _lattice_search(model, doshi)
     surface = total_cost(model, band)
     report = verify_strategy(model, surface, tol=tol)
     return OptimizationResult("doshi" if doshi else "one", band, val, surface,
@@ -273,14 +279,16 @@ def _golden_section(f, lo: float, hi: float, xatol: float = 1e-4) -> float:
 
 
 def optimize_type_two(
-    model: ModelConfig, base: OptimizationResult, tol: float = DEFAULT_TOL
+    model: ModelConfig, base: OptimizationResult | None = None, tol: float = DEFAULT_TOL
 ) -> OptimizationResult:
     """Type-two policy: (y2, y3, y1) from the type-one result base (V0 is
     invariant in y4), then y4 chosen to minimize the worst phase-1 value on a
     20-point probe grid in (y1, b); verification arbitrates, with a
-    margin-maximizing scan as fallback."""
-    check_settings(tol)  # before the y4 search, which verifies only at its end
-    y2, y3, y1 = base.band.y2, base.band.y3, base.band.y1
+    margin-maximizing scan as fallback.  Without base, the type-one lattice
+    search supplies (y2, y3, y1), and its winner is not verified."""
+    check_settings(tol)  # before any search; the y4 search verifies only at its end
+    one = base.band if base is not None else _lattice_search(model, False)[0]
+    y2, y3, y1 = one.y2, one.y3, one.y1
     b = model.b
     # at most a quarter of (y1, b) from each end, so y1 < lo <= hi < b even when y1 is near b
     edge = min(max(1e-3, 0.01 * (b - y1)), 0.25 * (b - y1))

@@ -20,6 +20,20 @@ level: its callers nest one row-wise quadrature inside another (the
 verifier's segment transforms through resolvent_transform), and sharing
 the call there would grow the nested node grid from 32 x 32 to 48 x 48.
 
+An integrand that nests no quadrature (rowwise=True; the resolvent
+transform's) is called per level on blocks of rows that hold about
+_BLOCK_VALUES node values, and the blocks' estimates are joined before the
+level's one convergence test, so every row gets the level it gets in one
+call, bit for bit.  Memory is then bounded by the block: the verifier's
+segment transforms evaluate V at about 15,000 nodes per level, and one call
+of the nested transform held (k, 15,000, nodes) arrays and W's exponent
+columns.  The nesting integrand itself is not blocked, since the nested
+quadrature's node counts depend on which rows share its call.  Blocks run
+along the first row axis and keep trailing row axes whole, and 1-D blocks
+hold a multiple of 8 rows: matmul reduces the values with one BLAS gemv per
+stack of the trailing axes, and a row's bits depend on its place in the
+stack.
+
 The resolvent transform integrates W(x - z) exp(-mu_k z) over one row per
 x, not one per (demand component, x): its integrand evaluates W once per
 node and multiplies it by each component's exponential, as the verifier's
@@ -39,6 +53,7 @@ from .scale import ExpConvolution, ScaleSet
 GL_START = 16
 GL_MAX = 1024
 GL_REL_TOL = 1e-9
+_BLOCK_VALUES = 1 << 14  # node values per integrand call of a rowwise integrate_rows level
 
 
 @lru_cache(maxsize=16)
@@ -69,7 +84,8 @@ def _doubling(estimates, failure):
     failure() gives the message of the QuadratureNotConverged raised if not.
     estimates is consumed lazily, so no level past the converged one is
     computed.  integrate's first two estimates come from one integrand call;
-    integrate_rows makes one call per estimate, as its callers nest."""
+    integrate_rows makes one call per estimate, or one per row block of a
+    rowwise integrand, as its callers nest."""
     prev = None
     for total in estimates:
         if prev is not None:
@@ -114,7 +130,17 @@ def integrate(f, a: float, b: float, breakpoints=()):
     return _doubling(estimates(), lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
 
 
-def integrate_rows(f, lo, hi):
+def _block_rows(shape: tuple, m: int) -> int:
+    """Rows of the first row axis per rowwise integrand call at m nodes: about
+    _BLOCK_VALUES node values, a multiple of 8 for 1-D rows (see the module
+    docstring), at least one row (eight for 1-D rows)."""
+    per_row = m * int(np.prod(shape[1:], dtype=int))
+    if len(shape) == 1:
+        return max(8, _BLOCK_VALUES // per_row // 8 * 8)
+    return max(1, _BLOCK_VALUES // per_row)
+
+
+def integrate_rows(f, lo, hi, rowwise: bool = False):
     """Row-wise integrals int_{lo_i}^{hi_i} f(z) dz with shared relative nodes.
 
     lo/hi broadcast against each other; f maps a node array of shape
@@ -123,6 +149,13 @@ def integrate_rows(f, lo, hi):
     shape (lead..., rows...).  Rows with hi <= lo give 0; when every row is
     empty, f is not called and the result has shape (rows...).  Integrands
     must be smooth inside each (lo_i, hi_i).
+
+    rowwise says that f nests no quadrature, so a row's values depend on
+    that row alone.  f is then called as f(z, rows), rows the slice of the
+    first row axis that z covers, on blocks of about _BLOCK_VALUES node
+    values, and the result is the one a single call per level gives, bit for
+    bit (see the module docstring).  An integrand that nests integrate_rows
+    must not be rowwise.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -131,10 +164,20 @@ def integrate_rows(f, lo, hi):
     if not span.any():
         return np.zeros(span.shape)
 
-    def rows(t, w):
-        return span * (np.asarray(f(lo[..., None] + span[..., None] * t)) @ w)
+    def rows(t, w, block=slice(None)):
+        lo_b, span_b = (lo[block], span[block]) if span.ndim else (lo, span)
+        z = lo_b[..., None] + span_b[..., None] * t
+        return span_b * (np.asarray(f(z, block) if rowwise else f(z)) @ w)
 
-    return _doubling((rows(*_gl_nodes(n)) for n in _orders()),
+    def level(t, w):
+        n = len(span) if span.ndim else 1
+        step = _block_rows(span.shape, len(t)) if rowwise and span.ndim else n
+        if step >= n:
+            return rows(t, w)
+        return np.concatenate([rows(t, w, slice(i, i + step)) for i in range(0, n, step)],
+                              axis=-span.ndim)
+
+    return _doubling((level(*_gl_nodes(n)) for n in _orders()),
                      lambda: "row-wise quadrature did not converge")
 
 
@@ -199,16 +242,18 @@ class ExitContext:
         density; the integral is _B[k] up(x) minus int_a^x W(x-z)
         exp(-mu_k z) dz.  x must be an array of at least one dimension.
         The below-x integral has one row per x, on (a, max(x, a)): its
-        integrand maps nodes of shape x.shape + (m,) to W(x - z), evaluated
-        once per node, times exp(-mu_k z), of shape (k,) + x.shape + (m,).
+        integrand maps nodes of shape x.shape + (m,) (or a row block's) to
+        W(x - z), evaluated once per node, times exp(-mu_k z), of shape
+        (k,) + x.shape + (m,); it nests no quadrature, so it runs in row blocks.
         When every x <= a it is a zero array of shape x.shape, which
         broadcasts against the (k,) + x.shape exit term.
         """
         x = np.asarray(x, dtype=float)
         shape = (-1,) + (1,) * x.ndim
         mus = self._mus.reshape(shape + (1,))
-        below = integrate_rows(lambda z: self.scale.W(x[..., None] - z) * np.exp(-mus * z),
-                               self.a, np.maximum(x, self.a))
+        below = integrate_rows(lambda z, rows: self.scale.W(x[rows, ..., None] - z)
+                               * np.exp(-mus * z),
+                               self.a, np.maximum(x, self.a), rowwise=True)
         return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
 
 

@@ -61,7 +61,8 @@ def test_simulate_jobs_invariant_bytes(tmp_path):
 
 
 def test_solve_two_passes_tol(tmp_path, monkeypatch):
-    # stub optimizers: only the tolerance handed to type two is under test
+    # stub optimizers: only the tolerance handed to type two is under test;
+    # type two runs its own type-one search, so the type-one stage never runs
     band = BandTwo(2.468, 3.114, 4.610, 7.660)
     surface = SimpleNamespace(H0=1.0, S0=2.0, K0=3.0, V0=6.0)
     seen = {}
@@ -69,11 +70,10 @@ def test_solve_two_passes_tol(tmp_path, monkeypatch):
     report = SimpleNamespace(failures=[])
 
     def type_one(model, tol=None):
-        seen["one"] = tol
-        return OptimizationResult("one", band.lower(), surface.V0, surface, True, report)
+        raise AssertionError("solve --strategy two ran the verified type-one stage")
 
-    def type_two(model, base, tol=None):
-        seen["two"] = tol
+    def type_two(model, base=None, tol=None):
+        seen["two"] = (base, tol)
         return OptimizationResult("two", band, surface.V0, surface, True, report)
 
     monkeypatch.setattr(cli, "optimize_type_one", type_one)
@@ -81,8 +81,27 @@ def test_solve_two_passes_tol(tmp_path, monkeypatch):
     out = tmp_path / "s.json"
     assert main(["solve", str(CONFIGS / "ex3.json"), "--strategy", "two", "--tol", "0.123",
                  "--output", str(out)]) == 0
-    assert seen == {"one": 0.123, "two": 0.123}
+    assert seen == {"two": (None, 0.123)}
     assert json.loads(out.read_text())["strategy_kind"] == "two"
+
+
+def test_solve_two_verifies_only_type_two_bands(tmp_path, monkeypatch):
+    # the type-one search that supplies (y2, y3, y1) is not verified: escalate
+    # needs that verdict to decide whether type two runs, solve --strategy two not
+    bands = []
+    real_verify = optimize.verify_strategy
+
+    def verify(model, surface, tol):
+        bands.append(surface.band)
+        return real_verify(model, surface, tol=tol)
+
+    monkeypatch.setattr(optimize, "verify_strategy", verify)
+    out = tmp_path / "s.json"
+    assert main(["solve", str(CONFIGS / "ex3.json"), "--strategy", "two",
+                 "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["strategy_kind"] == "two" and rep["verified"] is True
+    assert bands == [BandTwo(**rep["thresholds"])]
 
 
 def test_verify_subcommand(tmp_path):

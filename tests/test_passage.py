@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandctl import BandOne, build_scale
+from bandctl import BandOne, build_scale, passage
 from bandctl.cost_one import TypeOneAssembly
 from bandctl.errors import OutOfBand, QuadratureNotConverged
 from bandctl.model import ModelConfig
@@ -133,6 +133,30 @@ def test_resolvent_transform_equals_the_per_component_rows_bitwise(make, a):
         assert ref.shape == (len(m.demand.rates),) + xs.shape
         for got in (ctx.resolvent_transform(xs), ctx.resolvent_transform(xs, ctx.up(xs))):
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("make, a", [(make_ex3, 2.468), (make_ex1_hyper, 1.0)],
+                         ids=["ex3", "ex1-hyper"])
+def test_resolvent_transform_in_row_blocks_equals_one_call_bitwise(make, a, monkeypatch):
+    # each input spans several row blocks at the first level: 1-D rows (some
+    # at or below a), a trailing row axis, and two trailing row axes; the
+    # reference has the block cover every row, so each level is one call
+    m = make()
+    ctx = ExitContext(build_scale(m, 2), a=a, d=m.b)
+    rng = np.random.default_rng(18)
+    inputs = [np.concatenate([[0.0, a], np.linspace(0.0, m.b, 1235)]),
+              rng.uniform(0.0, m.b, (600, 9)), rng.uniform(0.0, m.b, (3, 200, 48))]
+    blocked = []
+    for xs in inputs:
+        assert passage._block_rows(xs.shape, passage.GL_START) < len(xs)
+        blocked.append((ctx.resolvent_transform(xs), ctx.resolvent_transform(xs, ctx.up(xs))))
+    monkeypatch.setattr(passage, "_BLOCK_VALUES", 1 << 62)
+    for xs, got in zip(inputs, blocked):
+        assert passage._block_rows(xs.shape, passage.GL_START) >= len(xs)
+        ref = ctx.resolvent_transform(xs)
+        assert ref.shape == (len(m.demand.rates),) + xs.shape
+        for g in got:
+            assert np.array_equal(g, ref)
 
 
 def test_resolvent_transform_below_the_band_is_the_exit_term():
@@ -311,6 +335,27 @@ def test_integrate_rows_calls_its_integrand_once_per_level():
     counts = []
     integrate_rows(_counting(np.exp, counts), 0.0, np.array([1.0, 2.0]))
     assert counts == [16, 32]
+
+
+def test_integrate_rows_calls_a_rowwise_integrand_on_row_blocks():
+    # 3,000 rows: 1,024-row blocks at 16 nodes and 512-row blocks at 32, each
+    # call told its rows; the estimate is the one call's, bit for bit
+    hi = np.linspace(0.1, 2.0, 3000)
+    calls = []
+
+    def f(z, rows):
+        calls.append((rows, z.shape))
+        return np.exp(z)
+
+    got = integrate_rows(f, 0.0, hi, rowwise=True)
+    assert calls[:3] == [(slice(0, 1024), (1024, 16)), (slice(1024, 2048), (1024, 16)),
+                         (slice(2048, 3072), (952, 16))]
+    assert [shape for _, shape in calls[3:]] == [(512, 32)] * 5 + [(440, 32)]
+    assert np.array_equal(got, integrate_rows(np.exp, 0.0, hi))
+    # rows that fit one block: one call per level on every row
+    calls.clear()
+    integrate_rows(f, 0.0, hi[:100], rowwise=True)
+    assert calls == [(slice(None), (100, 16)), (slice(None), (100, 32))]
 
 
 def _integrate_per_level(f, a, b, breakpoints=()):

@@ -1,12 +1,22 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, total_cost, total_cost_two
+from bandctl import BandOne, BandTwo, passage, total_cost, total_cost_two
 from bandctl.errors import ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from bandctl.verify import (level_b_value, operator_L, operator_L0, sorted_unique,
                             verify_strategy)
-from .conftest import make_ex1, make_ex2, make_ex3
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
+
+MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
+with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+          / "crosscheck-inputs.json") as fh:
+    # the four cross-check base policies: (config, thresholds)
+    BASE_POLICIES = [(p["config"], p["band"]) for p in json.load(fh)["policies"]]
 
 
 def test_operator_on_constant_function():
@@ -162,3 +172,42 @@ def test_sorted_unique_matches_np_unique_bitwise():
     for a in (base, np.concatenate([base, [0.0, -0.0, 1e-300]]), np.array([2.5]), np.array([])):
         ours, ref = sorted_unique(a), np.unique(a)
         assert ours.tobytes() == ref.tobytes() and ours.dtype == ref.dtype
+
+
+def _base_surface(config: str, thresholds):
+    model = MODELS[config]()
+    band = BandTwo(*thresholds) if len(thresholds) == 4 else BandOne(*thresholds)
+    return model, (total_cost_two if len(thresholds) == 4 else total_cost)(model, band)
+
+
+@pytest.mark.parametrize("config, thresholds", BASE_POLICIES,
+                         ids=[c for c, _ in BASE_POLICIES])
+def test_verify_in_row_blocks_equals_one_call_bitwise(config, thresholds, monkeypatch):
+    # the resolvent transforms nested in the demand convolutions run in row
+    # blocks; with the block covering every row each level is one call
+    model, surface = _base_surface(config, thresholds)
+    blocked = verify_strategy(model, surface)
+    monkeypatch.setattr(passage, "_BLOCK_VALUES", 1 << 62)
+    ref = verify_strategy(model, surface)
+    for name in ("residual_L1", "residual_L2", "switch_slack_12", "switch_slack_21", "grid"):
+        assert np.array_equal(getattr(blocked, name), getattr(ref, name)), name
+    for name in ("L0_residual", "boundary_1", "boundary_2", "scale", "failures"):
+        assert getattr(blocked, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("config, thresholds, limit_mib", [
+    ("ex1-hyper", (1.0, 1.5, 4.0), 12.0),
+    ("ex1", (0.0, 0.0, 3.3743305488598034), 6.0),  # the optimum, as escalate finds it
+], ids=["ex1-hyper", "ex1"])
+def test_verify_traced_peak_memory(config, thresholds, limit_mib):
+    # a nested resolvent transform in one call holds (k, ~15,000, nodes)
+    # arrays, 28.9 and 22.7 MiB here; in row blocks the peaks are 8.6 and 3.7
+    model, surface = _base_surface(config, thresholds)
+    verify_strategy(model, surface)  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        verify_strategy(model, surface)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib
