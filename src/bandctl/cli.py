@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -123,13 +124,6 @@ def _surface_for(model, band):
     return total_cost(model, band)
 
 
-def _band_dict(band) -> dict:
-    out = {"y2": band.y2, "y3": band.y3, "y1": band.y1}
-    if isinstance(band, BandTwo):
-        out["y4"] = band.y4
-    return out
-
-
 def _report_base(args, model, command: str) -> dict:
     return {
         "command": command,
@@ -168,7 +162,7 @@ def cmd_solve(args) -> int:
     rep = _report_base(args, model, "solve")
     rep.update(
         strategy_kind=result.strategy_kind,
-        thresholds=_band_dict(result.band),
+        thresholds=asdict(result.band),
         objective=result.objective,
         level_b=_surface_report(result.surface),
         verified=result.verified,
@@ -189,7 +183,7 @@ def cmd_evaluate(args) -> int:
     xs = np.linspace(0.0, model.b, args.grid, endpoint=False)
     rep = _report_base(args, model, "evaluate")
     rep.update(
-        thresholds=_band_dict(band),
+        thresholds=asdict(band),
         level_b=_surface_report(surface),
         objective=surface.V0,
         grid=list(xs),
@@ -208,7 +202,7 @@ def cmd_verify(args) -> int:
     report = verify_strategy(model, surface, tol=args.tol, grid_points=args.grid)
     rep = _report_base(args, model, "verify")
     rep.update(
-        thresholds=_band_dict(band),
+        thresholds=asdict(band),
         level_b=_surface_report(surface),
         verified=report.passed,
         tolerance=report.tol,
@@ -235,7 +229,7 @@ def cmd_simulate(args) -> int:
                         base_seed=args.seed, jobs=args.jobs)
     rep = _report_base(args, model, "simulate")
     rep.update(
-        thresholds=_band_dict(band),
+        thresholds=asdict(band),
         x0=args.x0,
         phase=args.phase,
         n_paths=est.n_paths,

@@ -18,13 +18,13 @@ that share (y2, y3) is assembled in one pass, with y1 along a band axis
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import FixedPointNotContractive, OutOfBand, ValidationError
 from .model import ModelConfig
-from .passage import ExitContext, Omega2, integrate
+from .passage import ExitContext, Omega2, _against_exp, integrate
 from .scale import ExpConvolution, build_scale
 
 _MIN_GAP = 1e-9
@@ -88,19 +88,6 @@ def _contractive(ok, value, message: str) -> None:
     if not ok.all():
         bad = np.asarray(value)[~ok].flat[0]
         raise FixedPointNotContractive(message.format(bad))
-
-
-def _against_exp(mus, fn, lo: float, hi: float, lead=()) -> np.ndarray:
-    """int_lo^hi fn(u) * exp(mu_k u) du for every demand rate mu_k in mus.
-
-    fn maps nodes of shape (m,) to values of shape (lead..., m); the result
-    has shape (lead..., k), and all rows share one quadrature.  An empty
-    segment gives zeros without calling fn.
-    """
-    if hi <= lo:
-        return np.zeros(tuple(lead) + mus.shape)
-    out = integrate(lambda u: np.asarray(fn(u))[..., None, :] * np.exp(mus[:, None] * u), lo, hi)
-    return np.asarray(out, dtype=float)
 
 
 class PhaseTwoContext:
@@ -363,12 +350,14 @@ def _assembly(model: ModelConfig, band: BandOne) -> TypeOneAssembly:
 
 @dataclass(frozen=True)
 class CostSurface:
-    """Piecewise cost surface per the switching-zone table.
+    """A band's piecewise cost surface; the switching-zone table is here (_zones).
 
-    branches maps each zone tag to a function x -> (H, S, K); inside the
-    switching zones K already includes the +K21 / +K12 lump.  V = H + S + K.
-    side=-1/+1 select the one-sided limit branch at a threshold (side=0
-    returns the table value).
+    On each zone the value is the (H, S, K) of one engine object, with the
+    zone's switching cost added to K: asm.costs of either phase (asm is the
+    type-one assembly, of the lower band for type two), or upper, phase 1's
+    costs on [y4, b] (TypeTwoOverlay.costs) for a type-two band.
+    V = H + S + K.  side=-1/+1 select the one-sided limit at a threshold
+    (side=0 returns the table value).
     """
 
     model: ModelConfig
@@ -377,93 +366,60 @@ class CostSurface:
     H0: float
     S0: float
     K0: float
-    branches: dict = field(repr=False)
-    thresholds: tuple = ()
+    thresholds: tuple
+    asm: TypeOneAssembly = field(repr=False)
+    upper: object = field(default=None, repr=False)
 
     @property
     def V0(self) -> float:
         return self.H0 + self.S0 + self.K0
 
-    def scalar(self, name: str) -> float:
-        return {"H": self.H0, "S": self.S0, "K": self.K0, "V": self.V0}[name]
+    def _zones(self, phase: int, x: np.ndarray, side: int) -> tuple:
+        """The switching-zone table: (costs, lump, mask) per zone of the phase.
 
-    def _tags(self, phase: int, x: np.ndarray, side: int):
-        y2, y1 = self.band.y2, self.band.y1
-        y4 = getattr(self.band, "y4", None)
+        On mask the value is costs(x) with lump added to K.  Phase 2 takes
+        phase 1's costs plus K21 on [0, y2] and its own above.  Phase 1 keeps
+        its own below y1 and takes phase 2's plus K12 on [y1, b], or on
+        [y1, y4] for a type-two band, whose overlay holds above y4.  At a
+        threshold side=-1/+1 pick the zone on its left/right, side=0 the
+        switching zone.
+        """
+        k, y2, y1 = self.model.switching, self.band.y2, self.band.y1
+        one, two = partial(self.asm.costs, 1), partial(self.asm.costs, 2)
         if phase == 2:
-            in_low = x <= y2 if side <= 0 else x < y2
-            yield "p1k", in_low
-            yield "p2", ~in_low
-            return
-        if side < 0:
-            low = x <= y1
-        else:
-            low = x < y1
-        if y4 is None:
-            yield "p1", low
-            yield "p2k", ~low
-            return
-        if side > 0:
-            up = x >= y4
-        else:
-            up = x > y4
-        yield "p1", low
-        yield "p2k", ~low & ~up
-        yield "up", up
+            low = x <= y2 if side <= 0 else x < y2
+            return (one, k.k21, low), (two, 0.0, ~low)
+        low = x <= y1 if side < 0 else x < y1
+        if self.upper is None:
+            return (one, 0.0, low), (two, k.k12, ~low)
+        up = x >= self.band.y4 if side > 0 else x > self.band.y4
+        return (one, 0.0, low), (two, k.k12, ~low & ~up), (self.upper, 0.0, up)
 
     def _evaluate(self, phase: int, x, side: int, names: str) -> tuple:
-        """The named components (of "VHSK") at x, from one evaluation of each branch."""
+        """The named components (of "VHSK") at x, from one evaluation per zone."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x_arr < self.model.l - 1e-12) or np.any(x_arr > self.model.b + 1e-12):
             raise OutOfBand("x outside [l, b]")
         out = np.empty((len(names),) + x_arr.shape)
-        for tag, mask in self._tags(phase, x_arr, side):
+        for costs, lump, mask in self._zones(phase, x_arr, side):
             if np.any(mask):
-                H, S, K = self.branches[tag](x_arr[mask])
+                H, S, K = costs(x_arr[mask])
+                K = K + lump
                 parts = {"H": H, "S": S, "K": K, "V": H + S + K}
                 for row, name in zip(out, names):
                     row[mask] = parts[name]
         return tuple(out[:, 0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out)
 
     def components(self, phase: int, x, side: int = 0) -> tuple:
-        """(V, H, S, K) at x, from one evaluation of each branch."""
+        """(V, H, S, K) at x, from one evaluation per zone."""
         return self._evaluate(phase, x, side, "VHSK")
-
-    def component(self, name: str, phase: int, x, side: int = 0):
-        return self.components(phase, x, side)["VHSK".index(name)]
 
     def V(self, phase: int, x, side: int = 0):
         return self._evaluate(phase, x, side, "V")[0]
 
 
-def _make_branches(asm: TypeOneAssembly) -> dict:
-    k = asm.model.switching
-
-    def switching_zone(phase: int, lump: float):
-        def costs(x):
-            H, S, K = asm.costs(phase, x)
-            return H, S, K + lump
-
-        return costs
-
-    return {
-        "p1": lambda x: asm.costs(1, x),
-        "p1k": switching_zone(1, k.k21),
-        "p2": lambda x: asm.costs(2, x),
-        "p2k": switching_zone(2, k.k12),
-    }
-
-
 def total_cost(model: ModelConfig, band: BandOne) -> CostSurface:
     """Assemble the full type-one surface (Doshi when y3 = y2)."""
     asm = _assembly(model, band.check(model.b))
-    return CostSurface(
-        model=model,
-        band=band,
-        kind="doshi" if band.is_doshi else "one",
-        H0=float(asm.H0),
-        S0=float(asm.S0),
-        K0=float(asm.K0),
-        branches=_make_branches(asm),
-        thresholds=(band.y2, band.y3, band.y1),
-    )
+    return CostSurface(model, band, "doshi" if band.is_doshi else "one", float(asm.H0),
+                       float(asm.S0), float(asm.K0), (band.y2, band.y3, band.y1), asm)

@@ -11,16 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost_one import (
-    BandTwo,
-    CostSurface,
-    TypeOneAssembly,
-    _against_exp,
-    _assembly,
-    _make_branches,
-)
+from .cost_one import BandTwo, CostSurface, TypeOneAssembly, _assembly
 from .model import ModelConfig
-from .passage import ExitContext
+from .passage import ExitContext, _against_exp
 
 
 class TypeTwoOverlay:
@@ -70,15 +63,6 @@ class TypeTwoOverlay:
 def total_cost_two(model: ModelConfig, band: BandTwo) -> CostSurface:
     """Full type-two surface: type-one everywhere except phase 1 above y4."""
     ov = TypeTwoOverlay(model, band)
-    branches = _make_branches(ov.asm)
-    branches["up"] = ov.costs
-    return CostSurface(
-        model=model,
-        band=band,
-        kind="two",
-        H0=float(ov.asm.H0),
-        S0=float(ov.asm.S0),
-        K0=float(ov.asm.K0),
-        branches=branches,
-        thresholds=(band.y2, band.y3, band.y1, band.y4),
-    )
+    asm = ov.asm
+    return CostSurface(model, band, "two", float(asm.H0), float(asm.S0), float(asm.K0),
+                       (band.y2, band.y3, band.y1, band.y4), asm, ov.costs)

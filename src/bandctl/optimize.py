@@ -10,10 +10,8 @@ evaluated per (y2, y3) group, the group's y1 values in one assembly
 sort is stable, so ties keep that order and the polish starts do not depend
 on the grouping.  The polish evaluates one band per call through total_cost.  Its starts are independent
 Nelder-Mead runs, spread over up to min(starts, usable CPUs) forked worker
-processes, where the usable CPUs are the process's affinity set (so
-`taskset -c 0` gives the serial run).  Where Python cannot fork them cleanly
-(no os.sched_getaffinity, as on macOS and Windows, or Python 3.12 and later)
-the starts run in the calling process.  Each start runs the same code on the
+processes, or run in the calling process where Python cannot fork them
+cleanly (see _workers).  Each start runs the same code on the
 same inputs in any process, so the result does not depend on that count.
 Its Nelder-Mead is a frozen port of scipy 1.17.1's (_nelder_mead), so the
 solve thresholds do not depend on which scipy version, if any, is installed.
@@ -27,13 +25,12 @@ verification as the final arbiter.
 from __future__ import annotations
 
 import logging
-import os
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
+from ._workers import fork_map
 from .cost_one import BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
 from .errors import NoFeasiblePoint
@@ -164,37 +161,13 @@ def _polish_start(model: ModelConfig, p0, doshi: bool) -> tuple[BandOne, float]:
     return band, total_cost(model, band).V0
 
 
-def _polish_workers(n_starts: int) -> int:
-    """Worker processes for the polish: one per start, up to the usable CPUs,
-    where workers can be forked, else 1 (the starts run in this process).
-    The usable CPUs are os.sched_getaffinity's, which macOS and Windows lack.
-    From Python 3.12, os.fork in a multi-threaded process (numpy's BLAS threads
-    make one) raises a DeprecationWarning, and a worker started any other way
-    imports the caller's main module afresh, so there the starts run here too."""
-    if sys.version_info >= (3, 12) or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_starts, len(os.sched_getaffinity(0)))
-
-
 def _polish(model: ModelConfig, starts, doshi: bool) -> tuple[BandOne, float]:
     """Best (band, V0) over the Nelder-Mead runs from starts; ties keep the
-    earlier start.  The runs are independent, so they share out over
-    _polish_workers forked processes, and the results come back in start
-    order whatever that count is."""
-    workers = _polish_workers(len(starts))
-    args = (repeat(model), starts, repeat(doshi))
-    if workers > 1:
-        # imported here, so that `import bandctl` does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-            results = list(pool.map(_polish_start, *args))
-    else:
-        results = map(_polish_start, *args)
+    earlier start.  The runs are independent, so they share out over forked
+    worker processes (_workers.fork_map), and the results come back in start
+    order whatever their count is."""
     best_band, best_val = None, np.inf
-    for band, val in results:
+    for band, val in fork_map(_polish_start, len(starts), repeat(model), starts, repeat(doshi)):
         if val < best_val:
             best_band, best_val = band, val
     return best_band, best_val

@@ -24,10 +24,9 @@ An integrand that nests no quadrature (rowwise=True; the resolvent
 transform's) is called per level on blocks of rows that hold about
 _BLOCK_VALUES node values, and the blocks' estimates are joined before the
 level's one convergence test, so every row gets the level it gets in one
-call, bit for bit.  Memory is then bounded by the block: the verifier's
-segment transforms evaluate V at about 15,000 nodes per level, and one call
-of the nested transform held (k, 15,000, nodes) arrays and W's exponent
-columns.  The nesting integrand itself is not blocked, since the nested
+call, bit for bit.  Memory is then bounded by the block, though the
+verifier's segment transforms evaluate V at about 15,000 nodes per level.
+The nesting integrand itself is not blocked, since the nested
 quadrature's node counts depend on which rows share its call.  Blocks run
 along the first row axis and keep trailing row axes whole, and 1-D blocks
 hold a multiple of 8 rows: matmul reduces the values with one BLAS gemv per
@@ -37,7 +36,9 @@ stack.
 The resolvent transform integrates W(x - z) exp(-mu_k z) over one row per
 x, not one per (demand component, x): its integrand evaluates W once per
 node and multiplies it by each component's exponential, as the verifier's
-segment transforms and cost_one._against_exp share theirs.
+segment transforms and _against_exp share theirs.  _against_exp is the
+demand transform of one segment, with rows that share one integrate call:
+the exit constant _B here and the cost modules' landing constants.
 """
 
 from __future__ import annotations
@@ -130,6 +131,19 @@ def integrate(f, a: float, b: float, breakpoints=()):
     return _doubling(estimates(), lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
 
 
+def _against_exp(mus, fn, lo: float, hi: float, lead=()) -> np.ndarray:
+    """int_lo^hi fn(u) * exp(mu_k u) du for every demand rate mu_k in mus.
+
+    fn maps nodes of shape (m,) to values of shape (lead..., m); the result
+    has shape (lead..., k), and all rows share one quadrature.  An empty
+    segment gives zeros without calling fn.
+    """
+    if hi <= lo:
+        return np.zeros(tuple(lead) + mus.shape)
+    out = integrate(lambda u: np.asarray(fn(u))[..., None, :] * np.exp(mus[:, None] * u), lo, hi)
+    return np.asarray(out, dtype=float)
+
+
 def _block_rows(shape: tuple, m: int) -> int:
     """Rows of the first row axis per rowwise integrand call at m nodes: about
     _BLOCK_VALUES node values, a multiple of 8 for 1-D rows (see the module
@@ -204,10 +218,7 @@ class ExitContext:
         self.Wbar_span = scale.Wbar(d - a)
         self._mus = np.asarray(scale.demand.rates, dtype=float)
         # _B[k] = int_a^d W(d-z) exp(-mu_k z) dz
-        self._B = np.asarray(
-            integrate(lambda z: scale.W(d - z) * np.exp(-self._mus[:, None] * z), a, d),
-            dtype=float,
-        )
+        self._B = _against_exp(-self._mus, lambda z: scale.W(d - z), a, d)
 
     def up(self, x):
         """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""

@@ -20,6 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._workers import fork_map, usable_workers
 from .errors import InvalidStart, ValidationError
 from .model import ModelConfig, upper_cost_bound
 
@@ -308,6 +309,8 @@ def estimate_cost(
 ) -> SimEstimate:
     """Mean and standard error over independent per-path seed streams.
 
+    jobs bounds the worker processes: up to jobs forked ones, one per
+    usable CPU, where the polish's rule (_workers.usable_workers) allows it.
     Paths run in chunks, of 25,000 in one process (faster than one large
     batch) or spread over the workers, but each path's draws depend only on
     (base_seed, path index, draw index), and the final reduction runs once
@@ -320,18 +323,12 @@ def estimate_cost(
     hold = np.empty(n_paths)
     short = np.empty(n_paths)
     switch = np.empty(n_paths)
-    chunk = 25_000 if jobs <= 1 else max(10_000, n_paths // (4 * jobs))
+    workers = usable_workers(jobs)
+    chunk = 25_000 if workers <= 1 else max(10_000, n_paths // (4 * workers))
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
-    args = (repeat(model), repeat(strategy), repeat(x0), repeat(phase0), repeat(base_seed), spans)
-    if jobs > 1 and len(spans) > 1:
-        # imported here, so that `import bandctl` does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker_paths, *args))
-    else:
-        results = map(_worker_paths, *args)
+    results = fork_map(_worker_paths, min(workers, len(spans)), repeat(model),
+                       repeat(strategy), repeat(x0), repeat(phase0), repeat(base_seed), spans)
     for (lo, hi), (h, s, w) in results:
         hold[lo:hi], short[lo:hi], switch[lo:hi] = h, s, w
 

@@ -1,3 +1,5 @@
+from concurrent import futures
+
 import pytest
 
 from bandctl import (
@@ -103,3 +105,16 @@ def assert_within_se(analytic: float, est_mean: float, est_se: float, slack: flo
         f"{label}: analytic {analytic:.6f} vs MC {est_mean:.6f} "
         f"(gap {gap:.6f} > {n_se} SE + truncation = {budget:.6f})"
     )
+
+
+def record_pools(monkeypatch) -> list:
+    """Record (max_workers, start method) of each process pool made from now on."""
+    pools = []
+    real_pool = futures.ProcessPoolExecutor
+
+    def pool(max_workers, mp_context):
+        pools.append((max_workers, mp_context.get_start_method()))
+        return real_pool(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
+    return pools

@@ -230,8 +230,8 @@ def test_criterion_04_oracle_equivalence(solve_cached, ex1, ex2, ex3):
                     ("S", est.shortage.mean, est.shortage.std_error),
                     ("K", est.switching.mean, est.switching.std_error),
                 ]
-                for comp, mean, se in pairs:
-                    ana = float(surf.component(comp, phase, float(x0)))
+                values = map(float, surf.components(phase, float(x0)))  # V, H, S, K
+                for (comp, mean, se), ana in zip(pairs, values):
                     assert_within_se(ana, mean, se, slack,
                                      label=f"{name} {comp}{phase}({x0:.2f})")
                     if se > 0:
@@ -276,13 +276,13 @@ def test_criterion_06_remark_invariants(ex1):
     hi = np.linspace(band.y1, ex1.b - 1e-9, 25)
     assert np.max(np.abs(surf.V(2, hi) - surf.V(1, hi) + k.k12)) < 1e-8
     assert abs(surf.V(2, ex1.b, side=-1) - surf.V0 - k.k20) < 1e-8
-    for name, tol in (("H", 1e-6), ("S", 1e-6)):
-        left2 = surf.component(name, 2, ex1.b, side=-1)
-        left1 = surf.component(name, 1, ex1.b, side=-1)
-        assert abs(left2 - surf.scalar(name)) < tol
-        assert abs(left1 - surf.scalar(name)) < tol
-    h_jump = surf.component("H", 2, band.y2, side=+1) - surf.component("H", 2, band.y2, side=-1)
-    s_jump = surf.component("S", 2, band.y2, side=+1) - surf.component("S", 2, band.y2, side=-1)
+    for i, level, tol in ((1, surf.H0, 1e-6), (2, surf.S0, 1e-6)):  # H, S
+        left2 = surf.components(2, ex1.b, side=-1)[i]
+        left1 = surf.components(1, ex1.b, side=-1)[i]
+        assert abs(left2 - level) < tol
+        assert abs(left1 - level) < tol
+    h_jump = surf.components(2, band.y2, side=+1)[1] - surf.components(2, band.y2, side=-1)[1]
+    s_jump = surf.components(2, band.y2, side=+1)[2] - surf.components(2, band.y2, side=-1)[2]
     assert h_jump < 0, "holding must jump downward entering the keep-slow zone"
     assert s_jump > 0, "shortage must jump upward entering the keep-slow zone"
     _line("6", True, f"switch-gap, capacity-continuity and jump-sign checks on the "

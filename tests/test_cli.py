@@ -175,8 +175,9 @@ def test_invalid_config_exit_code(tmp_path):
     ("lambda", "NaN", "lam must be finite"),
     ("h0_b", "NaN", "h0_b must be finite"),
     ("b", "Infinity", "b must be finite"),
+    ("demand", '{"kind": "gamma", "rate": 1.0}', "unknown demand kind 'gamma'"),
 ], ids=["b-string", "switching-null", "switching-short", "demand-list", "q-nan",
-        "lambda-nan", "h0_b-nan", "b-inf"])
+        "lambda-nan", "h0_b-nan", "b-inf", "demand-unknown-kind"])
 def test_malformed_config_exits_two(tmp_path, capsys, field, value, message):
     cfg = json.loads((CONFIGS / "ex3.json").read_text())
     text = json.dumps(cfg).replace(f'"{field}": {json.dumps(cfg[field])}', f'"{field}": {value}')

@@ -1,16 +1,17 @@
 import math
 import os
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from bandctl import BandOne, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
+from bandctl import BandOne, BandTwo, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
 from bandctl import cost_one, optimize, passage, scale
-from bandctl.cost_one import (TypeOneAssembly, _against_exp, _contractive, lattice_V0,
-                              phase_two_context)
-from bandctl.passage import ExitContext
-from bandctl.errors import FixedPointNotContractive, QuadratureNotConverged, ValidationError
+from bandctl.cost_one import TypeOneAssembly, _contractive, lattice_V0, phase_two_context
+from bandctl.passage import ExitContext, _against_exp
+from bandctl.errors import (FixedPointNotContractive, OutOfBand, QuadratureNotConverged,
+                            ValidationError)
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix, validate
 from ._oracles import MpScale, mc_reflected, mc_two_sided
 from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex2, make_ex3
@@ -189,14 +190,29 @@ def test_switching_identity_at_y1():
     )
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BandTwo(2.0, 3.0, 3.0 + 5e-10, 6.0).check(10.0), ValidationError,
+     "thresholds must be separated by at least 1e-9"),
+    (lambda: BandTwo(2.0, 3.0, 5.0, 5.0 + 5e-10).check(10.0), ValidationError,
+     "thresholds must be separated by at least 1e-9"),
+    (lambda: total_cost(make_ex1(), EX1_BAND).V(1, -1e-6), OutOfBand, "x outside [l, b]"),
+    (lambda: total_cost(make_ex1(), EX1_BAND).components(2, [5.0, 10.0 + 1e-6]), OutOfBand,
+     "x outside [l, b]"),
+], ids=["band-two-y1-y3", "band-two-y4-y1", "surface-below-l", "surface-above-b"])
+def test_typed_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is error
+
+
 def test_switching_capacity_gaps():
     m = make_ex1()
     surf = total_cost(m, EX1_BAND)
     b = m.b
-    assert surf.component("K", 2, b, side=-1) - surf.K0 == pytest.approx(
+    assert surf.components(2, b, side=-1)[3] - surf.K0 == pytest.approx(
         m.switching.k20, abs=1e-10
     )
-    assert surf.component("K", 1, b, side=-1) - surf.K0 == pytest.approx(
+    assert surf.components(1, b, side=-1)[3] - surf.K0 == pytest.approx(
         m.switching.k12 + m.switching.k20, abs=1e-10
     )
 
@@ -218,8 +234,8 @@ def test_jump_directions_at_y2():
     m = make_ex1()
     surf = total_cost(m, EX1_BAND)
     y2 = EX1_BAND.y2
-    assert surf.component("H", 2, y2, side=-1) > surf.component("H", 2, y2, side=+1)
-    assert surf.component("S", 2, y2, side=-1) < surf.component("S", 2, y2, side=+1)
+    assert surf.components(2, y2, side=-1)[1] > surf.components(2, y2, side=+1)[1]
+    assert surf.components(2, y2, side=-1)[2] < surf.components(2, y2, side=+1)[2]
 
 
 def test_surface_bounded():
@@ -232,9 +248,9 @@ def test_surface_bounded():
             vals = surf.V(phase, xs)
             assert np.all(vals >= 0)
             assert np.all(vals <= bound)
-        for name in ("H", "S", "K"):
-            assert np.all(surf.component(name, 1, xs) >= -1e-12)
-            assert np.all(surf.component(name, 2, xs) >= -1e-12)
+        for phase in (1, 2):
+            _, H, S, K = surf.components(phase, xs)
+            assert np.all(np.stack([H, S, K]) >= -1e-12)
 
 
 def test_totals_match_simulator_spot():
@@ -246,8 +262,10 @@ def test_totals_match_simulator_spot():
         est = estimate_cost(m, strat, x0, phase, 100_000, base_seed=seed, jobs=2)
         assert_within_se(float(surf.V(phase, x0)), est.mean, est.std_error, slack,
                          label=f"V{phase}({x0})")
-        for name, comp in (("H", est.holding), ("S", est.shortage), ("K", est.switching)):
-            assert_within_se(float(surf.component(name, phase, x0)), comp.mean,
+        _, H, S, K = surf.components(phase, x0)
+        for name, val, comp in (("H", H, est.holding), ("S", S, est.shortage),
+                                ("K", K, est.switching)):
+            assert_within_se(float(val), comp.mean,
                              comp.std_error, slack, label=f"{name}{phase}({x0})")
 
 

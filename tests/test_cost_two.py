@@ -95,7 +95,7 @@ def test_v0_invariant_in_y4():
 def test_capacity_switch_gap_is_k10():
     m = make_ex3()
     surf = total_cost_two(m, EX3_BAND)
-    assert surf.component("K", 1, m.b, side=-1) - surf.K0 == pytest.approx(
+    assert surf.components(1, m.b, side=-1)[3] - surf.K0 == pytest.approx(
         m.switching.k10, abs=1e-9
     )
     # in return, V1 at b- ends K10 above the idle value
@@ -110,7 +110,7 @@ def test_downward_jump_at_y4():
     m = make_ex3()
     surf = total_cost_two(m, EX3_BAND)
     y4 = EX3_BAND.y4
-    k_jump = surf.component("K", 1, y4, side=+1) - surf.component("K", 1, y4, side=-1)
+    k_jump = surf.components(1, y4, side=+1)[3] - surf.components(1, y4, side=-1)[3]
     v_jump = surf.V(1, y4, side=+1) - surf.V(1, y4, side=-1)
     assert k_jump < -1e-4
     assert abs(v_jump) < 0.05 * abs(k_jump)
@@ -133,8 +133,10 @@ def test_upper_values_match_simulator():
     est = estimate_cost(m, strat, 9.0, 1, 100_000, base_seed=29, jobs=2)
     slack = 1e-4 * upper_cost_bound(m)
     assert_within_se(float(surf.V(1, 9.0)), est.mean, est.std_error, slack, label="V1(9)")
-    for name, comp in (("H", est.holding), ("S", est.shortage), ("K", est.switching)):
-        assert_within_se(float(surf.component(name, 1, 9.0)), comp.mean, comp.std_error,
+    _, H, S, K = surf.components(1, 9.0)
+    for name, val, comp in (("H", H, est.holding), ("S", S, est.shortage),
+                            ("K", K, est.switching)):
+        assert_within_se(float(val), comp.mean, comp.std_error,
                          slack, label=f"{name}bar(9)")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,31 @@ def test_validate_negative_cost():
     bad = ModelConfig(**{**m.__dict__, "penalty": PenaltyCost(-0.1, 0.4)})
     with pytest.raises(NegativeCost):
         validate(bad)
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"demand": DemandLaw((), ())}, ValidationError,
+     "demand mixture needs matching, nonempty weights and rates"),
+    ({"demand": DemandLaw((1.0,), (1.0, 2.0))}, ValidationError,
+     "demand mixture needs matching, nonempty weights and rates"),
+    ({"demand": DemandLaw((0.0, 1.0), (1.0, 2.0))}, ValidationError,
+     "demand mixture weights must be strictly positive"),
+    ({"h2": HoldingCost(0.021, -0.001)}, NegativeCost, "h2: holding coefficients must be >= 0"),
+    ({"switching": SwitchMatrix(k01=4.0, k02=2.0, k10=4.0, k12=1.0, k20=-2.0, k21=2.0)},
+     NegativeCost, "switching costs must be >= 0"),
+    ({"lam": 0.0}, ValidationError, "demand arrival rate must be > 0"),
+    ({"q": -0.1}, ValidationError, "discount rate must be > 0"),
+    ({"b": 0.0}, ValidationError, "capacity b must be > 0"),
+    ({"l": 0.5}, ValidationError, "backlog floor l must be <= 0"),
+    ({"h0_b": -0.011}, NegativeCost, "h0_b must be >= 0"),
+], ids=["empty-mixture", "mismatched-mixture", "zero-weight", "negative-holding",
+        "negative-switching", "lambda-zero", "q-negative", "b-zero", "l-positive",
+        "h0_b-negative"])
+def test_validate_names_the_violated_invariant(change, error, message):
+    bad = ModelConfig(**{**make_ex1().__dict__, **change})
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        validate(bad)
+    assert exc.type is error
 
 
 def test_backlog_flagging():

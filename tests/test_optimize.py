@@ -1,7 +1,6 @@
 import logging
 import os
 import sys
-from concurrent import futures
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from bandctl import (
     total_cost,
     upper_cost_bound,
 )
+from bandctl._workers import usable_workers
 from bandctl.cli import EXIT_NUMERIC, main
 from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint, ValidationError
 from bandctl.optimize import (
@@ -26,11 +26,10 @@ from bandctl.optimize import (
     _lattice,
     _nelder_mead,
     _polish,
-    _polish_workers,
     _project_one,
 )
 from bandctl.verify import VerificationReport
-from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3, record_pools
 
 MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -164,19 +163,6 @@ def _polish_starts(stage, model) -> list:
     return seen[0]
 
 
-def _record_pools(monkeypatch) -> list:
-    """Record (max_workers, start method) of each process pool made from now on."""
-    pools = []
-    real_pool = futures.ProcessPoolExecutor
-
-    def pool(max_workers, mp_context):
-        pools.append((max_workers, mp_context.get_start_method()))
-        return real_pool(max_workers, mp_context=mp_context)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
-    return pools
-
-
 def _one_cpu(monkeypatch):
     """Make the polish see one usable CPU, so it runs its starts in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -190,9 +176,9 @@ def test_polish_in_workers_equals_serial_bitwise(name, stage, doshi, monkeypatch
     if doshi:
         # ex1's lattice winner has y2 = 0: the zero-coordinate initial simplex
         assert starts[0][0] == 0.0
-    pools = _record_pools(monkeypatch)
+    pools = record_pools(monkeypatch)
     parallel = _polish(model, starts, doshi)
-    workers = _polish_workers(len(starts))
+    workers = usable_workers(len(starts))
     made = [(workers, "fork")] if workers > 1 else []
     assert pools == made
     _one_cpu(monkeypatch)
@@ -206,9 +192,9 @@ def test_polish_without_sched_getaffinity_runs_serially(monkeypatch):
     model = make_ex1()
     starts = _polish_starts(optimize_doshi, model)
     default = _polish(model, starts, True)
-    pools = _record_pools(monkeypatch)
+    pools = record_pools(monkeypatch)
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _polish_workers(len(starts)) == 1
+    assert usable_workers(len(starts)) == 1
     assert repr(_polish(model, starts, True)) == repr(default)
     assert pools == []
 
@@ -216,9 +202,9 @@ def test_polish_without_sched_getaffinity_runs_serially(monkeypatch):
 def test_polish_forks_no_workers_from_python_3_12(monkeypatch):
     # there os.fork warns in a multi-threaded process, and numpy's BLAS threads make one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert _polish_workers(5) == 4
+    assert usable_workers(5) == 4
     monkeypatch.setattr(sys, "version_info", (3, 12, 0))
-    assert _polish_workers(5) == 1
+    assert usable_workers(5) == 1
 
 
 @pytest.mark.parametrize("cpus", ["default", "one"])

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,6 +25,19 @@ from .conftest import make_ex1, make_ex1_hyper, make_ex3
 def ex3_ctx():
     m = make_ex3()
     return m, ExitContext(build_scale(m, 2), a=2.468, d=10.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s1, s2: ExitContext(s2, 10.0, 10.0), "need a < d, got [10.0, 10.0]"),
+    (lambda s1, s2: ExitContext(s2, 5.0, 2.0), "need a < d, got [5.0, 2.0]"),
+    (lambda s1, s2: Omega2(s1, ExitContext(s2, -0.5, 10.0)),
+     "need 0 <= y2 < b, got y2=-0.5, b=10.0"),
+], ids=["exit-empty", "exit-reversed", "omega2-negative-y2"])
+def test_out_of_band_construction(build, message):
+    m = make_ex3()
+    with pytest.raises(OutOfBand, match=f"^{re.escape(message)}$") as exc:
+        build(build_scale(m, 1), build_scale(m, 2))
+    assert exc.type is OutOfBand
 
 
 def test_up_crossing_endpoints(ex3_ctx):

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,12 @@ from bandctl import (
     upper_cost_bound,
     validate,
 )
+from bandctl._workers import usable_workers
 from bandctl.errors import InvalidStart, ValidationError
 from bandctl.model import HoldingCost, PenaltyCost, SwitchMatrix
 from bandctl.simulate import TRUNCATION_FRACTION, _path_keys, _run_paths, truncation_horizon
 from ._oracles import estimate_occupation
-from .conftest import make_ex1, make_ex3
+from .conftest import make_ex1, make_ex3, record_pools
 
 EX1 = make_ex1()
 BACKLOG = validate(ModelConfig(**{**EX1.__dict__, "l": -2.0}), allow_backlog=True)
@@ -139,6 +143,23 @@ def test_estimate_pool_matches_one_process(ex1_strategy):
     e1 = estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=1)
     e2 = estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=2)
     assert e1 == e2
+
+
+@pytest.mark.parametrize("host", ["two-cpus", "python-3.12", "no-sched-getaffinity"])
+def test_estimate_forks_workers_where_the_polish_does(host, ex1_strategy, monkeypatch):
+    # jobs bounds the workers; they are forked under the polish's rule, so
+    # never from Python 3.12 or where os.sched_getaffinity is missing
+    m, band, strat = ex1_strategy
+    serial = estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=1)
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if host == "python-3.12":
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    elif host == "no-sched-getaffinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    made = [(2, "fork")] if host == "two-cpus" and usable_workers(3) > 1 else []
+    assert estimate_cost(m, strat, 5.0, 1, 26_000, base_seed=13, jobs=3) == serial
+    assert pools == made
 
 
 def test_components_sum_to_total(ex1_strategy):

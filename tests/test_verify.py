@@ -107,6 +107,18 @@ def test_verify_example3_type_one_fails_type_two_passes():
     assert rep2.passed, rep2.summary()
 
 
+@pytest.mark.parametrize("y3, fails", [(4.5, True), (3.114, False)])
+def test_verify_reports_a_restart_selection_that_is_not_optimal(y3, fails):
+    # past the crossover y3 = 3.114 a restart into phase 1 costs more than one
+    # into phase 2 (L0 residual -2.29e-4 against tol x scale = 1.14e-4); at it,
+    # the two restarts cost the same
+    m = make_ex3()
+    rep = verify_strategy(m, total_cost(m, BandOne(2.468, y3, 4.61)), tol=1e-5)
+    message = f"L0 residual {rep.L0_residual:.6g} (restart selection not optimal)"
+    assert [f for f in rep.failures if f.startswith("L0 residual")] == ([message] if fails else [])
+    assert (abs(rep.L0_residual) > rep.tol * rep.scale) == fails
+
+
 def test_verdict_deterministic():
     m = make_ex3()
     surf = total_cost_two(m, BandTwo(2.468, 3.114, 4.610, 7.660))
