@@ -212,8 +212,8 @@ def cmd_verify(args) -> int:
         boundary_2=report.boundary_2,
         max_abs_residual_L1=float(np.max(np.abs(report.residual_L1))),
         max_abs_residual_L2=float(np.max(np.abs(report.residual_L2))),
-        min_hjb_1=float(np.min(np.minimum(report.residual_L1, report.switch_slack_12))),
-        min_hjb_2=float(np.min(np.minimum(report.residual_L2, report.switch_slack_21))),
+        min_hjb_1=float(np.min(report.hjb(1))),
+        min_hjb_2=float(np.min(report.hjb(2))),
         failures=list(report.failures),
     )
     _emit(rep, args.output, t0)

@@ -27,7 +27,7 @@ from .model import ModelConfig
 from .passage import ExitContext, Omega2, _against_exp, integrate
 from .scale import ExpConvolution, build_scale
 
-_MIN_GAP = 1e-9
+_MIN_GAP = 1e-9  # strict-ordering gap between thresholds, here and in the optimizer
 
 
 @dataclass(frozen=True)
@@ -398,8 +398,8 @@ class CostSurface:
     def _evaluate(self, phase: int, x, side: int, names: str) -> tuple:
         """The named components (of "VHSK") at x, from one evaluation per zone."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x_arr < self.model.l - 1e-12) or np.any(x_arr > self.model.b + 1e-12):
-            raise OutOfBand("x outside [l, b]")
+        if not np.all((x_arr >= self.model.l - 1e-12) & (x_arr <= self.model.b + 1e-12)):
+            raise OutOfBand("x outside [l, b]")  # NaN too, which fails both comparisons
         out = np.empty((len(names),) + x_arr.shape)
         for costs, lump, mask in self._zones(phase, x_arr, side):
             if np.any(mask):

@@ -31,13 +31,12 @@ from itertools import repeat
 import numpy as np
 
 from ._workers import fork_map
-from .cost_one import BandOne, BandTwo, CostSurface, lattice_V0, total_cost
+from .cost_one import _MIN_GAP, BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
 from .errors import NoFeasiblePoint
 from .model import ModelConfig
 from .verify import DEFAULT_TOL, VerificationReport, check_settings, verify_strategy
 
-_GAP = 1e-9          # strict-ordering gap between thresholds
 _EDGE = 1e-6         # keep y1 (and y4) strictly below b
 _RESTARTS = 4
 _SEED = 20240801
@@ -57,12 +56,12 @@ class OptimizationResult:
 
 def _project_one(p, b: float, doshi: bool) -> BandOne:
     if doshi:
-        y2 = float(np.clip(p[0], 0.0, b - _EDGE - _GAP))
-        y1 = float(np.clip(p[1], y2 + _GAP, b - _EDGE))
+        y2 = float(np.clip(p[0], 0.0, b - _EDGE - _MIN_GAP))
+        y1 = float(np.clip(p[1], y2 + _MIN_GAP, b - _EDGE))
         return BandOne(y2, y2, y1)
-    y2 = float(np.clip(p[0], 0.0, b - _EDGE - 2 * _GAP))
-    y3 = float(np.clip(p[1], y2, b - _EDGE - _GAP))
-    y1 = float(np.clip(p[2], y3 + _GAP, b - _EDGE))
+    y2 = float(np.clip(p[0], 0.0, b - _EDGE - 2 * _MIN_GAP))
+    y3 = float(np.clip(p[1], y2, b - _EDGE - _MIN_GAP))
+    y1 = float(np.clip(p[2], y3 + _MIN_GAP, b - _EDGE))
     return BandOne(y2, y3, y1)
 
 
@@ -281,9 +280,7 @@ def optimize_type_two(
         for cand in np.linspace(lo, hi, 21):
             s = total_cost_two(model, BandTwo(y2, y3, y1, float(cand)))
             r = verify_strategy(model, s, tol=tol)
-            margin = float(
-                np.min(np.minimum(r.residual_L1, r.switch_slack_12))
-            )
+            margin = float(np.min(r.hjb(1)))
             if r.passed and margin > best[1]:
                 best = (float(cand), margin, (s, r))
         if best[0] is not None:

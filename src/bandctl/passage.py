@@ -97,36 +97,32 @@ def _doubling(estimates, failure):
     raise QuadratureNotConverged(failure())
 
 
-def integrate(f, a: float, b: float, breakpoints=()):
+def integrate(f, a: float, b: float):
     """Integrate a vectorized integrand over [a, b], a < b, under the doubling policy.
 
     f maps a node array of shape (m,) to values of shape (..., m); the result
-    has shape (...).  breakpoints inside (a, b) split the composite rule.
-    The first two levels share one call of f per segment.
+    has shape (...).  f must be smooth inside (a, b): callers split at kinks.
+    The first two levels share one call of f.
     """
-    cuts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
 
-    def composite(t, columns):
-        """One call of f per segment on nodes t; one estimate per weight
-        column, each on a fresh C-ordered copy of its slice of the values,
-        reduced as np.tensordot(values, w, axes=([-1], [0])) reduces them."""
-        totals = [0.0] * len(columns)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            values = np.asarray(f(lo + (hi - lo) * t))
-            start = 0
-            for i, w in enumerate(columns):
-                n = len(w)
-                part = values[..., start:start + n].copy()
-                start += n
-                totals[i] = totals[i] + (hi - lo) * np.dot(
-                    part.reshape(-1, n), w).reshape(part.shape[:-1])
+    def level(t, columns):
+        """One call of f on nodes t; one estimate per weight column, each on a
+        fresh C-ordered copy of its slice of the values, reduced as
+        np.tensordot(values, w, axes=([-1], [0])) reduces them."""
+        values = np.asarray(f(a + (b - a) * t))
+        totals, start = [], 0
+        for w in columns:
+            n = len(w)
+            part = values[..., start:start + n].copy()
+            start += n
+            totals.append((b - a) * np.dot(part.reshape(-1, n), w).reshape(part.shape[:-1]))
         return totals
 
     def estimates():
-        yield from composite(*_gl_first_two())
+        yield from level(*_gl_first_two())
         for n in _orders(4 * GL_START):
             t, w = _gl_nodes(n)
-            yield from composite(t, (w.reshape(-1, 1),))
+            yield from level(t, (w.reshape(-1, 1),))
 
     return _doubling(estimates(), lambda: f"integrate on [{a}, {b}] did not reach {GL_REL_TOL}")
 

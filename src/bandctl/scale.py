@@ -24,6 +24,7 @@ from .model import DemandLaw, ModelConfig, laplace_exponent
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
+_NEAR_RATES = 1e-2  # relative gap under which a root failure names two demand rates
 _FILL_MIN = 256  # ScaleSet._exp_sum fills columns from this many entries on
 
 
@@ -142,19 +143,39 @@ class ExpConvolution:
         return out if out.shape else float(out)
 
 
+def _near_rates(mus: np.ndarray) -> str:
+    """'demand rates a and b nearly coincide: ' for the closest two rates when
+    they are within _NEAR_RATES of each other (relative), else ''."""
+    r = np.sort(mus)
+    gaps = np.diff(r) / r[1:]
+    if not gaps.size or gaps.min() > _NEAR_RATES:
+        return ""
+    i = int(np.argmin(gaps))
+    return f"demand rates {float(r[i])!r} and {float(r[i + 1])!r} nearly coincide: "
+
+
 @lru_cache(maxsize=64)
 def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     """Solve phi(theta) = q exactly via its polynomial form.
 
-    Multiplying phi(theta) - q by prod_k (mu_k + theta) gives a degree-(k+1)
-    polynomial whose roots are the exponents; they are real and distinct for
-    exponential mixtures.  Complex or (near-)repeated roots are rejected.
-    Cached per (model, phase): every caller shares one read-only ScaleSet.
+    Multiplying phi(theta) - q by prod_k (mu_k + theta), over the distinct
+    rates mu_k, gives a degree-(k+1) polynomial whose roots are the
+    exponents; they are real and distinct for exponential mixtures.  Complex
+    or (near-)repeated roots are rejected, and when two rates nearly
+    coincide, which makes the root between them ill-conditioned, the error
+    names them.  Cached per (model, phase): every caller shares one
+    read-only ScaleSet.
     """
     d = model.demand
     sigma = model.sigma(phase)
-    mus = np.asarray(d.rates, dtype=float)
-    ws = np.asarray(d.weights, dtype=float)
+    # equal rates merge into their first occurrence, weights summed: the same
+    # law, and no spurious root -mu; without repeats, the config's own values
+    merged: dict[float, float] = {}
+    for w, r in zip(d.weights, d.rates):
+        merged[r] = merged.get(r, 0.0) + w
+    mus = np.array(list(merged), dtype=float)
+    ws = np.array(list(merged.values()), dtype=float)
+    near = _near_rates(mus)
 
     poly = np.array([-(model.lam + model.q), sigma])
     for mu in mus:
@@ -169,12 +190,12 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     roots = npoly.polyroots(poly)
     scale_mag = max(1.0, float(np.max(np.abs(roots))))
     if np.any(np.abs(roots.imag) > 1e-9 * scale_mag):
-        raise RootFindingFailed(f"complex roots for phase {phase}: {roots}")
+        raise RootFindingFailed(f"{near}complex roots for phase {phase}: {roots}")
     roots = np.sort(roots.real)
     if len(roots) > 1 and np.min(np.diff(roots)) < _ROOT_TOL * scale_mag:
-        raise RootFindingFailed(f"repeated roots for phase {phase}: {roots}")
+        raise RootFindingFailed(f"{near}repeated roots for phase {phase}: {roots}")
     if np.sum(roots > 0) != 1:
-        raise RootFindingFailed(f"expected exactly one positive root, got {roots}")
+        raise RootFindingFailed(f"{near}expected exactly one positive root, got {roots}")
 
     # phi'(theta) = sigma + lam * d/dtheta L_Y(theta)
     phi_prime = sigma + model.lam * np.asarray(
@@ -184,9 +205,9 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
 
     resid = np.abs(laplace_exponent(model, phase, roots) - model.q)
     if np.any(resid > 1e-8 * (1 + abs(model.q))):
-        raise RootFindingFailed(f"roots do not satisfy phi(theta) = q: residual {resid}")
+        raise RootFindingFailed(f"{near}roots do not satisfy phi(theta) = q: residual {resid}")
     if abs(float(np.sum(weights)) - 1.0 / sigma) > _INIT_TOL:
-        raise RootFindingFailed("weights do not reproduce W(0+) = 1/sigma")
+        raise RootFindingFailed(f"{near}weights do not reproduce W(0+) = 1/sigma")
 
     roots.setflags(write=False)
     weights.setflags(write=False)

@@ -11,9 +11,11 @@ and w_i(b-) <= w0(b) + K_i0.
 
 All residuals are scaled by the magnitude of the surface; the same grid and
 tolerance make the verdict deterministic.  Derivatives come from central
-differences (one-sided at detected kinks); the demand convolutions are
-evaluated through cumulative exponential transforms so a whole grid costs a
-handful of vectorized quadratures.
+differences, which the grid keeps off the thresholds' kinks: every point
+lies at least _KINK_WINDOW from each threshold, farther than the step
+_FD_STEP reaches.  The demand convolutions are evaluated through cumulative
+exponential transforms so a whole grid costs a handful of vectorized
+quadratures.
 """
 
 from __future__ import annotations
@@ -71,35 +73,19 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.nd
     return model.lam * out
 
 
-def _derivative(w, xs: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """Central difference; at a detected kink, the smaller one-sided slope.
-
-    A convex corner constrains supersolution test functions through its
-    smallest slope; a concave corner constrains nothing, and using the
-    smaller slope is then conservative for the operator (sigma > 0).
-    w0 holds w(xs).
-    """
-    h = _FD_STEP
-    wm, wp = w(xs - h), w(xs + h)
-    d_minus = (w0 - wm) / h
-    d_plus = (wp - w0) / h
-    central = (wp - wm) / (2 * h)
-    scale = 1.0 + np.maximum(np.abs(d_minus), np.abs(d_plus))
-    kink = np.abs(d_plus - d_minus) > 1e-3 * scale
-    return np.where(kink, np.minimum(d_minus, d_plus), central)
-
-
 def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=(), w_x=None):
     """L_i(w)(x): drift and discount terms plus demand-jump expectations.
 
     w must be the full piecewise value function of its phase on [0, b)
-    (switching-zone branches included).  w_x, when given, holds w(x), so
-    that a caller that already evaluated w on x does not evaluate it again.
+    (switching-zone branches included).  w' is the central difference with
+    step _FD_STEP, so x must keep that far from w's kinks, as the grid of
+    verify_strategy does.  w_x, when given, holds w(x), so that a caller
+    that already evaluated w on x does not evaluate it again.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     m = model
     w_xs = np.atleast_1d(w(xs) if w_x is None else w_x)
-    deriv = _derivative(w, xs, w_xs)
+    deriv = (w(xs + _FD_STEP) - w(xs - _FD_STEP)) / (2 * _FD_STEP)
     conv = _convolution(m, w, xs, breakpoints=breakpoints)
     ptail = m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
     w0 = float(np.atleast_1d(w(np.zeros(1)))[0])
@@ -182,6 +168,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def hjb(self, phase: int) -> np.ndarray:
+        """min(L_i, switch slack) of phase i on the grid; the HJB variational
+        inequality asks that it vanish."""
+        if phase == 1:
+            return np.minimum(self.residual_L1, self.switch_slack_12)
+        return np.minimum(self.residual_L2, self.switch_slack_21)
+
     def summary(self) -> str:
         verdict = "pass" if self.passed else "fail"
         lines = [f"verification: {verdict} (tol {self.tol:g}, scale {self.scale:g})"]
@@ -229,8 +222,6 @@ def verify_strategy(
 
     L1 = operator_L(m, 1, w1, g, breakpoints=kinks, w_x=v1)
     L2 = operator_L(m, 2, w2, g, breakpoints=kinks, w_x=v2)
-    slack12 = v2 + k.k12 - v1
-    slack21 = v1 + k.k21 - v2
 
     vmax = max(
         1.0,
@@ -238,11 +229,27 @@ def verify_strategy(
         float(np.max(np.abs(v2))),
         abs(surface.V0),
     )
+    w0_min = level_b_value(m, surface, selection="min")
+    L0_res = float((m.q + m.lam) * (w0_min - surface.V0))
+    b1 = float(surface.V(1, m.b, side=-1)) - w0_min - k.k10
+    b2 = float(surface.V(2, m.b, side=-1)) - w0_min - k.k20
+    report = VerificationReport(
+        grid=g,
+        residual_L1=L1,
+        residual_L2=L2,
+        switch_slack_12=v2 + k.k12 - v1,
+        switch_slack_21=v1 + k.k21 - v2,
+        L0_residual=L0_res,
+        boundary_1=b1,
+        boundary_2=b2,
+        tol=tol,
+        scale=vmax,
+        failures=[],
+    )
     tol_eff = tol * vmax
-
-    failures: list[str] = []
-    for phase, L, slack in ((1, L1, slack12), (2, L2, slack21)):
-        hjb = np.minimum(L, slack)
+    failures = report.failures
+    for phase in (1, 2):
+        hjb = report.hjb(phase)
         lo_i = int(np.argmin(hjb))
         if hjb[lo_i] < -tol_eff:
             failures.append(
@@ -253,28 +260,10 @@ def verify_strategy(
             failures.append(
                 f"phase {phase}: HJB minimum not tight: {hjb[hi_i]:.6g} at x = {g[hi_i]:.4f}"
             )
-
-    w0_min = level_b_value(m, surface, selection="min")
-    L0_res = (m.q + m.lam) * (w0_min - surface.V0)
     if abs(L0_res) > tol_eff:
         failures.append(f"L0 residual {L0_res:.6g} (restart selection not optimal)")
-    b1 = float(surface.V(1, m.b, side=-1)) - w0_min - k.k10
-    b2 = float(surface.V(2, m.b, side=-1)) - w0_min - k.k20
     if b1 > tol_eff:
         failures.append(f"capacity condition phase 1: w1(b-) - w0 - K10 = {b1:.6g} > 0")
     if b2 > tol_eff:
         failures.append(f"capacity condition phase 2: w2(b-) - w0 - K20 = {b2:.6g} > 0")
-
-    return VerificationReport(
-        grid=g,
-        residual_L1=L1,
-        residual_L2=L2,
-        switch_slack_12=slack12,
-        switch_slack_21=slack21,
-        L0_residual=float(L0_res),
-        boundary_1=b1,
-        boundary_2=b2,
-        tol=tol,
-        scale=vmax,
-        failures=failures,
-    )
+    return report

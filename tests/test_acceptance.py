@@ -12,7 +12,6 @@ the upper non-action component that the capacity switch-off condition forces;
 the verified optimum keeps the tabulated thresholds and adds that component.
 """
 
-import json
 import re
 
 import numpy as np
@@ -29,7 +28,6 @@ from bandctl import (
     total_cost,
     total_cost_two,
     upper_cost_bound,
-    validate,
     verify_strategy,
 )
 from bandctl.cli import main

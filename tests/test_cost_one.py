@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, SimStrategy, build_scale, estimate_cost, total_cost, upper_cost_bound
+from bandctl import (BandOne, BandTwo, SimStrategy, build_scale, estimate_cost, total_cost,
+                     total_cost_two, upper_cost_bound)
 from bandctl import cost_one, optimize, passage, scale
 from bandctl.cost_one import TypeOneAssembly, _contractive, lattice_V0, phase_two_context
 from bandctl.passage import ExitContext, _against_exp
@@ -17,6 +18,8 @@ from ._oracles import MpScale, mc_reflected, mc_two_sided
 from .conftest import assert_within_se, make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
 EX1_BAND = BandOne(1.526, 1.526, 5.077)
+EX3_ONE = BandOne(2.468, 3.114, 4.61)
+EX3_TWO = BandTwo(2.468, 3.114, 4.61, 7.66)
 
 
 def flat_model(cbar=1.0):
@@ -198,7 +201,17 @@ def test_switching_identity_at_y1():
     (lambda: total_cost(make_ex1(), EX1_BAND).V(1, -1e-6), OutOfBand, "x outside [l, b]"),
     (lambda: total_cost(make_ex1(), EX1_BAND).components(2, [5.0, 10.0 + 1e-6]), OutOfBand,
      "x outside [l, b]"),
-], ids=["band-two-y1-y3", "band-two-y4-y1", "surface-below-l", "surface-above-b"])
+    # NaN fails both range comparisons; it must not reach the quadrature
+    (lambda: total_cost(make_ex3(), EX3_ONE).V(1, np.nan), OutOfBand, "x outside [l, b]"),
+    (lambda: total_cost(make_ex3(), EX3_ONE).components(2, [1.0, np.nan]), OutOfBand,
+     "x outside [l, b]"),
+    (lambda: total_cost_two(make_ex3(), EX3_TWO).V(2, [1.0, np.nan]), OutOfBand,
+     "x outside [l, b]"),
+    (lambda: total_cost_two(make_ex3(), EX3_TWO).components(1, np.nan), OutOfBand,
+     "x outside [l, b]"),
+], ids=["band-two-y1-y3", "band-two-y4-y1", "surface-below-l", "surface-above-b",
+        "surface-one-V-nan", "surface-one-components-nan-array", "surface-two-V-nan-array",
+        "surface-two-components-nan"])
 def test_typed_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
         call()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bandctl import (
+    BandOne,
     DemandLaw,
     HoldingCost,
     ModelConfig,
@@ -11,9 +12,10 @@ from bandctl import (
     SwitchMatrix,
     build_scale,
     check_laplace_identity,
+    total_cost,
     validate,
 )
-from bandctl.errors import ThetaInsideSpectrum
+from bandctl.errors import RootFindingFailed, ThetaInsideSpectrum
 from bandctl.passage import integrate
 from bandctl.scale import ExpConvolution
 from ._oracles import simpson_adaptive
@@ -114,6 +116,28 @@ def test_hyperexponential_scale_set():
         x = 1.3
         wb = simpson_adaptive(lambda z: sc.W(z), 0.0, x, tol=1e-13)
         assert sc.Wbar(x) == pytest.approx(wb, abs=1e-10)
+
+
+def _ex1_with_rates(rates) -> ModelConfig:
+    demand = DemandLaw.hyperexponential([0.5, 0.5], rates)
+    return validate(ModelConfig(**{**make_ex1().__dict__, "demand": demand}))
+
+
+def test_repeated_rates_are_one_exponential():
+    # a mixture of equal exponentials is that exponential; the repeated rate
+    # must not add a spurious root -mu to the polynomial
+    m, ex1 = _ex1_with_rates([1.5, 1.5]), make_ex1()
+    for phase in (1, 2):
+        assert np.array_equal(build_scale(m, phase).exponents, build_scale(ex1, phase).exponents)
+    doshi = BandOne(1.526, 1.526, 5.077)
+    assert total_cost(m, doshi).V0 == pytest.approx(total_cost(ex1, doshi).V0, rel=1e-12)
+
+
+def test_nearly_coincident_rates_are_named():
+    rates = [1.5, 1.5 * (1 + 1e-5)]
+    with pytest.raises(RootFindingFailed) as exc:
+        build_scale(_ex1_with_rates(rates), 1)
+    assert f"demand rates {rates[0]!r} and {rates[1]!r} nearly coincide: " in str(exc.value)
 
 
 def test_build_scale_cached_and_read_only():

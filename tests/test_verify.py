@@ -35,6 +35,18 @@ def test_operator_on_constant_function():
     assert tight == pytest.approx(np.zeros(7), abs=1e-10)
 
 
+def test_operator_takes_the_central_difference_on_a_steep_surface():
+    # L_1(w) - L_2(w) = (sigma1 - sigma2) w' + h1 - h2, every other term
+    # cancels; e^{-300x} bends enough that a one-sided difference would be
+    # off by about 1.5e-3 relative, the central one by 1.5e-6
+    m = make_ex1()
+    xs = np.linspace(0.01, 0.02, 21)
+    w = lambda x: np.exp(-300.0 * np.asarray(x, dtype=float))
+    diff = operator_L(m, 1, w, xs) - operator_L(m, 2, w, xs)
+    deriv = (diff - (m.holding(1)(xs) - m.holding(2)(xs))) / (m.sigma(1) - m.sigma(2))
+    assert deriv == pytest.approx(-300.0 * np.exp(-300.0 * xs), rel=1e-5)
+
+
 def test_residual_vanishes_on_nonaction_zones():
     m = make_ex1()
     band = BandOne(1.526, 1.526, 5.077)
@@ -117,6 +129,41 @@ def test_verify_reports_a_restart_selection_that_is_not_optimal(y3, fails):
     message = f"L0 residual {rep.L0_residual:.6g} (restart selection not optimal)"
     assert [f for f in rep.failures if f.startswith("L0 residual")] == ([message] if fails else [])
     assert (abs(rep.L0_residual) > rep.tol * rep.scale) == fails
+
+
+class _Shifted:
+    """A surface whose V and V0 are those of surface plus the constant c."""
+
+    def __init__(self, surface, c: float):
+        self.surface, self.c = surface, c
+        self.model, self.band, self.thresholds = surface.model, surface.band, surface.thresholds
+        self.V0 = surface.V0 + c
+
+    def V(self, phase, x, side=0):
+        return self.surface.V(phase, x, side) + self.c
+
+
+@pytest.mark.parametrize("c", [-1.0, 1.0])
+def test_verify_reports_a_shifted_surface(c):
+    # w + c moves every L by -q c and leaves the switch slacks as they are, so
+    # c < 0 leaves the HJB minimum positive off the switching zones; c > 0
+    # moves the capacity gap w2(b-) - w0 - K20 from 0 to q c / (q + lam)
+    m = make_ex1()
+    surf = total_cost(m, BandOne(0.0, 0.0, 3.3743))  # the verified optimum
+    base = verify_strategy(m, surf)
+    rep = verify_strategy(m, _Shifted(surf, c))
+    assert rep.residual_L1 == pytest.approx(base.residual_L1 - m.q * c, abs=1e-8)
+    assert rep.residual_L2 == pytest.approx(base.residual_L2 - m.q * c, abs=1e-8)
+    assert rep.boundary_2 == pytest.approx(base.boundary_2 + m.q * c / (m.q + m.lam), abs=1e-12)
+    not_tight = [f for f in rep.failures if "HJB minimum not tight" in f]
+    capacity = [f for f in rep.failures if f.startswith("capacity condition phase 2")]
+    if c < 0:
+        assert [f.split(" at x = ")[0] for f in not_tight] == [
+            f"phase {phase}: HJB minimum not tight: {np.max(rep.hjb(phase)):.6g}" for phase in (1, 2)]
+        assert capacity == []
+    else:
+        assert not_tight == []
+        assert capacity == ["capacity condition phase 2: w2(b-) - w0 - K20 = 0.047619 > 0"]
 
 
 def test_verdict_deterministic():
