@@ -1,3 +1,4 @@
+import re
 from concurrent import futures
 
 import pytest
@@ -105,6 +106,11 @@ def assert_within_se(analytic: float, est_mean: float, est_se: float, slack: flo
         f"{label}: analytic {analytic:.6f} vs MC {est_mean:.6f} "
         f"(gap {gap:.6f} > {n_se} SE + truncation = {budget:.6f})"
     )
+
+
+def strip_timing(text: str) -> str:
+    """A JSON report with its timing_seconds value zeroed, the one field that varies."""
+    return re.sub(r'"timing_seconds": [0-9eE\.\+\-]+', '"timing_seconds": 0', text)
 
 
 def record_pools(monkeypatch) -> list:

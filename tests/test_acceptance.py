@@ -9,10 +9,9 @@ the optimum of `configs/ex1.json`: the verifier rejects them and the
 independent simulator confirms that the computed band costs less.  The
 tabulated class for the second benchmark is single-component, which leaves out
 the upper non-action component that the capacity switch-off condition forces;
-the verified optimum keeps the tabulated thresholds and adds that component.
+the ladder's verified winner keeps the tabulated thresholds and adds that
+component (it is not the optimum: see README and ROADMAP items 1 and 2).
 """
-
-import re
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from bandctl.cli import main
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from bandctl.verify import operator_L, operator_L0
 from ._oracles import simpson_adaptive
-from .conftest import assert_within_se
+from .conftest import assert_within_se, strip_timing
 
 REFERENCE = {
     # externally tabulated optima for the three benchmark configurations; the
@@ -163,7 +162,7 @@ def test_criterion_02c_single_component_class(solve_cached, ex2):
     ok_one = (len(rep.failures) == 1
               and rep.failures[0].startswith("capacity condition phase 1")
               and abs(rep.boundary_1 - forced) <= 1e-8)
-    # (b) the verified optimum adds the upper component and keeps the thresholds
+    # (b) the verified winner adds the upper component and keeps the thresholds
     ok_two = (res.strategy_kind == "two" and res.verified
               and all(abs(g - ref[k]) <= 1e-3 for g, k in zip(got, ("y2", "y3", "y1"))))
     # (c) the upper component changes w1 near b but not the idle value
@@ -373,9 +372,6 @@ def test_criterion_09_trivial_closure(ex1):
 # -- criterion 10: byte-identical reports -----------------------------------------
 
 def test_criterion_10_determinism(tmp_path):
-    def strip(path):
-        return re.sub(r'"timing_seconds": [0-9eE\.\+\-]+', "", path.read_text())
-
     cfg = str((tmp_path / "cfg.json"))
     import shutil
     from pathlib import Path
@@ -385,7 +381,7 @@ def test_criterion_10_determinism(tmp_path):
     for i in range(2):
         out = tmp_path / f"solve{i}.json"
         assert main(["solve", cfg, "--strategy", "doshi", "--output", str(out)]) == 0
-        outs.append(strip(out))
+        outs.append(strip_timing(out.read_text()))
     assert outs[0] == outs[1]
     sims = []
     for i, jobs in enumerate(("1", "3")):
@@ -393,7 +389,7 @@ def test_criterion_10_determinism(tmp_path):
         assert main(["simulate", cfg, "--y2", "1.526", "--y1", "5.077", "--x0", "2.0",
                      "--phase", "1", "--paths", "30000", "--seed", "11",
                      "--jobs", jobs, "--output", str(out)]) == 0
-        sims.append(strip(out))
+        sims.append(strip_timing(out.read_text()))
     assert sims[0] == sims[1]
     _line("10", True, "solve reports byte-identical across repeats, simulate reports "
                       "across worker counts (timing excluded)")

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,16 +7,38 @@ from types import SimpleNamespace
 
 import pytest
 
-from bandctl import BandTwo, OptimizationResult, cli, optimize
-from bandctl.cli import main
+from bandctl import BandTwo, OptimizationResult, cli, optimize, validate
+from bandctl.cli import load_config, main, model_echo
+
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3, strip_timing
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+SHIPPED = {
+    "ex1": (CONFIGS / "ex1.json", make_ex1),
+    "ex2": (CONFIGS / "ex2.json", make_ex2),
+    "ex3": (CONFIGS / "ex3.json", make_ex3),
+    "ex1-hyper": (CONFIGS.parent / "perfbench" / "configs" / "ex1-hyper.json", make_ex1_hyper),
+}
 
 
-def strip_timing(text: str) -> str:
-    return re.sub(r'"timing_seconds": [0-9eE\.\+\-]+', '"timing_seconds": 0', text)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_configs_are_the_fixtures(name):
+    # solve_cached keys by name alone and is fed both forms of each example
+    path, make = SHIPPED[name]
+    assert validate(load_config(str(path))) == make()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_model_echo_gives_back_the_file(name):
+    path, _ = SHIPPED[name]
+    raw = json.loads(path.read_text())
+    if raw["demand"]["kind"] == "exponential":
+        raw["demand"] = {"kind": "exponential", "rates": [raw["demand"]["rate"]],
+                         "weights": [1.0]}
+    # compared as a report shows it: JSON writes the echo's tuples as lists
+    assert json.loads(json.dumps(model_echo(load_config(str(path))))) == raw
 
 
 def test_load_and_echo_roundtrip(tmp_path):
@@ -48,6 +69,21 @@ def test_verify_matches_recorded_report(tmp_path):
                "--y1", "4.610", "--y4", "7.660", "--grid", "100", "--output", str(out)])
     assert rc == 0
     want = (DATA / "verify-ex3.json").read_text()
+    assert strip_timing(out.read_text()) == strip_timing(want)
+
+
+@pytest.mark.parametrize("args, recorded", [
+    (["solve", "ex1.json"], "solve-ex1.json"),
+    (["evaluate", "ex3.json", "--y2", "2.468", "--y3", "3.114", "--y1", "4.610",
+      "--y4", "7.660", "--grid", "40"], "evaluate-ex3-two.json"),
+    (["simulate", "ex1.json", "--y2", "1.526", "--y1", "5.077", "--x0", "3.0",
+      "--phase", "2", "--paths", "4000", "--seed", "7"], "simulate-ex1.json"),
+], ids=["solve-ex1", "evaluate-ex3-two", "simulate-ex1"])
+def test_report_matches_recorded(tmp_path, args, recorded):
+    cmd, config, *rest = args
+    out = tmp_path / "r.json"
+    assert main([cmd, str(CONFIGS / config), *rest, "--output", str(out)]) == 0
+    want = (DATA / recorded).read_text()
     assert strip_timing(out.read_text()) == strip_timing(want)
 
 
@@ -162,6 +198,20 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["evaluate", str(bad), "--y2", "1.0", "--y1", "5.0"]) == 2
     assert main(["evaluate", str(tmp_path / "missing.json"), "--y2", "1.0",
                  "--y1", "5.0"]) == 2
+
+
+@pytest.mark.parametrize("cmd, output", [
+    (["evaluate", "ex1.json", "--y2", "1.526", "--y1", "5.077", "--grid", "5"],
+     "missing/r.json"),
+    (["plot-data", "ex1.json", "--y2", "1.526", "--y1", "5.077", "--grid", "5"], "."),
+], ids=["evaluate-missing-directory", "plot-data-directory"])
+def test_unwritable_output_exits_two(tmp_path, capsys, cmd, output):
+    name, config, *rest = cmd
+    path = str(tmp_path / output)
+    assert main([name, str(CONFIGS / config), *rest, "--output", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bandctl: cannot write output {path}: [Errno ")
+    assert "configuration" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value, message", [
