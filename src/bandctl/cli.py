@@ -2,8 +2,9 @@
 
 Configs are single JSON documents mirroring the model dataclasses; reports
 are JSON with sorted keys so identical inputs give byte-identical output
-apart from the timing field.  Exit codes: 0 success, 2 validation error or an
-unwritable --output, 3 verification failure under --require-verified, 4 numeric failure.
+apart from the timing field.  Exit codes: 0 success, 2 an invalid configuration
+or command-line value or an unwritable --output, 3 verification failure under
+--require-verified, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -121,10 +122,8 @@ def _surface_report(surface) -> dict:
     }
 
 
-def _run(args) -> int:
-    """Run a subcommand: load its config, build its band and surface, write its report."""
-    t0 = time.perf_counter()
-    model = validate(load_config(args.config), allow_backlog=args.cmd == "simulate")
+def _run(args, model: ModelConfig, t0: float) -> int:
+    """Run a subcommand on its loaded config: build its band and surface, write its report."""
     band = surface = None
     if args.cmd != "solve":
         y3 = args.y2 if args.y3 is None else args.y3
@@ -276,10 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("BANDCTL_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
+    bad = "invalid configuration"
     try:
-        return _run(args)
+        t0 = time.perf_counter()
+        model = validate(load_config(args.config), allow_backlog=args.cmd == "simulate")
+        bad = "invalid argument"  # the config is valid, so a command-line value is at fault
+        return _run(args, model, t0)
     except ValidationError as exc:
-        print(f"bandctl: invalid configuration: {exc}", file=sys.stderr)
+        print(f"bandctl: {bad}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except _NUMERIC_ERRORS as exc:
         print(f"bandctl: numeric failure: {exc}", file=sys.stderr)

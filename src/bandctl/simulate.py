@@ -8,14 +8,16 @@ reproducible bit for bit.
 
 Randomness is counter-based (a splitmix64-style hash of (seed, path, draw)),
 which makes every path's draws independent of batch size and worker count.
-A batch evolves as dense per-path arrays, one round per demand arrival,
-and a path's arithmetic only ever reads its own row, so its outcome does
-not depend on the batch it runs in either.
+A batch evolves as dense per-path arrays, one round per demand arrival: an
+in-place drift pass over all rows, a pass over the few rows that switched
+phase, then the demand jump.  A path's arithmetic only ever reads its own
+row, so its outcome does not depend on the batch it runs in either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -33,11 +35,12 @@ _PATH_STRIDE = _U64(0xBF58476D1CE4E5B7)  # odd constant decorrelating path keys
 
 def _mix(x):
     """splitmix64 finalizer, in place on a uint64 array, which it returns."""
-    x ^= x >> _U64(30)
+    s = np.right_shift(x, _U64(30))
+    x ^= s
     x *= _U64(0xBF58476D1CE4E5B9)
-    x ^= x >> _U64(27)
+    x ^= np.right_shift(x, _U64(27), out=s)
     x *= _U64(0x94D049BB133111EB)
-    x ^= x >> _U64(31)
+    x ^= np.right_shift(x, _U64(31), out=s)
     return x
 
 
@@ -56,8 +59,7 @@ def _round_uniforms(keys: np.ndarray, counter: int, mixture: bool):
     draws = np.array([3 * counter + j + 1 for j in slots], dtype=np.uint64)
     bits = _mix(keys + _GOLDEN * draws[:, None])
     bits >>= _U64(11)
-    u = bits.astype(np.float64)
-    u += 0.5
+    u = np.add(bits.view(np.int64), 0.5, out=bits.view(np.float64))  # in bits' memory
     u *= 2.0**-53
     return u[0], (u[1] if mixture else None), u[-1]
 
@@ -118,24 +120,34 @@ def truncation_horizon(model: ModelConfig) -> float:
     return float(np.log(1.0 / TRUNCATION_FRACTION) / model.q)
 
 
-def _segment_cost(a, c, cs, x, dur, q, t0):
-    """int_0^dur exp(-q(t0+s)) (a + c(x + sigma s)) ds in closed form; cs = c*sigma."""
-    qd = q * dur
-    em = -np.expm1(-qd)  # 1 - exp(-q dur)
-    ramp = (em - qd * np.exp(-qd)) / q**2
-    return np.exp(-q * t0) * ((a + c * x) * em / q + cs * ramp)
+def _segment_cost(a, c, cs, x, dur, q, t0, w):
+    """int_0^dur exp(-q(t0+s)) (a + c(x + sigma s)) ds in closed form, into w[0]; cs = c*sigma.
+
+    w is a (3, rows) scratch block.  With m = expm1(-q dur) the integral is
+    exp(-q t0) (cs ramp - (a + c x) m / q), where ramp = (-q dur exp(-q dur) - m) / q^2.
+    """
+    nqd, m, r = w
+    np.expm1(np.multiply(-q, dur, out=nqd), out=m)
+    np.subtract(np.multiply(nqd, np.exp(nqd, out=r), out=r), m, out=r)
+    np.multiply(cs, np.divide(r, q**2, out=r), out=r)
+    np.add(a, np.multiply(c, x, out=nqd), out=nqd)
+    np.subtract(r, np.divide(np.multiply(nqd, m, out=nqd), q, out=nqd), out=r)
+    return np.multiply(np.exp(np.multiply(-q, t0, out=nqd), out=nqd), r, out=nqd)
 
 
 def _sample_demand(model: ModelConfig, u_sel: np.ndarray, u_size: np.ndarray) -> np.ndarray:
-    d = model.demand
-    if len(d.rates) == 1:
-        return -np.log(u_size) / d.rates[0]
-    # component index: how many of the first K-1 cumulative weights lie
-    # below u_sel (a left-sided search clipped to the last component)
-    cum = np.cumsum(d.weights)
-    idx = (cum[:-1, None] < u_sel).sum(axis=0)
-    rates = np.asarray(d.rates)[idx]
-    return -np.log(u_size) / rates
+    """A round's demand sizes -log(u_size) / rate, written over u_size."""
+    neg_rates, cum = _demand_tables(model.demand)
+    rate = neg_rates[0]
+    for c, r in zip(cum, neg_rates[1:]):  # the component after the last cumulative weight < u_sel
+        rate = np.where(c < u_sel, r, rate)
+    return np.divide(np.log(u_size, out=u_size), rate, out=u_size)
+
+
+@lru_cache(maxsize=16)
+def _demand_tables(demand):
+    """-rates (log(u) / -rate is -log(u) / rate, bit for bit) and K-1 cumulative weights."""
+    return -np.array(demand.rates), np.cumsum(demand.weights)[:-1]
 
 
 def _run_paths(
@@ -147,15 +159,25 @@ def _run_paths(
 ):
     """Evolve one batch of paths to the truncation horizon.
 
-    Returns per-path (holding, shortage, switching) discounted totals.
-    The state is dense, one row per path.  Each round draws its uniforms
-    from one hash call, runs one drift pass over all rows, runs later drift
-    passes only on the few rows that switched phase, then applies the
-    demand jump under a mask of the live rows.  Rows past the horizon
-    accrue exact zeros until the live rows fall to half of the working set,
-    which is then compacted.  A path's draws depend only on its key and the
-    round counter, and its arithmetic only on its own row, so batch
-    composition cannot change its outcome.
+    Returns per-path (holding, shortage, switching) discounted totals.  A
+    round draws its uniforms from one hash call, drifts every row to its
+    next event or to the round's demand arrival, then applies the demand
+    jump under a mask of the live rows.  Rows past the horizon accrue exact
+    zeros until the live rows fall to half of the working set, which is
+    then compacted.  A path's draws depend only on its key and the round
+    counter, and its arithmetic only on its own row, so batch composition
+    cannot change its outcome.
+
+    The drift is one pass over all rows, in place on scratch arrays made
+    once per call, then one pass over the rows that switched phase.  A row
+    that stops at b idles there within its pass; an idle row never fires.
+    A demand landing inside the other phase's switching zone switches at
+    once, and the zones are disjoint (y2 < y1), so after a jump no row lies
+    in its own zone.  Phase 2 drifts up, so from above y2 it never enters
+    [l, y2]; a row that switches 1 -> 2 lands at or above y1 > y2, so it
+    can only stop at b.  The one exception is round 0 from a phase-2 start
+    at or below y2: it switches 2 -> 1 in the first pass and may switch
+    1 -> 2 in the second, so it takes a third pass.
     """
     m = model
     q, lam, b, l = m.q, m.lam, m.b, m.l
@@ -163,122 +185,99 @@ def _run_paths(
     k = m.switching
     mixture = len(m.demand.rates) > 1
 
+    if isinstance(phase0, bool) or not isinstance(phase0, (int, np.integer)) \
+            or not 0 <= phase0 <= 2:
+        raise InvalidStart(f"phase0 must be the integer 0, 1 or 2, got {phase0!r}")
     if phase0 == 0 and abs(x0 - b) > 1e-12:
         raise InvalidStart("phase 0 starts only at capacity b")
     if not l - 1e-12 <= x0 <= b + 1e-12:  # also rejects NaN
         raise InvalidStart(f"x0={x0} outside [{l}, {b}]")
 
-    # per-phase tables indexed by phase id (0, 1, 2); event times divide by
-    # div_of, which is 1 in the idle phase 0 so that nothing divides by 0
-    sig_of = np.array([0.0, m.sigma1, m.sigma2])
-    div_of = np.array([1.0, m.sigma1, m.sigma2])
-    a_of = np.array([m.h0_b, m.h1.a, m.h2.a])
-    c_of = np.array([0.0, m.h1.c, m.h2.c])
-    cs_of = c_of * sig_of
-    stop_cost = np.array([0.0, k.k10, k.k20])   # reaching capacity b
-    switch_cost = np.array([0.0, k.k12, k.k21])  # entering the switching zone
+    # per-phase tables indexed by phase id (0 idle at b, 1, 2): the switching
+    # zone is [lo, hi], and phase 0's NaN lo makes its event time NaN, so an
+    # idle row never fires; then the costs of reaching b and of entering the zone
+    sig_of, a_of, c_of, lo_of, hi_of, stop_cost, switch_cost = np.array([
+        [0.0, m.sigma1, m.sigma2], [m.h0_b, m.h1.a, m.h2.a], [0.0, m.h1.c, m.h2.c],
+        [np.nan, strategy.y1, l], [np.inf, strategy.top, strategy.y2],
+        [0.0, k.k10, k.k20], [0.0, k.k12, k.k21]])
     n = len(keys)
     out = np.empty((3, n))
     pos = np.arange(n)  # path index of each row
-    x = np.full(n, float(x0))
+    x = np.full(n, float(b if phase0 == 0 else x0))  # an idle row restarts from b, whatever x0
     ph = np.full(n, int(phase0), dtype=np.intp)
-    t = np.zeros(n)
-    hold = np.zeros(n)
-    short = np.zeros(n)
-    switch = np.zeros(n)
+    t, hold, short, switch = np.zeros((4, n))
+    scratch = np.empty((8, n))  # the drift's rows, then the round's seg_end
 
-    # each phase's switching zone [lo, hi]; the idle phase 0 has the empty [inf, inf]
-    lo_of = np.array([np.inf, strategy.y1, l])
-    hi_of = np.array([np.inf, strategy.top, strategy.y2])
-
-    def zone_entry(phs, xs):
-        """Smallest point of each row's switching zone at or above x; +inf when none."""
-        return np.where(xs <= hi_of[phs], np.maximum(xs, lo_of[phs]), np.inf)
-
-    def in_switching_zone(phs, xs):
-        return (xs >= lo_of[phs]) & (xs <= hi_of[phs])
-
-    def drift(rows, seg_end):
-        """Drift rows (all rows, or an index array) up to their next event or seg_end.
-
-        Every row accrues one segment; a row that stops at capacity also
-        accrues its idle segment up to seg_end.  Returns the rows that
-        switched phase before seg_end.
-        """
-        xs, ts, phs, se = x[rows], t[rows], ph[rows], seg_end[rows]
-        entry = zone_entry(phs, xs)
-        # entry points lie at or below b when finite, so this is the smaller
-        # of the switch and capacity times, bit for bit
-        div = div_of[phs]
-        t_evt = (np.minimum(entry, b) - xs) / div
-        fires = (ts + t_evt < se) & (phs != 0)
-        dur = se - ts
-        loc = np.flatnonzero(fires)
-        if loc.size:
-            xf, df, ef, pf, sf = xs[loc], div[loc], entry[loc], phs[loc], se[loc]
-            tf = ts[loc] + t_evt[loc]
-            hit_cap = (b - xf) / df <= (ef - xf) / df
-            dur[loc] = t_evt[loc]
-        hold[rows] += _segment_cost(a_of[phs], c_of[phs], cs_of[phs], xs, dur, q, ts)
-        x[rows] = xs + sig_of[phs] * dur  # the fired rows are overwritten below
-        t[rows] = se
+    def drift(x, t, hold, switch, ph, se):
+        """Drift rows in place up to their next event or se; a row that stops at b idles
+        there up to se.  Returns the rows that switched phase, left at their switch time."""
+        ent, tev, tf, dur, *w = scratch[:7, :len(x)]
+        sig = sig_of[ph]
+        # the zone's smallest point at or above x, +inf when none; entry
+        # points lie at or below b when finite, so tev is the time to the
+        # earlier of the switch and the stop at b, bit for bit
+        np.maximum(x, lo_of[ph], out=ent)
+        np.putmask(ent, x > hi_of[ph], np.inf)
+        np.divide(np.subtract(np.minimum(ent, b, out=tev), x, out=tev), sig, out=tev)
+        loc = (np.add(t, tev, out=tf) < se).nonzero()[0]
+        xf, ef, tf, sf, pf = x[loc], ent[loc], tf[loc], se[loc], ph[loc]
+        np.subtract(se, t, out=dur)
+        dur[loc] = tev[loc]
+        c = c_of[ph]
+        hold += _segment_cost(a_of[ph], c, np.multiply(c, sig, out=tev), x, dur, q, t, w)
+        x += np.multiply(sig, dur, out=dur)  # the fired rows are overwritten below
+        t[:] = se
         if not loc.size:
             return loc
-        fired = loc if isinstance(rows, slice) else rows[loc]
-        switch[fired] += np.where(hit_cap, stop_cost[pf], switch_cost[pf]) * np.exp(-q * tf)
-        x[fired] = np.where(hit_cap, b, ef)
-        ph[fired] = np.where(hit_cap, 0, 3 - pf)  # 3 - p: the other producing phase
-        # a row stopped at capacity idles there until seg_end
-        i = np.flatnonzero(hit_cap)
-        hold[fired[i]] += _segment_cost(a_of[0], c_of[0], cs_of[0], x[fired[i]],
-                                        sf[i] - tf[i], q, tf[i])
-        i = np.flatnonzero(~hit_cap)
-        t[fired[i]] = tf[i]
-        return fired[i]
+        df = sig_of[pf]
+        hit_cap = (b - xf) / df <= (ef - xf) / df
+        switch[loc] += np.where(hit_cap, stop_cost[pf], switch_cost[pf]) * np.exp(-q * tf)
+        x[loc] = np.where(hit_cap, b, ef)
+        ph[loc] = np.where(hit_cap, 0, 3 - pf)  # 3 - p: the other producing phase
+        # idle at b up to se: _segment_cost with c = 0, whose c terms add zeros, so
+        # subtracting exp(-q t) h0_b m / q gives its bits
+        i = hit_cap.nonzero()[0]
+        hold[loc[i]] -= np.exp(-q * tf[i]) * (a_of[0] * np.expm1(-q * (sf[i] - tf[i])) / q)
+        i = (~hit_cap).nonzero()[0]
+        t[loc[i]] = tf[i]
+        return loc[i]
 
     counter = 0
     while True:
         u_tau, u_sel, u_size = _round_uniforms(keys, counter, mixture)
         counter += 1
-        t_arr = t - np.log(u_tau) / lam
-        seg_end = np.minimum(t_arr, t_star)
+        # the demand's arrival time, over u_tau, and the end of the drift
+        t_arr = np.subtract(t, np.divide(np.log(u_tau, out=u_tau), lam, out=u_tau), out=u_tau)
+        seg_end = np.minimum(t_arr, t_star, out=scratch[7, :len(t)])
 
-        # deterministic drift, switch-zone entries and capacity stops: one
-        # pass over all rows, then passes over the rows that switched phase
-        rows = slice(None)
-        for _ in range(64):
-            rows = drift(rows, seg_end)
-            if rows.size == 0:
-                break
-        else:
-            raise RuntimeError("drift resolution did not settle; malformed strategy?")
+        rows = drift(x, t, hold, switch, ph, seg_end)
+        while rows.size:  # at most twice, as the docstring shows
+            state = x[rows], t[rows], hold[rows], switch[rows], ph[rows]
+            switched = drift(*state, seg_end[rows])
+            x[rows], t[rows], hold[rows], switch[rows], ph[rows] = state
+            rows = rows[switched]
 
         # a row whose next demand falls past the horizon is finished; the
         # others take the demand jump
         live = t_arr < t_star
         n_live = int(np.count_nonzero(live))
         if n_live:
-            y = _sample_demand(m, u_sel, u_size)
-            raw = x - y
-            cap = np.flatnonzero(live & (ph == 0))
-            raw[cap] = b - y[cap]
-            j = np.flatnonzero(live & (raw < l))
+            # an idle row sits at b, so x - y is also its restart level
+            cap = (live & (ph == 0)).nonzero()[0]
+            raw = np.subtract(x, _sample_demand(m, u_sel, u_size), out=u_size)
+            j = (live & (raw < l)).nonzero()[0]
             short[j] += m.penalty(l - raw[j]) * np.exp(-q * t[j])
-            x = np.maximum(raw, l)
+            np.maximum(raw, l, out=x)
             if cap.size:
                 to1 = x[cap] <= strategy.y3
                 switch[cap] += np.where(to1, k.k01, k.k02) * np.exp(-q * t[cap])
                 ph[cap] = np.where(to1, 1, 2)
-            # landing inside the other phase's switching zone triggers an
-            # immediate switch (disjointness bounds this to one pass)
-            j = np.flatnonzero(live & in_switching_zone(ph, x))
-            for _ in range(2):
-                if not j.size:
-                    break
-                phj = ph[j]
-                switch[j] += switch_cost[phj] * np.exp(-q * t[j])
-                ph[j] = 3 - phj
-                j = j[in_switching_zone(ph[j], x[j])]
+            # landing inside the other phase's switching zone switches at
+            # once; the zones are disjoint, so the new phase's zone misses x
+            zone = live & (x >= lo_of[ph])
+            j = np.logical_and(zone, x <= hi_of[ph], out=zone).nonzero()[0]
+            switch[j] += switch_cost[ph[j]] * np.exp(-q * t[j])
+            ph[j] = 3 - ph[j]
 
         if 2 * n_live <= len(pos):
             done = ~live

@@ -246,7 +246,7 @@ def test_verify_nan_tolerance_exits_two(capsys):
                "--tol", "nan"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "bandctl: invalid configuration: verification needs a finite tol > 0" in err
+    assert "bandctl: invalid argument: verification needs a finite tol > 0" in err
     assert "Traceback" not in err
 
 
@@ -261,7 +261,7 @@ def test_solve_nan_tolerance_exits_before_optimizing(monkeypatch, capsys, strate
     rc = main(["solve", str(CONFIGS / "ex2.json"), "--strategy", strategy, "--tol", "nan"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "bandctl: invalid configuration: verification needs a finite tol > 0" in err
+    assert "bandctl: invalid argument: verification needs a finite tol > 0" in err
     assert "Traceback" not in err
 
 
@@ -292,8 +292,21 @@ def test_simulate_invalid_start_exits_two(capsys, x0, shown):
                "--x0", x0, "--phase", "1", "--paths", "100"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"bandctl: invalid configuration: x0={shown} outside [0.0, 10.0]" in err
+    assert f"bandctl: invalid argument: x0={shown} outside [0.0, 10.0]" in err
     assert "Traceback" not in err
+
+
+# a valid config with a bad command-line value: the value, not the config, is named
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--y2", "1.526", "--y1", "5.077", "--x0", "3.0", "--phase", "2",
+      "--paths", "0"], "n_paths must be >= 2 for a standard error"),
+    (["evaluate", "--y2", "nan", "--y1", "5.077"], "band ordering violated: BandOne(y2=nan"),
+], ids=["simulate-paths-0", "evaluate-y2-nan"])
+def test_bad_command_line_value_exits_two(capsys, argv, message):
+    assert main([argv[0], str(CONFIGS / "ex1.json"), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"bandctl: invalid argument: {message}" in err
+    assert "invalid configuration" not in err and "Traceback" not in err
 
 
 def test_import_loads_neither_scipy_nor_a_process_pool():

@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +24,11 @@ from bandctl.errors import InvalidStart, ValidationError
 from bandctl.model import HoldingCost, PenaltyCost, SwitchMatrix
 from bandctl.simulate import TRUNCATION_FRACTION, _path_keys, _run_paths, truncation_horizon
 from ._oracles import estimate_occupation
-from .conftest import make_ex1, make_ex3, record_pools
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3, record_pools
 
 EX1 = make_ex1()
 BACKLOG = validate(ModelConfig(**{**EX1.__dict__, "l": -2.0}), allow_backlog=True)
+CASES_FILE = Path(__file__).parent / "data" / "simulate-cases.json"
 
 
 def _path(model, strategy, x0, phase, seed):
@@ -198,6 +202,22 @@ def test_invalid_starts(ex1_strategy):
         estimate_occupation(m, 2, 2.0, 8.0, 9.0, 100, 5, base_seed=1)
 
 
+@pytest.mark.parametrize("phase0", [3, -1, 1.5, True, np.int64(3)],
+                         ids=["3", "-1", "1.5", "True", "int64-3"])
+def test_start_phase_must_be_0_1_or_2(ex1_strategy, phase0):
+    # rejected before any round runs: 3 and -1 used to index past the phase
+    # tables, and 1.5 ran as phase 1
+    m, band, strat = ex1_strategy
+    with pytest.raises(InvalidStart, match=r"phase0 must be the integer 0, 1 or 2, got "):
+        estimate_cost(m, strat, 2.0, phase0, 100, base_seed=1)
+
+
+def test_start_phase_accepts_numpy_integers(ex1_strategy):
+    m, band, strat = ex1_strategy
+    assert (estimate_cost(m, strat, 2.0, np.int64(1), 100, base_seed=1)
+            == estimate_cost(m, strat, 2.0, 1, 100, base_seed=1))
+
+
 def test_backlog_floor_supported():
     strat = SimStrategy.from_band(BandOne(1.0, 1.0, 5.0), BACKLOG).check(BACKLOG)
     assert np.isfinite(sum(_path(BACKLOG, strat, 0.0, 1, 4)))
@@ -243,3 +263,36 @@ def test_batch_composition_cannot_change_a_path(setup, phase, frac, seed, n, dat
     alone = _run_paths(model, strategy, x0, phase, keys[part])
     for w, a in zip(whole, alone):
         assert np.array_equal(w[part], a)
+
+
+def _recorded_cases():
+    """Case id -> (model, band, x0, phase, n_paths, jobs): starts that crosscheck does not run.
+
+    Each case's seed is the sum of its id's character codes.
+    """
+    ex2, ex3 = make_ex2(), make_ex3()
+    two2 = BandTwo(6.2125852514684965, 9.804502364299498, 17.294129965012793, 19.972907820461227)
+    two3 = BandTwo(2.4680949887268673, 3.1139494044399276, 4.610298075485835, 7.66020993650117)
+    backlog = BandOne(1.0, 1.0, 5.0)
+    return {
+        "ex2-two-phase0-at-b": (ex2, two2, ex2.b, 0, 2000, 1),
+        "ex3-two-phase1-in-zone": (ex3, two3, 6.0, 1, 2000, 1),  # switches at t = 0
+        "ex3-two-phase1-above-y4": (ex3, two3, 9.0, 1, 2000, 1),
+        "backlog-phase1": (BACKLOG, backlog, -1.0, 1, 2000, 1),
+        "backlog-phase0-at-b": (BACKLOG, backlog, BACKLOG.b, 0, 2000, 1),
+        "hyper-two": (make_ex1_hyper(), BandTwo(1.0, 1.5, 4.0, 7.0), 2.0, 1, 2000, 1),
+        # recorded at jobs=1: two workers must give the same bits
+        "ex1-30000-jobs2": (EX1, BandOne(1.526, 1.526, 5.077), 3.0, 1, 30_000, 2),
+    }
+
+
+RECORDED_CASES = _recorded_cases()
+
+
+@pytest.mark.parametrize("case", list(RECORDED_CASES))
+def test_estimate_matches_recorded_case(case):
+    model, band, x0, phase, n_paths, jobs = RECORDED_CASES[case]
+    expected = json.loads(CASES_FILE.read_text())[case]
+    est = estimate_cost(model, SimStrategy.from_band(band, model), x0, phase, n_paths,
+                        base_seed=sum(map(ord, case)), jobs=jobs)
+    assert dataclasses.asdict(est) == expected
