@@ -31,7 +31,7 @@ first on the path.  It writes:
   truncation_horizon, truncation_bound).  Only SimStrategy.from_band and
   estimate_cost are called, so the script dumps older trees too;
 * verify/<case>/<field>: the residual_L1, residual_L2, switch_slack_12,
-  switch_slack_21, L0_residual, boundary_1 and boundary_2 of
+  switch_slack_21, L0_residual, boundary_1, boundary_2 and scale of
   verify_strategy at its default grid, for the four base policies
   (<config>-base) and for the escalate winners (escalate-<ex>), each surface
   rebuilt from its band by total_cost or total_cost_two.  Only those and
@@ -48,7 +48,9 @@ first on the path.  It writes:
 
 Only crosscheck-inputs.json and the four configs are read.  `diff` lists
 every array that is missing from one dump or not bit-identical, with its
-largest relative difference, and exits 1 when there is any.
+largest absolute and largest relative difference (a residual near 0 can
+move by a large relative amount and a tiny absolute one), and exits 1 when
+there is any.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surf
 KERNEL_FNS = ("W", "Wbar", "Wbarbar", "Z", "Zbar")
 RESOLVENT_CONFIGS = ("ex3", "ex1-hyper")
 VERIFY_FIELDS = ("residual_L1", "residual_L2", "switch_slack_12", "switch_slack_21",
-                 "L0_residual", "boundary_1", "boundary_2")
+                 "L0_residual", "boundary_1", "boundary_2", "scale")
 
 
 def _models():
@@ -230,13 +232,16 @@ def dump(out: str) -> None:
     print(f"{len(arrays)} arrays written to {out}")
 
 
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+def _largest_diffs(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The largest absolute and the largest relative elementwise difference."""
     if a.dtype.kind not in "fi" or b.dtype.kind not in "fi" or a.shape != b.shape:
-        return float("nan")
+        return float("nan"), float("nan")
+    if not a.size:
+        return 0.0, 0.0
     scale = np.maximum(np.abs(a), np.abs(b))
     gap = np.abs(a - b)
     rel = np.where(scale > 0, gap / np.where(scale > 0, scale, 1.0), 0.0)
-    return float(np.max(rel)) if rel.size else 0.0
+    return float(np.max(gap)), float(np.max(rel))
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -248,7 +253,8 @@ def diff(path_a: str, path_b: str) -> int:
         if key not in a or key not in b:
             differing.append(f"{key}: only in {path_a if key in a else path_b}")
         elif not (a[key].shape == b[key].shape and np.array_equal(a[key], b[key])):
-            differing.append(f"{key}: largest relative difference {_rel_diff(a[key], b[key]):.3g}")
+            gap, rel = _largest_diffs(a[key], b[key])
+            differing.append(f"{key}: largest absolute difference {gap:.3g}, relative {rel:.3g}")
     print(f"{len(set(a) | set(b))} arrays compared; differing: {len(differing)}")
     for line in differing:
         print(f"  {line}")

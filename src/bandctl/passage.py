@@ -6,7 +6,10 @@ policy, used for the resolvent transform's below-x integral, the exit
 constant _B and the callers' landing and level-b integrals: Gauss-Legendre
 with node doubling (16 -> ... -> 1024) until successive estimates agree to
 1e-9 relative, in one loop (_doubling) under both rules, integrate and
-integrate_rows.  Integrands are products of exponentials, so convergence
+integrate_rows.  The verifier's demand convolution (verify._convolution)
+runs its Chebyshev panels through the same loop and orders (_orders), so
+one tolerance and one failure, QuadratureNotConverged, hold for every
+quadrature.  Integrands are products of exponentials, so convergence
 is fast; callers must split at the one known kink (the diagonal z = x of
 the resolvent density, where W jumps at the origin).
 
@@ -17,15 +20,18 @@ the values with that level's weights, so each estimate is the one a call
 per level gives, bit for bit; most quadratures stop at 32 nodes, so they
 take one call instead of two.  integrate_rows calls its integrand once per
 level: its callers nest one row-wise quadrature inside another (the
-verifier's segment transforms through resolvent_transform), and sharing
-the call there would grow the nested node grid from 32 x 32 to 48 x 48.
+verifier's level-b segment transforms through resolvent_transform), and
+sharing the call there would grow the nested node grid from 32 x 32 to
+48 x 48.  The verifier's convolution panels nest it too: each of their
+levels evaluates the surface, and so the resolvent transform, on all
+panels' nodes in one call.
 
 An integrand that nests no quadrature (rowwise=True; the resolvent
 transform's) is called per level on blocks of rows that hold about
 _BLOCK_VALUES node values, and the blocks' estimates are joined before the
 level's one convergence test, so every row gets the level it gets in one
-call, bit for bit.  Memory is then bounded by the block, though the
-verifier's segment transforms evaluate V at about 15,000 nodes per level.
+call, bit for bit.  Memory is then bounded by the block, however many
+nodes a nesting caller evaluates V at in one level.
 The nesting integrand itself is not blocked, since the nested
 quadrature's node counts depend on which rows share its call.  Blocks run
 along the first row axis and keep trailing row axes whole, and 1-D blocks
@@ -36,7 +42,7 @@ stack.
 The resolvent transform integrates W(x - z) exp(-mu_k z) over one row per
 x, not one per (demand component, x): its integrand evaluates W once per
 node and multiplies it by each component's exponential, as the verifier's
-segment transforms and _against_exp share theirs.  _against_exp is the
+segment transforms and panels and _against_exp share theirs.  _against_exp is the
 demand transform of one segment, with rows that share one integrate call:
 the exit constant _B here and the cost modules' landing constants.
 """

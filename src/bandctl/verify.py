@@ -13,21 +13,28 @@ All residuals are scaled by the magnitude of the surface; the same grid and
 tolerance make the verdict deterministic.  Derivatives come from central
 differences, which the grid keeps off the thresholds' kinks: every point
 lies at least _KINK_WINDOW from each threshold, farther than the step
-_FD_STEP reaches.  The demand convolutions are evaluated through cumulative
-exponential transforms so a whole grid costs a handful of vectorized
-quadratures.
+_FD_STEP reaches.
+
+The demand convolution of each operator is integrated spectrally on
+Chebyshev panels cut at the thresholds (_convolution; Clenshaw & Curtis
+1960; Trefethen, Approximation Theory and Approximation Practice, 2013), so
+the number of its surface evaluations does not grow with the grid.  The
+level-b value keeps its Gauss-Legendre segment transforms, cut at the
+thresholds and the min-selection's crossovers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .cost_one import CostSurface
 from .errors import ValidationError
 from .model import ModelConfig
-from .passage import integrate_rows
+from .passage import _doubling, _orders, integrate_rows
 
 DEFAULT_TOL = 5e-4
 DEFAULT_GRID = 400
@@ -49,7 +56,7 @@ def _segment_transforms(w, cuts: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """int over each [cuts_j, cuts_j+1] of w(u) exp(mu_k u) du, shape (k, nseg).
 
     Shares the w evaluations across demand components; node-doubling per the
-    shared quadrature policy.
+    shared quadrature policy.  The level-b value's transforms.
     """
 
     def f(u):
@@ -58,18 +65,73 @@ def _segment_transforms(w, cuts: np.ndarray, mus: np.ndarray) -> np.ndarray:
     return integrate_rows(f, cuts[:-1], cuts[1:])
 
 
+@lru_cache(maxsize=8)
+def _chebyshev_rule(n: int):
+    """The n Chebyshev points of the first kind on [-1, 1], and the (n + 1, n)
+    matrix that maps values there to the Chebyshev coefficients of the
+    interpolant's antiderivative from -1."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    to_coef = 2.0 / n * np.cos(np.outer(np.arange(n), theta))
+    to_coef[0] /= 2.0
+    return np.cos(theta), chebint(to_coef, lbnd=-1)
+
+
+def _panels(x_max: float, breakpoints, rate: float):
+    """(lo, hi) of panels covering [0, x_max], cut at every breakpoint inside
+    and no longer than 1 / rate."""
+    inner = [p for p in set(breakpoints) if 0.0 < p < x_max]
+    ends = sorted_unique(np.concatenate([[0.0], inner, [x_max]]))
+    cuts = [np.linspace(a, c, int(np.ceil((c - a) * rate)) + 1)[1:]
+            for a, c in zip(ends[:-1], ends[1:])]
+    cuts = np.concatenate([[0.0]] + cuts)
+    return cuts[:-1], cuts[1:]
+
+
 def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.ndarray:
-    """lam * int_0^x w(x - a) dF(a) at every grid point, via
-    int_0^x w(u) f(x-u) du = sum_k w_k mu_k e^{-mu_k x} int_0^x w(u) e^{mu_k u} du."""
+    """lam * int_0^x w(x - a) dF(a) = lam * sum_k w_k mu_k J_k(x) at every grid
+    point, J_k(x) = int_0^x w(u) exp(-mu_k (x - u)) du, and 0 for x <= 0.
+
+    [0, max x] is cut into panels at the breakpoints and into lengths of at
+    most 1 / max mu_k.  On a panel [lo, hi] w(u) exp(-mu_k (hi - u)) is
+    interpolated at Chebyshev points of the first kind, which never touch
+    the panel's ends, and its antiderivative A_k is evaluated at the
+    panel's grid points; then J_k(x) = exp(-mu_k (x - lo)) J_k(lo) +
+    exp(mu_k (hi - x)) A_k(x), both factors at most e, and J_k(lo) is
+    carried from panel to panel the same way.  w is called once per level
+    on all panels' nodes; the levels double under the shared quadrature
+    policy (passage._doubling), so a w that jumps between breakpoints
+    raises QuadratureNotConverged.
+    """
     mus = np.asarray(model.demand.rates)
     ws = np.asarray(model.demand.weights)
-    inner = [p for p in set(breakpoints) if 0.0 < p < float(xs.max())]
-    cuts = sorted_unique(np.concatenate([[0.0], xs, inner]))
-    seg = _segment_transforms(w, cuts, mus)
-    prefix = np.concatenate([np.zeros((len(mus), 1)), np.cumsum(seg, axis=1)], axis=1)
-    pos = np.searchsorted(cuts, xs)
-    C = prefix[:, pos]                              # (k, nx)
-    out = (ws * mus) @ (np.exp(-mus[:, None] * xs) * C)
+    out = np.zeros(xs.shape)
+    on = xs > 0.0
+    if not on.any():
+        return out
+    x = xs[on]
+    lo, hi = _panels(float(x.max()), breakpoints, float(mus.max()))
+    width = hi - lo
+    p = np.searchsorted(hi, x)  # the panel (lo_p, hi_p] of each point
+    t = np.clip(2.0 * (x - lo[p]) / width[p] - 1.0, -1.0, 1.0)
+
+    def level(n):
+        nodes, antiderivative = _chebyshev_rule(n)
+        u = lo[:, None] + 0.5 * width[:, None] * (nodes + 1.0)  # (panels, n)
+        g = w(u.reshape(-1)).reshape(u.shape) * np.exp(-mus[:, None, None] * (hi[:, None] - u))
+        coef = 0.5 * width[:, None] * (g @ antiderivative.T)   # (k, panels, n + 1)
+        at_x = np.einsum("kxj,xj->kx", coef[:, p], chebvander(t, n))
+        return np.concatenate([at_x, coef.sum(axis=-1)], axis=1)  # T_j(1) = 1
+
+    est = _doubling((level(n) for n in _orders()),
+                    lambda: "demand convolution did not converge on its panels")
+    at_x, whole = est[:, :len(x)], est[:, len(x):]
+    decay = np.exp(-mus[:, None] * width)
+    J_lo = np.zeros_like(whole)
+    for j in range(1, len(lo)):
+        J_lo[:, j] = decay[:, j - 1] * J_lo[:, j - 1] + whole[:, j - 1]
+    J = (np.exp(-mus[:, None] * (x - lo[p])) * J_lo[:, p]
+         + np.exp(mus[:, None] * (hi[p] - x)) * at_x)
+    out[on] = (ws * mus) @ J
     return model.lam * out
 
 
@@ -197,10 +259,12 @@ def _grid(model: ModelConfig, kinks, n: int) -> np.ndarray:
 
 
 def check_settings(tol: float, grid_points: int = DEFAULT_GRID) -> None:
-    """Raise ValidationError unless tol is finite and > 0 and grid_points >= 1."""
-    if not (np.isfinite(tol) and tol > 0 and grid_points >= 1):  # NaN would pass any check
-        raise ValidationError(f"verification needs a finite tol > 0 and grid_points >= 1, "
-                              f"got tol={tol}, grid_points={grid_points}")
+    """Raise ValidationError unless tol is finite and > 0 and grid_points is an
+    int or numpy integer >= 1 (a bool is not one)."""
+    whole = isinstance(grid_points, (int, np.integer)) and not isinstance(grid_points, bool)
+    if not (np.isfinite(tol) and tol > 0 and whole and grid_points >= 1):  # NaN passes any check
+        raise ValidationError("verification needs a finite tol > 0 and an integer grid_points"
+                              f" >= 1, got tol={tol}, grid_points={grid_points!r}")
 
 
 def verify_strategy(

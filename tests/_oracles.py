@@ -10,6 +10,10 @@ draws from the simulator's counter-based streams.  resolvent_transform_rows
 is a bit-for-bit reference, not an independent value: the killed-resolvent
 transform as it was computed with one integrate_rows row per demand
 component, which the engine's shared-W form must reproduce exactly.
+convolution_cells is the verifier's demand convolution as it was computed
+before the Chebyshev panels, cell by cell with the package's Gauss-Legendre
+rows: a second quadrature of the same integral, which the panels must
+match to round-off.
 """
 
 from __future__ import annotations
@@ -129,6 +133,25 @@ def resolvent_transform_rows(ctx, x) -> np.ndarray:
     below = integrate_rows(lambda z: ctx.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
     shape = (k,) + (1,) * x.ndim
     return ctx._B.reshape(shape) * ctx.up(x)[None, ...] - below
+
+
+def convolution_cells(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.ndarray:
+    """lam * int_0^x w(x - a) dF(a) at every grid point, via
+    int_0^x w(u) f(x-u) du = sum_k w_k mu_k e^{-mu_k x} int_0^x w(u) e^{mu_k u} du,
+    the inner integral as a cumulative sum of Gauss-Legendre integrals over
+    the cells between 0, the grid points and the breakpoints."""
+    mus = np.asarray(model.demand.rates)
+    ws = np.asarray(model.demand.weights)
+    inner = [p for p in set(breakpoints) if 0.0 < p < float(xs.max())]
+    cuts = np.unique(np.concatenate([[0.0], xs, inner]))
+
+    def f(u):
+        return w(u.reshape(-1)).reshape(u.shape) * np.exp(mus[:, None, None] * u)
+
+    seg = integrate_rows(f, cuts[:-1], cuts[1:])
+    prefix = np.concatenate([np.zeros((len(mus), 1)), np.cumsum(seg, axis=1)], axis=1)
+    C = prefix[:, np.searchsorted(cuts, xs)]
+    return model.lam * ((ws * mus) @ (np.exp(-mus[:, None] * xs) * C))
 
 
 def _sample_y(rng, model, n):

@@ -20,12 +20,14 @@ _spec.loader.exec_module(compare_numbers)
 def test_diff_lists_changed_and_missing_arrays(tmp_path, capsys):
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     same = {"band/x/V0": np.array(1.5), "escalate/ex1": np.array("Result(y1=3.0)")}
-    np.savez(a, **same, grid=np.array([1.0, 2.0]))
-    np.savez(b, **same, grid=np.array([1.0, 2.5]), extra=np.zeros(2))
+    np.savez(a, **same, grid=np.array([1.0, 2.0]), res=np.array([3.0, 1e-15]))
+    np.savez(b, **same, grid=np.array([1.0, 2.5]), res=np.array([3.0, 2e-15]), extra=np.zeros(2))
     assert compare_numbers.main(["diff", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert "4 arrays compared; differing: 2" in out
-    assert "grid: largest relative difference 0.2" in out
+    assert "5 arrays compared; differing: 3" in out
+    assert "grid: largest absolute difference 0.5, relative 0.2" in out
+    # a residual near 0: the relative change is large, the absolute one is not
+    assert "res: largest absolute difference 1e-15, relative 0.5" in out
     assert f"extra: only in {b}" in out
 
     assert compare_numbers.main(["diff", str(a), str(a)]) == 0

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, passage, total_cost, total_cost_two
-from bandctl.errors import ValidationError
+from bandctl import BandOne, BandTwo, passage, total_cost, total_cost_two, verify
+from bandctl.errors import QuadratureNotConverged, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
-from bandctl.verify import (level_b_value, operator_L, operator_L0, sorted_unique,
-                            verify_strategy)
+from bandctl.verify import (check_settings, level_b_value, operator_L, operator_L0,
+                            sorted_unique, verify_strategy)
+from ._oracles import convolution_cells
 from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
 MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
@@ -17,6 +18,11 @@ with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference"
           / "crosscheck-inputs.json") as fh:
     # the four cross-check base policies: (config, thresholds)
     BASE_POLICIES = [(p["config"], p["band"]) for p in json.load(fh)["policies"]]
+with open(Path(__file__).resolve().parent / "data" / "verify-verdicts.json") as fh:
+    # verdicts of the 44 reference bands and the escalate winners, recorded
+    # from the cell-by-cell convolution that the Chebyshev panels replaced
+    VERDICTS = json.load(fh)
+WINNERS = [(c["config"], c["thresholds"]) for c in VERDICTS if c["case"].startswith("escalate-")]
 
 
 def test_operator_on_constant_function():
@@ -225,6 +231,20 @@ def test_verify_rejects_degenerate_tolerance(tol, grid_points):
         verify_strategy(make_ex1(), surf, tol=tol, grid_points=grid_points)
 
 
+@pytest.mark.parametrize("grid_points", [2.5, np.float64(400.0), float("inf"), True],
+                         ids=["float", "numpy-float", "inf", "bool"])
+def test_verify_rejects_a_grid_that_is_not_an_integer(grid_points):
+    # True would run a one-point base grid, the floats numpy's bare TypeError
+    surf = total_cost(make_ex1(), BandOne(1.526, 1.526, 5.077))
+    with pytest.raises(ValidationError, match="integer grid_points >= 1"):
+        verify_strategy(make_ex1(), surf, grid_points=grid_points)
+
+
+def test_verify_accepts_numpy_integer_grids():
+    check_settings(5e-4, np.int64(400))
+    check_settings(5e-4, np.int32(1))
+
+
 def test_sorted_unique_matches_np_unique_bitwise():
     rng = np.random.default_rng(7)
     base = np.round(rng.uniform(-3.0, 3.0, 500), 1)
@@ -254,13 +274,65 @@ def test_verify_in_row_blocks_equals_one_call_bitwise(config, thresholds, monkey
         assert getattr(blocked, name) == getattr(ref, name), name
 
 
+@pytest.mark.parametrize("config, thresholds", BASE_POLICIES + WINNERS,
+                         ids=[f"{c}-base" for c, _ in BASE_POLICIES]
+                         + [f"escalate-{c}" for c, _ in WINNERS])
+def test_convolution_panels_match_the_cells(config, thresholds, monkeypatch):
+    # the Chebyshev panels and the old cell-by-cell Gauss-Legendre quadrature
+    # integrate the same convolution; they agree to round-off of the scale
+    model, surface = _base_surface(config, thresholds)
+    rep = verify_strategy(model, surface)
+    monkeypatch.setattr(verify, "_convolution", convolution_cells)
+    for phase, panels in ((1, rep.residual_L1), (2, rep.residual_L2)):
+        cells = operator_L(model, phase, lambda x: surface.V(phase, x), rep.grid,
+                           breakpoints=surface.thresholds)
+        assert np.max(np.abs(panels - cells)) <= 1e-12 * rep.scale
+
+
+def test_convolution_panels_match_the_cells_on_a_steep_surface(monkeypatch):
+    m = make_ex1()
+    xs = np.linspace(0.01, 0.02, 21)
+    w = lambda x: np.exp(-300.0 * np.asarray(x, dtype=float))
+    panels = operator_L(m, 1, w, xs)
+    monkeypatch.setattr(verify, "_convolution", convolution_cells)
+    assert np.max(np.abs(panels - operator_L(m, 1, w, xs))) <= 1e-12
+
+
+def test_convolution_needs_the_jumps_as_breakpoints(monkeypatch):
+    # a jump inside a panel keeps the Chebyshev levels apart up to 1024
+    # nodes; cut at it, the panels are exact again
+    m = make_ex1_hyper()
+    xs = np.linspace(0.5, 6.0, 40)
+    w = lambda x: np.where(np.asarray(x) < 2.345, 1.0, 3.0)
+    with pytest.raises(QuadratureNotConverged):
+        operator_L(m, 1, w, xs)
+    panels = operator_L(m, 1, w, xs, breakpoints=(2.345,))
+    monkeypatch.setattr(verify, "_convolution", convolution_cells)
+    cells = operator_L(m, 1, w, xs, breakpoints=(2.345,))
+    assert np.max(np.abs(panels - cells)) <= 1e-12 * 3.0
+
+
+def test_verdicts_match_the_recorded_ones():
+    # the panels move residual_L1/L2 by round-off only: every verdict, failure
+    # count, L0 residual, capacity gap and scale stays bit for bit
+    for case in VERDICTS:
+        model, surface = _base_surface(case["config"], case["thresholds"])
+        rep = verify_strategy(model, surface)
+        got = {"passed": rep.passed, "failures": len(rep.failures),
+               **{name: getattr(rep, name)
+                  for name in ("L0_residual", "boundary_1", "boundary_2", "scale")}}
+        assert got == {k: case[k] for k in got}, case["case"]
+
+
 @pytest.mark.parametrize("config, thresholds, limit_mib", [
-    ("ex1-hyper", (1.0, 1.5, 4.0), 12.0),
-    ("ex1", (0.0, 0.0, 3.3743305488598034), 6.0),  # the optimum, as escalate finds it
+    ("ex1-hyper", (1.0, 1.5, 4.0), 4.0),
+    ("ex1", (0.0, 0.0, 3.3743305488598034), 2.0),  # the optimum
 ], ids=["ex1-hyper", "ex1"])
 def test_verify_traced_peak_memory(config, thresholds, limit_mib):
-    # a nested resolvent transform in one call holds (k, ~15,000, nodes)
-    # arrays, 28.9 and 22.7 MiB here; in row blocks the peaks are 8.6 and 3.7
+    # the convolution panels evaluate the surface at a few hundred nodes per
+    # level, and the resolvent transforms nested in it run in row blocks:
+    # the peaks are 1.2 and 0.8 MiB (8.6 and 3.7 with a quadrature per grid
+    # cell, 28.9 and 22.7 with no row blocks either)
     model, surface = _base_surface(config, thresholds)
     verify_strategy(model, surface)  # warm the caches outside the trace
     tracemalloc.start()
