@@ -32,10 +32,12 @@ first on the path.  It writes:
   estimate_cost are called, so the script dumps older trees too;
 * verify/<case>/<field>: the residual_L1, residual_L2, switch_slack_12,
   switch_slack_21, L0_residual, boundary_1, boundary_2 and scale of
-  verify_strategy at its default grid, for the four base policies
-  (<config>-base) and for the escalate winners (escalate-<ex>), each surface
-  rebuilt from its band by total_cost or total_cost_two.  Only those and
-  verify_strategy are called, so older trees dump these too;
+  verify_strategy at its default grid, and the crossovers
+  (verify._min_crossovers) at which the level-b value cuts its segments,
+  for the four base policies (<config>-base) and for the escalate winners
+  (escalate-<ex>), each surface rebuilt from its band by total_cost or
+  total_cost_two.  Only those, verify_strategy and _min_crossovers are
+  called, so older trees dump these too;
 * kernel/<config>/p<phase>/<fn>: W, Wbar, Wbarbar, Z and Zbar of both
   phases of every config, on the fixed _kernel_inputs (a 0-d, two 1-d and a
   (3, 200, 48) array over [-1, b + 1]), each result raveled and the four
@@ -146,11 +148,15 @@ def _surface(model, th):
 
 
 def _verify_arrays(case: str, model, th) -> dict:
-    """verify/<case>/<field> for the band with thresholds th."""
+    """verify/<case>/<field> and verify/<case>/crossovers for the band with thresholds th."""
     from bandctl import verify_strategy
+    from bandctl.verify import _min_crossovers
 
-    report = verify_strategy(model, _surface(model, th))
-    return {f"verify/{case}/{name}": np.asarray(getattr(report, name)) for name in VERIFY_FIELDS}
+    surface = _surface(model, th)
+    report = verify_strategy(model, surface)
+    arrays = {f"verify/{case}/{name}": np.asarray(getattr(report, name)) for name in VERIFY_FIELDS}
+    arrays[f"verify/{case}/crossovers"] = np.asarray(_min_crossovers(surface), dtype=float)
+    return arrays
 
 
 def _kernel_inputs(b: float) -> list:

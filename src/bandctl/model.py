@@ -200,6 +200,11 @@ def _check_finite(value, name: str) -> None:
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate(model: ModelConfig, allow_backlog: bool = False) -> ModelConfig:
     """Check every invariant; return the config unchanged if all hold.
 

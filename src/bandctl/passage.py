@@ -18,33 +18,29 @@ costs one integrand call.  integrate gets its 16- and 32-node levels from
 one call on the 48 concatenated nodes, and reduces each level's slice of
 the values with that level's weights, so each estimate is the one a call
 per level gives, bit for bit; most quadratures stop at 32 nodes, so they
-take one call instead of two.  integrate_rows calls its integrand once per
-level: its callers nest one row-wise quadrature inside another (the
-verifier's level-b segment transforms through resolvent_transform), and
-sharing the call there would grow the nested node grid from 32 x 32 to
-48 x 48.  The verifier's convolution panels nest it too: each of their
-levels evaluates the surface, and so the resolvent transform, on all
-panels' nodes in one call.
+take one call instead of two.
 
-An integrand that nests no quadrature (rowwise=True; the resolvent
-transform's) is called per level on blocks of rows that hold about
-_BLOCK_VALUES node values, and the blocks' estimates are joined before the
-level's one convergence test, so every row gets the level it gets in one
-call, bit for bit.  Memory is then bounded by the block, however many
-nodes a nesting caller evaluates V at in one level.
-The nesting integrand itself is not blocked, since the nested
-quadrature's node counts depend on which rows share its call.  Blocks run
-along the first row axis and keep trailing row axes whole, and 1-D blocks
-hold a multiple of 8 rows: matmul reduces the values with one BLAS gemv per
-stack of the trailing axes, and a row's bits depend on its place in the
-stack.
+integrate_rows calls its integrand as f(z, rows), rows the slice of the
+first row axis that z covers, once per level on blocks of rows that hold
+about _BLOCK_VALUES node values, and joins the blocks' estimates before
+the level's one convergence test.  Where a row's values depend on that
+row alone, as they do for the resolvent transform's integrand, which nests
+no quadrature, every row gets the level and the bits that one call per
+level gives.  Memory is then bounded by the block, however many nodes a
+caller evaluates V at in one level: the verifier's convolution panels and
+level-b segments evaluate the surface, and so the resolvent transform, on
+all their nodes in one call.  Blocks run along the first row axis and
+keep trailing row axes whole, and 1-D blocks hold a multiple of 8 rows:
+matmul reduces the values with one BLAS gemv per stack of the trailing
+axes, and a row's bits depend on its place in the stack.
 
 The resolvent transform integrates W(x - z) exp(-mu_k z) over one row per
 x, not one per (demand component, x): its integrand evaluates W once per
 node and multiplies it by each component's exponential, as the verifier's
-segment transforms and panels and _against_exp share theirs.  _against_exp is the
-demand transform of one segment, with rows that share one integrate call:
-the exit constant _B here and the cost modules' landing constants.
+panels and _against_exp share theirs.  _against_exp is the demand
+transform of one segment, with rows that share one integrate call: the
+exit constant _B here, the cost modules' landing constants and the
+verifier's level-b value.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from .scale import ExpConvolution, ScaleSet
 GL_START = 16
 GL_MAX = 1024
 GL_REL_TOL = 1e-9
-_BLOCK_VALUES = 1 << 14  # node values per integrand call of a rowwise integrate_rows level
+_BLOCK_VALUES = 1 << 14  # node values per integrand call of an integrate_rows level
 
 
 @lru_cache(maxsize=16)
@@ -91,8 +87,7 @@ def _doubling(estimates, failure):
     failure() gives the message of the QuadratureNotConverged raised if not.
     estimates is consumed lazily, so no level past the converged one is
     computed.  integrate's first two estimates come from one integrand call;
-    integrate_rows makes one call per estimate, or one per row block of a
-    rowwise integrand, as its callers nest."""
+    integrate_rows makes one call per row block of each estimate."""
     prev = None
     for total in estimates:
         if prev is not None:
@@ -147,7 +142,7 @@ def _against_exp(mus, fn, lo: float, hi: float, lead=()) -> np.ndarray:
 
 
 def _block_rows(shape: tuple, m: int) -> int:
-    """Rows of the first row axis per rowwise integrand call at m nodes: about
+    """Rows of the first row axis per integrand call at m nodes: about
     _BLOCK_VALUES node values, a multiple of 8 for 1-D rows (see the module
     docstring), at least one row (eight for 1-D rows)."""
     per_row = m * int(np.prod(shape[1:], dtype=int))
@@ -156,22 +151,18 @@ def _block_rows(shape: tuple, m: int) -> int:
     return max(1, _BLOCK_VALUES // per_row)
 
 
-def integrate_rows(f, lo, hi, rowwise: bool = False):
+def integrate_rows(f, lo, hi):
     """Row-wise integrals int_{lo_i}^{hi_i} f(z) dz with shared relative nodes.
 
-    lo/hi broadcast against each other; f maps a node array of shape
-    (rows..., m) to values of shape (lead..., rows..., m), where the leading
-    axes (for example one per demand component) may be empty; the result has
-    shape (lead..., rows...).  Rows with hi <= lo give 0; when every row is
-    empty, f is not called and the result has shape (rows...).  Integrands
-    must be smooth inside each (lo_i, hi_i).
-
-    rowwise says that f nests no quadrature, so a row's values depend on
-    that row alone.  f is then called as f(z, rows), rows the slice of the
-    first row axis that z covers, on blocks of about _BLOCK_VALUES node
-    values, and the result is the one a single call per level gives, bit for
-    bit (see the module docstring).  An integrand that nests integrate_rows
-    must not be rowwise.
+    lo/hi broadcast against each other; f(z, rows) maps a node array z of
+    shape (rows..., m), rows the slice of the first row axis that z covers,
+    to values of shape (lead..., rows..., m), where the leading axes (for
+    example one per demand component) may be empty; the result has shape
+    (lead..., rows...).  f is called per level on blocks of about
+    _BLOCK_VALUES node values (see the module docstring).  Rows with
+    hi <= lo give 0; when every row is empty, f is not called and the
+    result has shape (rows...).  Integrands must be smooth inside each
+    (lo_i, hi_i).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -183,11 +174,11 @@ def integrate_rows(f, lo, hi, rowwise: bool = False):
     def rows(t, w, block=slice(None)):
         lo_b, span_b = (lo[block], span[block]) if span.ndim else (lo, span)
         z = lo_b[..., None] + span_b[..., None] * t
-        return span_b * (np.asarray(f(z, block) if rowwise else f(z)) @ w)
+        return span_b * (np.asarray(f(z, block)) @ w)
 
     def level(t, w):
         n = len(span) if span.ndim else 1
-        step = _block_rows(span.shape, len(t)) if rowwise and span.ndim else n
+        step = _block_rows(span.shape, len(t)) if span.ndim else n
         if step >= n:
             return rows(t, w)
         return np.concatenate([rows(t, w, slice(i, i + step)) for i in range(0, n, step)],
@@ -257,7 +248,7 @@ class ExitContext:
         The below-x integral has one row per x, on (a, max(x, a)): its
         integrand maps nodes of shape x.shape + (m,) (or a row block's) to
         W(x - z), evaluated once per node, times exp(-mu_k z), of shape
-        (k,) + x.shape + (m,); it nests no quadrature, so it runs in row blocks.
+        (k,) + x.shape + (m,), and runs in row blocks.
         When every x <= a it is a zero array of shape x.shape, which
         broadcasts against the (k,) + x.shape exit term.
         """
@@ -266,7 +257,7 @@ class ExitContext:
         mus = self._mus.reshape(shape + (1,))
         below = integrate_rows(lambda z, rows: self.scale.W(x[rows, ..., None] - z)
                                * np.exp(-mus * z),
-                               self.a, np.maximum(x, self.a), rowwise=True)
+                               self.a, np.maximum(x, self.a))
         return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
 
 

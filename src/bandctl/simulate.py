@@ -24,7 +24,7 @@ import numpy as np
 
 from ._workers import fork_map, usable_workers
 from .errors import InvalidStart, ValidationError
-from .model import ModelConfig, upper_cost_bound
+from .model import ModelConfig, is_integer, upper_cost_bound
 
 TRUNCATION_FRACTION = 1e-4  # discounted tail mass kept below this share of the cost bound
 
@@ -46,7 +46,7 @@ def _mix(x):
 
 def _path_keys(base_seed: int, start: int, n: int) -> np.ndarray:
     p = np.arange(start, start + n, dtype=np.uint64)
-    return _mix(_U64(base_seed & 0xFFFFFFFFFFFFFFFF) + _PATH_STRIDE * (p + _U64(1)))
+    return _mix(_U64(int(base_seed) & 0xFFFFFFFFFFFFFFFF) + _PATH_STRIDE * (p + _U64(1)))
 
 
 def _round_uniforms(keys: np.ndarray, counter: int, mixture: bool):
@@ -185,8 +185,7 @@ def _run_paths(
     k = m.switching
     mixture = len(m.demand.rates) > 1
 
-    if isinstance(phase0, bool) or not isinstance(phase0, (int, np.integer)) \
-            or not 0 <= phase0 <= 2:
+    if not (is_integer(phase0) and 0 <= phase0 <= 2):
         raise InvalidStart(f"phase0 must be the integer 0, 1 or 2, got {phase0!r}")
     if phase0 == 0 and abs(x0 - b) > 1e-12:
         raise InvalidStart("phase 0 starts only at capacity b")
@@ -314,10 +313,14 @@ def estimate_cost(
     batch) or spread over the workers, but each path's draws depend only on
     (base_seed, path index, draw index), and the final reduction runs once
     over the full per-path arrays, so any chunking and worker count give
-    identical output.
+    identical output.  n_paths, base_seed and jobs are each an int or a
+    numpy integer that is not a bool; base_seed is taken modulo 2**64.
     """
-    if n_paths < 2:
-        raise ValidationError("n_paths must be >= 2 for a standard error")
+    if not (is_integer(n_paths) and n_paths >= 2 and is_integer(jobs) and jobs >= 1
+            and is_integer(base_seed)):
+        raise ValidationError("n_paths must be >= 2 for a standard error and jobs >= 1, and both"
+                              f" and base_seed must be integers; got n_paths={n_paths!r},"
+                              f" jobs={jobs!r}, base_seed={base_seed!r}")
     strategy.check(model)
     hold = np.empty(n_paths)
     short = np.empty(n_paths)

@@ -19,8 +19,10 @@ The demand convolution of each operator is integrated spectrally on
 Chebyshev panels cut at the thresholds (_convolution; Clenshaw & Curtis
 1960; Trefethen, Approximation Theory and Approximation Practice, 2013), so
 the number of its surface evaluations does not grow with the grid.  The
-level-b value keeps its Gauss-Legendre segment transforms, cut at the
-thresholds and the min-selection's crossovers.
+level-b value is a sum of segment demand transforms (passage._against_exp),
+cut at the thresholds and at the min-selection's crossovers, each the
+secant root of a sign-change cell of a fixed scan, so every segment is
+smooth.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .cost_one import CostSurface
 from .errors import ValidationError
-from .model import ModelConfig
-from .passage import _doubling, _orders, integrate_rows
+from .model import ModelConfig, is_integer
+from .passage import _against_exp, _doubling, _orders
 
 DEFAULT_TOL = 5e-4
 DEFAULT_GRID = 400
@@ -50,19 +52,6 @@ def sorted_unique(a) -> np.ndarray:
     keep = np.ones(a.shape, dtype=bool)
     keep[1:] = a[1:] != a[:-1]
     return a[keep]
-
-
-def _segment_transforms(w, cuts: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """int over each [cuts_j, cuts_j+1] of w(u) exp(mu_k u) du, shape (k, nseg).
-
-    Shares the w evaluations across demand components; node-doubling per the
-    shared quadrature policy.  The level-b value's transforms.
-    """
-
-    def f(u):
-        return w(u.reshape(-1)).reshape(u.shape) * np.exp(mus[:, None, None] * u)
-
-    return integrate_rows(f, cuts[:-1], cuts[1:])
 
 
 @lru_cache(maxsize=8)
@@ -163,42 +152,47 @@ def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=(), w_x=None):
     return out if np.asarray(x).ndim else float(out[0])
 
 
-def _vbar_min(surface: CostSurface, u: np.ndarray) -> np.ndarray:
+def _restart_values(surface: CostSurface, u: np.ndarray):
+    """(K01 + V1(u), K02 + V2(u)): the value of restarting in each phase at u."""
     k = surface.model.switching
-    return np.minimum(k.k01 + surface.V(1, u), k.k02 + surface.V(2, u))
-
-
-def _vbar_strategy(surface: CostSurface, u: np.ndarray) -> np.ndarray:
-    k = surface.model.switching
-    y3 = surface.band.y3
-    return np.where(u <= y3, k.k01 + surface.V(1, u), k.k02 + surface.V(2, u))
+    return k.k01 + surface.V(1, u), k.k02 + surface.V(2, u)
 
 
 def _min_crossovers(surface: CostSurface, n: int = 800) -> list[float]:
-    """Sign changes of (K01 + V1) - (K02 + V2): kinks of the min-selection."""
-    m = surface.model
-    u = np.linspace(1e-9, m.b - 1e-9, n)
-    k = m.switching
-    g = (k.k01 + surface.V(1, u)) - (k.k02 + surface.V(2, u))
+    """Kinks of the min-selection, ascending, where g = (K01 + V1) - (K02 + V2)
+    changes sign on an n-point scan of (0, b): the secant root of each cell
+    whose ends differ in sign, and each scan point where g is 0 between two
+    of opposite sign."""
+    u = np.linspace(1e-9, surface.model.b - 1e-9, n)
+    g = np.subtract(*_restart_values(surface, u))
     s = np.sign(g)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    return [float(0.5 * (u[i] + u[i + 1])) for i in idx]
+    i = np.flatnonzero(s[:-1] * s[1:] < 0)
+    roots = u[i] - g[i] * (u[i + 1] - u[i]) / (g[i + 1] - g[i])
+    zero = np.flatnonzero((s[1:-1] == 0) & (s[:-2] * s[2:] < 0)) + 1
+    return sorted(float(r) for r in np.concatenate([u[zero], roots]))
 
 
 def level_b_value(model: ModelConfig, surface: CostSurface, selection: str = "min") -> float:
     """Theorem-style level-b value from (w1, w2): the discounted expectation
-    of the selected restart value plus the overshoot penalty."""
+    of the selected restart value plus the overshoot penalty.
+
+    selection="min" restarts in the cheaper phase, and its segments are
+    also cut at the crossovers; "strategy" restarts in phase 1 up to y3.
+    """
     m = model
-    vbar = _vbar_min if selection == "min" else _vbar_strategy
-    breaks = sorted(set(surface.thresholds) | set(_min_crossovers(surface) if selection == "min" else []))
+
+    def vbar(u):
+        r1, r2 = _restart_values(surface, u)
+        return np.minimum(r1, r2) if selection == "min" else np.where(u <= surface.band.y3, r1, r2)
+
+    breaks = [*surface.thresholds, *(_min_crossovers(surface) if selection == "min" else ())]
     mus = np.asarray(m.demand.rates)
     ws = np.asarray(m.demand.weights)
     cuts = sorted_unique(np.concatenate([[0.0], [p for p in breaks if 0 < p < m.b], [m.b]]))
-    seg = _segment_transforms(lambda u: vbar(surface, u), cuts, mus)
-    C = seg.sum(axis=1)
+    C = sum(_against_exp(mus, vbar, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
     integral = float((ws * mus) @ (np.exp(-mus * m.b) * C))
     tail = float(m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1))
-    vbar0 = float(vbar(surface, np.zeros(1))[0])
+    vbar0 = float(vbar(np.zeros(1))[0])
     return (m.h0_b + m.lam * (integral + tail + vbar0 * m.demand.sf(m.b))) / (m.q + m.lam)
 
 
@@ -261,8 +255,8 @@ def _grid(model: ModelConfig, kinks, n: int) -> np.ndarray:
 def check_settings(tol: float, grid_points: int = DEFAULT_GRID) -> None:
     """Raise ValidationError unless tol is finite and > 0 and grid_points is an
     int or numpy integer >= 1 (a bool is not one)."""
-    whole = isinstance(grid_points, (int, np.integer)) and not isinstance(grid_points, bool)
-    if not (np.isfinite(tol) and tol > 0 and whole and grid_points >= 1):  # NaN passes any check
+    # NaN passes any check
+    if not (np.isfinite(tol) and tol > 0 and is_integer(grid_points) and grid_points >= 1):
         raise ValidationError("verification needs a finite tol > 0 and an integer grid_points"
                               f" >= 1, got tol={tol}, grid_points={grid_points!r}")
 

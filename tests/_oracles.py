@@ -130,7 +130,7 @@ def resolvent_transform_rows(ctx, x) -> np.ndarray:
     hi = np.broadcast_to(np.maximum(x, ctx.a), (k,) + x.shape)
     mus = ctx._mus.reshape((k,) + (1,) * (x.ndim + 1))
     xx = x.reshape((1,) + x.shape + (1,))
-    below = integrate_rows(lambda z: ctx.scale.W(xx - z) * np.exp(-mus * z), lo, hi)
+    below = integrate_rows(lambda z, rows: ctx.scale.W(xx - z) * np.exp(-mus[rows] * z), lo, hi)
     shape = (k,) + (1,) * x.ndim
     return ctx._B.reshape(shape) * ctx.up(x)[None, ...] - below
 
@@ -145,7 +145,7 @@ def convolution_cells(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> 
     inner = [p for p in set(breakpoints) if 0.0 < p < float(xs.max())]
     cuts = np.unique(np.concatenate([[0.0], xs, inner]))
 
-    def f(u):
+    def f(u, rows):
         return w(u.reshape(-1)).reshape(u.shape) * np.exp(mus[:, None, None] * u)
 
     seg = integrate_rows(f, cuts[:-1], cuts[1:])

@@ -1,5 +1,6 @@
 """scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify
-and kernel arrays are verify_strategy's report fields and the kernels' values."""
+and kernel arrays are verify_strategy's report fields, the level-b crossovers and the
+kernels' values."""
 
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from bandctl import BandOne, BandTwo, build_scale, total_cost, total_cost_two, verify_strategy
 from bandctl.passage import ExitContext
+from bandctl.verify import _min_crossovers
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_numbers.py"
@@ -39,11 +41,16 @@ def test_diff_lists_changed_and_missing_arrays(tmp_path, capsys):
 def test_verify_arrays_hold_the_report_fields(th):
     model = make_ex3()
     arrays = compare_numbers._verify_arrays("ex3-base", model, th)
-    assert list(arrays) == [f"verify/ex3-base/{name}" for name in compare_numbers.VERIFY_FIELDS]
+    assert list(arrays) == [f"verify/ex3-base/{name}"
+                            for name in compare_numbers.VERIFY_FIELDS + ("crossovers",)]
     surface = total_cost_two(model, BandTwo(*th)) if len(th) == 4 else total_cost(model, BandOne(*th))
     report = verify_strategy(model, surface)
     for name in compare_numbers.VERIFY_FIELDS:
         assert np.array_equal(arrays[f"verify/ex3-base/{name}"], getattr(report, name))
+    # the min-selection's one kink, near y3
+    crossovers = _min_crossovers(surface)
+    assert len(crossovers) == 1 and abs(crossovers[0] - 3.114) < 1e-2
+    assert np.array_equal(arrays["verify/ex3-base/crossovers"], crossovers)
 
 
 @pytest.mark.parametrize("config, make", [("ex1", make_ex1), ("ex1-hyper", make_ex1_hyper)])

@@ -312,7 +312,8 @@ def test_omega2_tails_against_mpmath(make, y2):
 
 @pytest.mark.parametrize("rule, message", [
     (lambda f: integrate(f, 0.0, 1.0), r"integrate on \[0\.0, 1\.0\] did not reach 1e-09"),
-    (lambda f: integrate_rows(f, 0.0, 1.0), "row-wise quadrature did not converge"),
+    (lambda f: integrate_rows(lambda z, rows: f(z), 0.0, 1.0),
+     "row-wise quadrature did not converge"),
 ], ids=["integrate", "integrate_rows"])
 def test_quadrature_not_converged(rule, message):
     # sin(1e5 z) oscillates far faster than 1024 nodes on [0, 1] resolve
@@ -322,9 +323,9 @@ def test_quadrature_not_converged(rule, message):
 
 def _counting(f, counts: list):
     """f, appending the node count of each call to counts."""
-    def counted(z):
+    def counted(z, *rows):
         counts.append(np.shape(z)[-1])
-        return f(z)
+        return f(z, *rows)
 
     return counted
 
@@ -343,11 +344,23 @@ def test_integrate_shares_one_call_for_the_first_two_levels():
 
 
 def test_integrate_rows_calls_its_integrand_once_per_level():
-    # its callers nest one row-wise quadrature in another, so sharing a call
-    # would grow the nested node grid from 32 x 32 to 48 x 48
+    # rows that fit one block: one call per level on every row
     counts = []
-    integrate_rows(_counting(np.exp, counts), 0.0, np.array([1.0, 2.0]))
+    integrate_rows(_counting(lambda z, rows: np.exp(z), counts), 0.0, np.array([1.0, 2.0]))
     assert counts == [16, 32]
+
+
+def _rows_per_level(f, lo, hi):
+    """integrate_rows as one integrand call per level on every row: the reference."""
+    span = hi - lo
+    prev = None
+    for n in (16, 32, 64, 128, 256, 512, 1024):
+        t, w = _gl_nodes(n)
+        total = span * (np.asarray(f(lo + span[..., None] * t)) @ w)
+        if prev is not None and np.max(np.abs(total - prev)) <= 1e-9 * (1.0 + np.max(np.abs(total))):
+            return total
+        prev = total
+    raise AssertionError("reference did not converge")
 
 
 def test_integrate_rows_calls_a_rowwise_integrand_on_row_blocks():
@@ -360,14 +373,14 @@ def test_integrate_rows_calls_a_rowwise_integrand_on_row_blocks():
         calls.append((rows, z.shape))
         return np.exp(z)
 
-    got = integrate_rows(f, 0.0, hi, rowwise=True)
+    got = integrate_rows(f, 0.0, hi)
     assert calls[:3] == [(slice(0, 1024), (1024, 16)), (slice(1024, 2048), (1024, 16)),
                          (slice(2048, 3072), (952, 16))]
     assert [shape for _, shape in calls[3:]] == [(512, 32)] * 5 + [(440, 32)]
-    assert np.array_equal(got, integrate_rows(np.exp, 0.0, hi))
+    assert np.array_equal(got, _rows_per_level(np.exp, 0.0, hi))
     # rows that fit one block: one call per level on every row
     calls.clear()
-    integrate_rows(f, 0.0, hi[:100], rowwise=True)
+    integrate_rows(f, 0.0, hi[:100])
     assert calls == [(slice(None), (100, 16)), (slice(None), (100, 32))]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -216,6 +217,30 @@ def test_start_phase_accepts_numpy_integers(ex1_strategy):
     m, band, strat = ex1_strategy
     assert (estimate_cost(m, strat, 2.0, np.int64(1), 100, base_seed=1)
             == estimate_cost(m, strat, 2.0, 1, 100, base_seed=1))
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int64(-1)],
+                         ids=["int64", "uint64", "int64-minus-1"])
+def test_numpy_integer_seeds_give_the_int_seeds_estimate(ex1_strategy, seed):
+    # np.int64(3) & 0xFFFFFFFFFFFFFFFF used to overflow; -1 is 2**64 - 1
+    m, band, strat = ex1_strategy
+    assert (estimate_cost(m, strat, 2.0, 1, 100, base_seed=seed)
+            == estimate_cost(m, strat, 2.0, 1, 100, base_seed=int(seed)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("base_seed", 1.5), ("base_seed", "7"), ("base_seed", True),
+    ("n_paths", 100.0), ("n_paths", np.float64(100.0)),
+    ("jobs", 2.5), ("jobs", 0), ("jobs", -1),
+], ids=["seed-float", "seed-str", "seed-bool", "paths-float", "paths-numpy-float",
+        "jobs-float", "jobs-0", "jobs-minus-1"])
+def test_estimate_rejects_a_bad_count_or_seed(ex1_strategy, name, value):
+    # a float or string seed or path count used to raise a bare TypeError,
+    # True ran as seed 1, and every one of these jobs values ran
+    m, band, strat = ex1_strategy
+    kwargs = {"n_paths": 100, "base_seed": 1, "jobs": 1, name: value}
+    with pytest.raises(ValidationError, match=re.escape(f"{name}={value!r}")):
+        estimate_cost(m, strat, 2.0, 1, **kwargs)
 
 
 def test_backlog_floor_supported():

@@ -20,7 +20,8 @@ with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference"
     BASE_POLICIES = [(p["config"], p["band"]) for p in json.load(fh)["policies"]]
 with open(Path(__file__).resolve().parent / "data" / "verify-verdicts.json") as fh:
     # verdicts of the 44 reference bands and the escalate winners, recorded
-    # from the cell-by-cell convolution that the Chebyshev panels replaced
+    # from the cell-by-cell convolution that the Chebyshev panels replaced;
+    # the L0 residuals and capacity gaps from the level-b value's secant cuts
     VERDICTS = json.load(fh)
 WINNERS = [(c["config"], c["thresholds"]) for c in VERDICTS if c["case"].startswith("escalate-")]
 
@@ -313,8 +314,7 @@ def test_convolution_needs_the_jumps_as_breakpoints(monkeypatch):
 
 
 def test_verdicts_match_the_recorded_ones():
-    # the panels move residual_L1/L2 by round-off only: every verdict, failure
-    # count, L0 residual, capacity gap and scale stays bit for bit
+    # every verdict, failure count, L0 residual, capacity gap and scale, bit for bit
     for case in VERDICTS:
         model, surface = _base_surface(case["config"], case["thresholds"])
         rep = verify_strategy(model, surface)
@@ -322,6 +322,47 @@ def test_verdicts_match_the_recorded_ones():
                **{name: getattr(rep, name)
                   for name in ("L0_residual", "boundary_1", "boundary_2", "scale")}}
         assert got == {k: case[k] for k in got}, case["case"]
+
+
+def test_level_b_value_matches_the_cell_oracle():
+    # (h0_b + lam E[vbar(b - A); A < b] + lam (ptail(b) + vbar(0) sf(b))) / (q + lam),
+    # its convolution integrated by the oracle's cells at the same cuts; the
+    # strategy selection is the band's own restart, whose value is V0
+    for case in VERDICTS:
+        m, s = _base_surface(case["config"], case["thresholds"])
+        vbar = lambda u: np.minimum(*verify._restart_values(s, u))
+        cuts = set(s.thresholds) | set(verify._min_crossovers(s))
+        conv = convolution_cells(m, vbar, np.array([m.b]), cuts)[0]
+        rest = m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1) \
+            + vbar(np.zeros(1))[0] * m.demand.sf(m.b)
+        want = (m.h0_b + conv + m.lam * rest) / (m.q + m.lam)
+        tol = 1e-12 * case["scale"]
+        assert abs(level_b_value(m, s) - want) <= tol, case["case"]
+        assert abs(level_b_value(m, s, selection="strategy") - s.V0) <= tol, case["case"]
+
+
+def test_min_crossovers_are_roots():
+    # each crossover is a point of the 800-point scan where the two restart
+    # values are equal, or the secant root of a sign-change cell: strictly
+    # inside the cell, where they agree to 1e-6 x scale; a cell that holds a
+    # threshold brackets a jump, not a root
+    roots = 0
+    for case in VERDICTS:
+        m, s = _base_surface(case["config"], case["thresholds"])
+        u = np.linspace(1e-9, m.b - 1e-9, 800)
+        g = np.subtract(*verify._restart_values(s, u))
+        for r in verify._min_crossovers(s):
+            i = int(np.searchsorted(u, r))
+            if u[i] == r:
+                assert g[i] == 0.0, case["case"]
+                continue
+            if any(u[i - 1] <= t <= u[i] for t in s.thresholds):
+                continue
+            assert u[i - 1] < r < u[i], case["case"]
+            gap = np.subtract(*verify._restart_values(s, np.array([r])))[0]
+            assert abs(gap) <= 1e-6 * case["scale"], (case["case"], r, gap)
+            roots += 1
+    assert roots == 23  # the other five sign-change cells hold a threshold
 
 
 @pytest.mark.parametrize("config, thresholds, limit_mib", [
