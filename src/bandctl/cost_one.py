@@ -5,12 +5,12 @@ switches 1 -> 2 on [y1, b), and after a restart from capacity picks phase 1
 iff the landing point is at or below y3.  The two-threshold policy is the
 special case y3 = y2.
 
-Each of the three cost kinds decomposes as  value(x) = base(x) + slope(x) *
-level_b_value.  A phase's six slope/base coefficients (alpha, beta for
-holding, gamma, mu for shortage, delta, omega for switching) are one stack,
-built from one evaluation of the exit and transfer-map quantities at x.  The
-level-b scalars solve one-dimensional linear fixed points assembled by
-quadrature of the stacks over the demand density.  A lattice row of bands
+Each of the three cost kinds decomposes as  value(x) = base(x) + alpha(x) *
+level_b_value, one discount alpha(x) = E_x[e^{-q tau_b}] serving all three.
+A phase's four coefficients (alpha; the holding, shortage and switching
+bases beta, mu, omega) are one stack, from one evaluation of the exit and
+transfer-map quantities at x.  The level-b fixed points share one multiplier
+(quadratures of the stacks over the demand density).  A lattice row of bands
 that share (y2, y3) is assembled in one pass, with y1 along a band axis
 (lattice_V0); one band is a row of one and runs through the same code.
 """
@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import FixedPointNotContractive, OutOfBand, ValidationError
-from .model import ModelConfig
+from .model import ModelConfig, check_phase
 from .passage import ExitContext, Omega2, _against_exp, integrate
 from .scale import ExpConvolution, build_scale
 
@@ -93,10 +93,9 @@ def _contractive(ok, value, message: str) -> None:
 class PhaseTwoContext:
     """The phase-2 objects of a type-one band that depend only on (model, y2).
 
-    The exit context on (y2, b), the transfer map and _cZ/_coef_Z (Z1's
-    demand transform over [0, y2]); at_nodes memoizes bases at the level-b
-    J2 nodes, for the 16 latest (context, node array) pairs.  Cached arrays
-    are read-only.
+    The exit context on (y2, b) and the transfer map; at_nodes memoizes
+    bases at the level-b J2 nodes, for the 16 latest (context, node array)
+    pairs.  Cached arrays are read-only.
     """
 
     def __init__(self, model: ModelConfig, y2: float):
@@ -106,20 +105,17 @@ class PhaseTwoContext:
         self.om = Omega2(s1, self.exit2)
         self.mus = np.array(model.demand.rates, dtype=float)
         self.ws = np.array(model.demand.weights, dtype=float)
-        self._cZ = _against_exp(self.mus, s1.Z, 0.0, y2)
-        self._coef_Z = self.ws * (1.0 + self.mus * self._cZ)
-        for arr in (self.mus, self.ws, self._cZ, self._coef_Z, self.exit2._B,
-                    self.om._coef_z, self.om._coef_w):
+        for arr in (self.mus, self.ws, self.exit2._B, self.om._coef_z, self.om._coef_w):
             arr.setflags(write=False)
 
     def bases(self, x):
-        """up, down, Omega(Z1), phase-2 holding, Omega(Wbarbar1), G, coef_Z . G at x."""
+        """up, down, Omega(Z1), phase-2 holding, Omega(Wbarbar1) and G at x."""
         ex, om = self.exit2, self.om
         up = ex.up(x)
         down = ex.down(x, up)
         G = ex.resolvent_transform(x, up)
         return (up, down, om.apply_Z1(x, up), ex.holding(x, self.h2, up, down),
-                om.apply_Wbarbar1(x, up), G, np.tensordot(self._coef_Z, G, axes=(0, 0)))
+                om.apply_Wbarbar1(x, up), G)
 
     def at_nodes(self, x: np.ndarray):
         """bases(x) for a 1-D node array, memoized by its exact bytes."""
@@ -146,7 +142,8 @@ def _demand_conv(model: ModelConfig) -> ExpConvolution:
 class TypeOneAssembly:
     """All closed-form machinery for one (model, band) pair.
 
-    Construction solves the three level-b fixed points; afterwards every
+    Construction solves the three level-b fixed points (one multiplier, the
+    integrated alpha row); afterwards every
     exposed function is a pure vectorized evaluation.  What depends only on
     y2 comes from the shared PhaseTwoContext, whose node memo only the
     level-b J2 integrand reads; each exit quantity is evaluated once per x.
@@ -184,22 +181,18 @@ class TypeOneAssembly:
 
         # scalars at y1 feeding the linear representations
         at_y1 = self._phase2_bases(np.atleast_1d(y1))
-        self.up_y1, self.down_y1, self.omZ_y1, self.A_y1, self._mu_y1, g_y1 = (
+        self.up_y1, self.down_y1, self.omZ_y1, self.A_y1, self._mu_y1 = (
             v.reshape(y1.shape) for v in at_y1)
         self.r = self.omZ_y1 / self.Z1y1
         self.denom = self.Z1y1 - self.omZ_y1
         _contractive((0 <= self.r) & (self.r < 1), self.r,
                      "phase-2 return factor r={} outside [0,1)")
-        _contractive((0 <= g_y1) & (g_y1 < 1), g_y1, "shortage renewal factor {} outside [0,1)")
-        self._gamma_y1 = g_y1
         self.alpha2_y1 = self.up_y1 * self.Z1y1 / self.denom
         self.beta2_y1 = self.A_y1 * self.Z1y1 / self.denom
-        self.mu2_y1 = self._mu_y1 / (1.0 - g_y1)
-        self.gamma2_y1 = self.up_y1 / (1.0 - g_y1)
+        self.mu2_y1 = self._mu_y1 * self.Z1y1 / self.denom
         k = m.switching
         k2num = k.k20 * self.up_y1 + k.k12 * self.r + k.k21 * self.down_y1
         self.omega2_y1 = k2num / (1.0 - self.r)
-        self.delta2_y1 = self.up_y1 / (1.0 - self.r)
 
         # level-b fixed points H0, S0, K0
         self._solve_level_b()
@@ -207,34 +200,32 @@ class TypeOneAssembly:
     # -- phase-2 stack (domain [y2, b]) -------------------------------------
 
     def _phase2_bases(self, x, memo: bool = False):
-        """up, down, Omega(Z1), the holding base and the two shortage bases at x.
+        """up, down, Omega(Z1), the holding base and the shortage base at x.
 
-        The shortage bases are the cost and the renewal factor before the
-        return through y1.  The y1-independent quantities come from one
-        PhaseTwoContext.bases evaluation, or with memo from its node memo.
+        The bases are the costs before the return through y1, whose renewal
+        runs through Omega(Z1) and denom, as alpha's does.  The y1-independent
+        quantities come from one PhaseTwoContext.bases evaluation, or with
+        memo from its node memo.
         """
         m = self.model
-        up, down, omZ, hold2, omW, G, ZG = (self.p2.at_nodes if memo else self.p2.bases)(x)
+        up, down, omZ, hold2, omW, G = (self.p2.at_nodes if memo else self.p2.bases)(x)
         zr = omZ / self.Z1y1
         A = hold2 + (m.h1.a / m.q) * (down - zr) + m.h1.c * (zr * self.Wbb1y1 - omW)
         # each band's coefficients, (1, k) or (bands, 1, k), against G with
         # the demand components moved last; x is (nodes,) or (bands, 1)
         mu_base = m.lam * (self._coef_S[..., None, :] * np.moveaxis(G, 0, -1)).sum(axis=-1)
-        gamma_base = m.lam / self.Z1y1 * ZG
-        return up, down, omZ, A, mu_base, gamma_base
+        return up, down, omZ, A, mu_base
 
     def phase2(self, x, memo: bool = False):
-        """Rows (alpha, beta, gamma, mu, delta, omega) of phase 2 at x."""
-        up, down, omZ, A, mu_base, g = self._phase2_bases(x, memo)
+        """Rows (alpha, beta, mu, omega) of phase 2 at x (module docstring)."""
+        up, down, omZ, A, mu_base = self._phase2_bases(x, memo)
         zr = omZ / self.Z1y1
         k = self.model.switching
         return np.stack(
             [
                 up + omZ * self.up_y1 / self.denom,
                 A + omZ * self.A_y1 / self.denom,
-                up + self.up_y1 * g / (1.0 - self._gamma_y1),
-                mu_base + g * self._mu_y1 / (1.0 - self._gamma_y1),
-                up + zr * self.delta2_y1,
+                mu_base + omZ * self._mu_y1 / self.denom,
                 k.k20 * up + k.k21 * down + zr * (k.k12 + self.omega2_y1),
             ]
         )
@@ -270,7 +261,7 @@ class TypeOneAssembly:
         return Ix + down1 * self.P1 / self.Z1y1
 
     def phase1(self, x):
-        """Rows (alpha, beta, gamma, mu, delta, omega) of phase 1 at x."""
+        """Rows (alpha, beta, mu, omega) of phase 1 at x, as phase2's."""
         x = np.asarray(x, dtype=float)
         Zx, Wx = self.s1.Z(x), self.s1.W(x)
         zr = Zx / self.Z1y1
@@ -278,9 +269,7 @@ class TypeOneAssembly:
             [
                 zr * self.alpha2_y1,
                 self.H1xy(x, Zx) + zr * self.beta2_y1,
-                zr * self.gamma2_y1,
                 self.S1xy(x, Zx, Wx) + zr * self.mu2_y1,
-                zr * self.delta2_y1,
                 zr * (self.model.switching.k12 + self.omega2_y1),
             ]
         )
@@ -295,7 +284,7 @@ class TypeOneAssembly:
         w = lam / (lam + q)
         sfb = d.sf(b)
 
-        # rows of shape (6,) for one band, (6, bands) for a lattice row
+        # rows of shape (4,) for one band, (4, bands) for a lattice row
         tail = self.phase1(np.asarray([0.0]))[..., 0] * sfb
         J2 = (
             integrate(lambda z: self.phase2(b - z, memo=True) * d.pdf(z), 0.0, b - y3)
@@ -306,29 +295,25 @@ class TypeOneAssembly:
             if y3 > 0 else np.zeros(tail.shape)
         )
 
-        mH = w * (J2[0] + J1[0] + tail[0])
+        mb = w * (J2[0] + J1[0] + tail[0])
         cH = m.h0_b / (q + lam) + w * (J2[1] + J1[1] + tail[1])
-        mS = w * (J2[2] + J1[2] + tail[2])
         ptail_b = float(d.penalty_tail(b, m.penalty.p0, m.penalty.p1))
-        cS = w * (ptail_b + J2[3] + J1[3] + tail[3])
-        mK = w * (J2[4] + J1[4] + tail[4])
+        cS = w * (ptail_b + J2[2] + J1[2] + tail[2])
         k = m.switching
         cK = w * (
-            J2[5] + J1[5] + tail[5]
+            J2[3] + J1[3] + tail[3]
             + k.k02 * d.cdf(b - y3)
             + k.k01 * (1.0 - d.cdf(b - y3))
         )
-        for name, mm in (("holding", mH), ("shortage", mS), ("switching", mK)):
-            _contractive(np.logical_not(np.abs(mm) >= 1.0), mm,
-                         name + " level-b multiplier |m|={} >= 1")
-        self.H0, self.S0, self.K0 = cH / (1.0 - mH), cS / (1.0 - mS), cK / (1.0 - mK)
+        _contractive(np.logical_not(np.abs(mb) >= 1.0), mb, "level-b multiplier |m|={} >= 1")
+        self.H0, self.S0, self.K0 = cH / (1.0 - mb), cS / (1.0 - mb), cK / (1.0 - mb)
 
     # -- assembled costs -----------------------------------------------------
 
     def costs(self, phase: int, x):
-        """(H, S, K) of the phase at x: each slope times its level-b scalar plus base."""
-        alpha, beta, gamma, mu, delta, omega = self.phase1(x) if phase == 1 else self.phase2(x)
-        return alpha * self.H0 + beta, mu + gamma * self.S0, omega + delta * self.K0
+        """(H, S, K) of the phase at x: each base plus alpha times its level-b scalar."""
+        alpha, beta, mu, omega = self.phase1(x) if phase == 1 else self.phase2(x)
+        return alpha * self.H0 + beta, mu + alpha * self.S0, omega + alpha * self.K0
 
 
 def lattice_V0(model: ModelConfig, y2: float, y3: float, y1s) -> np.ndarray:
@@ -397,6 +382,7 @@ class CostSurface:
 
     def _evaluate(self, phase: int, x, side: int, names: str) -> tuple:
         """The named components (of "VHSK") at x, from one evaluation per zone."""
+        check_phase(phase)
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all((x_arr >= self.model.l - 1e-12) & (x_arr <= self.model.b + 1e-12)):
             raise OutOfBand("x outside [l, b]")  # NaN too, which fails both comparisons

@@ -205,6 +205,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_phase(phase) -> None:
+    """Raise ValidationError unless phase is 1 or 2 and an integer (is_integer)."""
+    if not (is_integer(phase) and phase in (1, 2)):
+        raise ValidationError(f"phase must be the integer 1 or 2, got {phase!r}")
+
+
 def validate(model: ModelConfig, allow_backlog: bool = False) -> ModelConfig:
     """Check every invariant; return the config unchanged if all hold.
 

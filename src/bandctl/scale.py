@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RootFindingFailed, ThetaInsideSpectrum
-from .model import DemandLaw, ModelConfig, laplace_exponent
+from .model import DemandLaw, ModelConfig, check_phase, laplace_exponent
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
@@ -154,7 +154,7 @@ def _near_rates(mus: np.ndarray) -> str:
     return f"demand rates {float(r[i])!r} and {float(r[i + 1])!r} nearly coincide: "
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     """Solve phi(theta) = q exactly via its polynomial form.
 
@@ -164,8 +164,9 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     or (near-)repeated roots are rejected, and when two rates nearly
     coincide, which makes the root between them ill-conditioned, the error
     names them.  Cached per (model, phase): every caller shares one
-    read-only ScaleSet.
+    read-only ScaleSet; typed, so that check_phase sees True, not phase 1.
     """
+    check_phase(phase)
     d = model.demand
     sigma = model.sigma(phase)
     # equal rates merge into their first occurrence, weights summed: the same

@@ -21,8 +21,8 @@ Chebyshev panels cut at the thresholds (_convolution; Clenshaw & Curtis
 the number of its surface evaluations does not grow with the grid.  The
 level-b value is a sum of segment demand transforms (passage._against_exp),
 cut at the thresholds and at the min-selection's crossovers, each the
-secant root of a sign-change cell of a fixed scan, so every segment is
-smooth.
+secant root of a sign-change cell of a fixed scan where the zone table lets
+the restart values cross, so every segment is smooth.
 """
 
 from __future__ import annotations
@@ -162,9 +162,13 @@ def _min_crossovers(surface: CostSurface, n: int = 800) -> list[float]:
     """Kinks of the min-selection, ascending, where g = (K01 + V1) - (K02 + V2)
     changes sign on an n-point scan of (0, b): the secant root of each cell
     whose ends differ in sign, and each scan point where g is 0 between two
-    of opposite sign."""
+    of opposite sign.  g is NaN off (y2, y1) and a type-two band's (y4, b),
+    where the zone table holds it constant, so no cell joins two zones."""
     u = np.linspace(1e-9, surface.model.b - 1e-9, n)
-    g = np.subtract(*_restart_values(surface, u))
+    band = surface.band
+    scan = ((band.y2 < u) & (u < band.y1)) | (getattr(band, "y4", surface.model.b) < u)
+    g = np.full(n, np.nan)
+    g[scan] = np.subtract(*_restart_values(surface, u[scan]))
     s = np.sign(g)
     i = np.flatnonzero(s[:-1] * s[1:] < 0)
     roots = u[i] - g[i] * (u[i + 1] - u[i]) / (g[i + 1] - g[i])

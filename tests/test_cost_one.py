@@ -218,6 +218,22 @@ def test_typed_errors(call, error, message):
     assert exc.type is error
 
 
+@pytest.mark.parametrize("phase", [0, 3, 1.5, True], ids=["0", "3", "1.5", "True"])
+def test_surface_phase_must_be_one_or_two(phase):
+    # a phase other than 1 or 2 must not fall through to phase 1's zones
+    for surface in (total_cost(make_ex1(), EX1_BAND), total_cost_two(make_ex3(), EX3_TWO)):
+        for call in (surface.V, surface.components):
+            with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+                call(phase, 5.0)
+
+
+def test_surface_phase_may_be_a_numpy_integer():
+    surface = total_cost(make_ex1(), EX1_BAND)
+    assert surface.V(np.int64(2), 5.0) == surface.V(2, 5.0)
+    xs = [1.0, 5.0]
+    assert surface.components(np.int64(1), xs)[0].tolist() == surface.V(1, xs).tolist()
+
+
 def test_switching_capacity_gaps():
     m = make_ex1()
     surf = total_cost(m, EX1_BAND)
@@ -376,8 +392,7 @@ def test_phase_two_context_arrays_are_read_only():
     nodes = m.b - np.linspace(0.1, 6.0, 16)
     memo = ctx.at_nodes(nodes)
     assert ctx.at_nodes(nodes.copy()) is memo
-    cached = [ctx.mus, ctx.ws, ctx._cZ, ctx._coef_Z, ctx.exit2._B, ctx.om._coef_z,
-              ctx.om._coef_w, *memo]
+    cached = [ctx.mus, ctx.ws, ctx.exit2._B, ctx.om._coef_z, ctx.om._coef_w, *memo]
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

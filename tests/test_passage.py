@@ -192,15 +192,35 @@ def test_resolvent_transform_below_the_band_is_the_exit_term():
 
 
 def test_reflected_factors_basic():
-    # the reflected up-crossing factor kappa(x) = Z1(x)/Z1(y1) scales each
-    # phase-1 slope row: it is 1 at y1 and 1/Z1(y1) at the floor
+    # the reflected up-crossing factor kappa(x) = Z1(x)/Z1(y1) scales phase
+    # 1's one slope row: it is 1 at y1 and 1/Z1(y1) at the floor
     m = make_ex1()
     asm = TypeOneAssembly(m, BandOne(1.526, 1.526, 5.077))
-    alpha, _, gamma, _, delta, _ = asm.phase1(np.array([5.077, 0.0]))
+    alpha = asm.phase1(np.array([5.077, 0.0]))[0]
     kappa = np.array([1.0, 1.0 / asm.Z1y1])
     assert alpha == pytest.approx(kappa * asm.alpha2_y1, rel=1e-12)
-    assert gamma == pytest.approx(kappa * asm.gamma2_y1, rel=1e-12)
-    assert delta == pytest.approx(kappa * asm.delta2_y1, rel=1e-12)
+
+
+@pytest.mark.parametrize("make, band", [
+    (make_ex1, (0.0, 0.0, 3.37)), (make_ex1, (1.0, 1.0, 3.37)),
+    (make_ex3, (2.47, 3.11, 4.61)), (make_ex1_hyper, (1.0, 1.5, 4.0)),
+], ids=["ex1-doshi-0", "ex1-doshi-1", "ex3", "ex1-hyper"])
+def test_phase_two_slope_is_the_shortage_renewal_route(make, band):
+    # the one phase-2 slope row (the discount to level b, through Omega(Z1))
+    # against the route through the shortage renewal factor
+    #   g(x) = lam / Z1(y1) sum_k w_k (1 + mu_k int_0^{y2} Z1(u) e^{mu_k u} du) G_k(x),
+    # G the killed-resolvent transform: up + up(y1) g / (1 - g(y1))
+    m = make()
+    asm = TypeOneAssembly(m, BandOne(*band))
+    y2, y1 = band[0], band[2]
+    s1, ctx = build_scale(m, 1), ExitContext(build_scale(m, 2), a=y2, d=m.b)
+    coef = [w * (1.0 + mu * simpson_adaptive(lambda u: float(s1.Z(u)) * np.exp(mu * u), 0.0, y2))
+            for w, mu in zip(m.demand.weights, m.demand.rates)]
+    xs = np.linspace(y2, m.b, 41)[1:-1]
+    G = resolvent_transform_rows(ctx, np.append(xs, y1))
+    g, g_y1 = np.split(m.lam / s1.Z(y1) * (np.array(coef) @ G), [-1])
+    up, up_y1 = ctx.up(xs), ctx.up(y1)
+    assert asm.phase2(xs)[0] == pytest.approx(up + up_y1 * g / (1.0 - g_y1), rel=1e-12)
 
 
 def test_reflected_factors_against_mc():

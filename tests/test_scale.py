@@ -15,7 +15,7 @@ from bandctl import (
     total_cost,
     validate,
 )
-from bandctl.errors import RootFindingFailed, ThetaInsideSpectrum
+from bandctl.errors import RootFindingFailed, ThetaInsideSpectrum, ValidationError
 from bandctl.passage import integrate
 from bandctl.scale import ExpConvolution
 from ._oracles import simpson_adaptive
@@ -149,6 +149,21 @@ def test_build_scale_cached_and_read_only():
     for arr in (a.exponents, a.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("phase", [0, 3, 1.5, True], ids=["0", "3", "1.5", "True"])
+def test_build_scale_phase_must_be_one_or_two(phase):
+    # phase 0 must not build phase 2's kernel, nor True hit phase 1's entry
+    m = make_ex1()
+    build_scale(m, 1)
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        build_scale(m, phase)
+
+
+def test_build_scale_takes_a_numpy_integer_phase():
+    m = make_ex1()
+    assert build_scale(m, np.int64(2)).sigma == m.sigma2
+    assert np.array_equal(build_scale(m, np.int64(2)).exponents, build_scale(m, 2).exponents)
 
 
 def test_conv_exp_against_quadrature():

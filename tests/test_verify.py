@@ -344,8 +344,7 @@ def test_level_b_value_matches_the_cell_oracle():
 def test_min_crossovers_are_roots():
     # each crossover is a point of the 800-point scan where the two restart
     # values are equal, or the secant root of a sign-change cell: strictly
-    # inside the cell, where they agree to 1e-6 x scale; a cell that holds a
-    # threshold brackets a jump, not a root
+    # inside the cell, where they agree to 1e-6 x scale
     roots = 0
     for case in VERDICTS:
         m, s = _base_surface(case["config"], case["thresholds"])
@@ -356,13 +355,22 @@ def test_min_crossovers_are_roots():
             if u[i] == r:
                 assert g[i] == 0.0, case["case"]
                 continue
-            if any(u[i - 1] <= t <= u[i] for t in s.thresholds):
-                continue
             assert u[i - 1] < r < u[i], case["case"]
             gap = np.subtract(*verify._restart_values(s, np.array([r])))[0]
             assert abs(gap) <= 1e-6 * case["scale"], (case["case"], r, gap)
             roots += 1
-    assert roots == 23  # the other five sign-change cells hold a threshold
+    assert roots == 24
+
+
+def test_min_crossovers_only_where_the_zone_table_allows_them():
+    # the restart values differ by a constant on [0, y2] and on phase 1's
+    # switching zone [y1, y4] ([y1, b] for type one), so no crossover lies there
+    for case in VERDICTS:
+        m, s = _base_surface(case["config"], case["thresholds"])
+        y2, y1 = s.band.y2, s.band.y1
+        y4 = getattr(s.band, "y4", m.b)
+        for r in verify._min_crossovers(s):
+            assert not (0.0 <= r <= y2 or y1 <= r <= y4), (case["case"], r)
 
 
 @pytest.mark.parametrize("config, thresholds, limit_mib", [
