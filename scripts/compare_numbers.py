@@ -32,7 +32,8 @@ first on the path.  It writes:
   estimate_cost are called, so the script dumps older trees too;
 * verify/<case>/<field>: the residual_L1, residual_L2, switch_slack_12,
   switch_slack_21, L0_residual, boundary_1, boundary_2 and scale of
-  verify_strategy at its default grid, and the crossovers
+  verify_strategy at its default grid, the grid itself (so that each
+  dump's arrays read against its own points), and the crossovers
   (verify._min_crossovers) at which the level-b value cuts its segments,
   for the four base policies (<config>-base) and for the escalate winners
   (escalate-<ex>), each surface rebuilt from its band by total_cost or
@@ -78,7 +79,7 @@ SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surf
 KERNEL_FNS = ("W", "Wbar", "Wbarbar", "Z", "Zbar")
 RESOLVENT_CONFIGS = ("ex3", "ex1-hyper")
 VERIFY_FIELDS = ("residual_L1", "residual_L2", "switch_slack_12", "switch_slack_21",
-                 "L0_residual", "boundary_1", "boundary_2", "scale")
+                 "L0_residual", "boundary_1", "boundary_2", "scale", "grid")
 
 
 def _models():

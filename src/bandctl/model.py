@@ -182,9 +182,11 @@ class ModelConfig:
     switching: SwitchMatrix
 
     def holding(self, phase: int) -> HoldingCost:
+        check_phase(phase)
         return self.h1 if phase == 1 else self.h2
 
     def sigma(self, phase: int) -> float:
+        check_phase(phase)
         return self.sigma1 if phase == 1 else self.sigma2
 
 

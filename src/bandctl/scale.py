@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RootFindingFailed, ThetaInsideSpectrum
-from .model import DemandLaw, ModelConfig, check_phase, laplace_exponent
+from .model import DemandLaw, ModelConfig, laplace_exponent
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
@@ -164,9 +164,9 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     or (near-)repeated roots are rejected, and when two rates nearly
     coincide, which makes the root between them ill-conditioned, the error
     names them.  Cached per (model, phase): every caller shares one
-    read-only ScaleSet; typed, so that check_phase sees True, not phase 1.
+    read-only ScaleSet; typed, so that model.sigma's phase check sees True,
+    not phase 1.
     """
-    check_phase(phase)
     d = model.demand
     sigma = model.sigma(phase)
     # equal rates merge into their first occurrence, weights summed: the same

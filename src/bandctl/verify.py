@@ -10,19 +10,20 @@ value (restart selection by pointwise minimum) must match the candidate's,
 and w_i(b-) <= w0(b) + K_i0.
 
 All residuals are scaled by the magnitude of the surface; the same grid and
-tolerance make the verdict deterministic.  Derivatives come from central
-differences, which the grid keeps off the thresholds' kinks: every point
-lies at least _KINK_WINDOW from each threshold, farther than the step
-_FD_STEP reaches.
+tolerance make the verdict deterministic.  The grid holds Chebyshev points
+of the first kind on each zone between neighbouring thresholds, so no point
+lies on a threshold, 0 or b.
 
 The demand convolution of each operator is integrated spectrally on
 Chebyshev panels cut at the thresholds (_convolution; Clenshaw & Curtis
 1960; Trefethen, Approximation Theory and Approximation Practice, 2013), so
-the number of its surface evaluations does not grow with the grid.  The
-level-b value is a sum of segment demand transforms (passage._against_exp),
-cut at the thresholds and at the min-selection's crossovers, each the
-secant root of a sign-change cell of a fixed scan where the zone table lets
-the restart values cross, so every segment is smooth.
+the number of its surface evaluations does not grow with the grid, and w'
+is the derivative of the interpolant of w that the same panels build: a
+one-sided slope at each threshold, with no difference step.  The level-b
+value is a sum of segment demand transforms (passage._against_exp), cut at
+the thresholds and at the min-selection's crossovers, each the secant root
+of a sign-change cell of a fixed scan where the zone table lets the restart
+values cross, so every segment is smooth.
 """
 
 from __future__ import annotations
@@ -31,18 +32,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebvander
+from numpy.polynomial.chebyshev import chebder, chebint, chebvander
 
 from .cost_one import CostSurface
-from .errors import ValidationError
-from .model import ModelConfig, is_integer
+from .errors import OutOfBand, ValidationError
+from .model import ModelConfig, check_phase, is_integer
 from .passage import _against_exp, _doubling, _orders
 
 DEFAULT_TOL = 5e-4
 DEFAULT_GRID = 400
-_FD_STEP = 1e-5
-_EDGE = 1e-3        # keep the grid this far from 0 and b
-_KINK_WINDOW = 1e-4  # exclusion half-width around thresholds
 
 
 def sorted_unique(a) -> np.ndarray:
@@ -54,93 +52,110 @@ def sorted_unique(a) -> np.ndarray:
     return a[keep]
 
 
+def _cuts(end: float, breakpoints) -> np.ndarray:
+    """0, the distinct breakpoints inside (0, end), and end, ascending."""
+    return sorted_unique(np.concatenate([[0.0], [p for p in breakpoints if 0.0 < p < end], [end]]))
+
+
+def _chebyshev_points(n: int) -> np.ndarray:
+    """The n Chebyshev points of the first kind on [-1, 1], descending."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
 @lru_cache(maxsize=8)
 def _chebyshev_rule(n: int):
     """The n Chebyshev points of the first kind on [-1, 1], and the (n + 1, n)
-    matrix that maps values there to the Chebyshev coefficients of the
-    interpolant's antiderivative from -1."""
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    to_coef = 2.0 / n * np.cos(np.outer(np.arange(n), theta))
+    and (n - 1, n) matrices that map values there to the Chebyshev
+    coefficients of the interpolant's antiderivative from -1 and of its
+    derivative."""
+    to_coef = 2.0 / n * np.cos(np.outer(np.arange(n), np.pi * (np.arange(n) + 0.5) / n))
     to_coef[0] /= 2.0
-    return np.cos(theta), chebint(to_coef, lbnd=-1)
+    return _chebyshev_points(n), chebint(to_coef, lbnd=-1), chebder(to_coef)
 
 
-def _panels(x_max: float, breakpoints, rate: float):
-    """(lo, hi) of panels covering [0, x_max], cut at every breakpoint inside
+def _panels(end: float, breakpoints, rate: float):
+    """(lo, hi) of panels covering [0, end], cut at every breakpoint inside
     and no longer than 1 / rate."""
-    inner = [p for p in set(breakpoints) if 0.0 < p < x_max]
-    ends = sorted_unique(np.concatenate([[0.0], inner, [x_max]]))
+    ends = _cuts(end, breakpoints)
     cuts = [np.linspace(a, c, int(np.ceil((c - a) * rate)) + 1)[1:]
             for a, c in zip(ends[:-1], ends[1:])]
     cuts = np.concatenate([[0.0]] + cuts)
     return cuts[:-1], cuts[1:]
 
 
-def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.ndarray:
-    """lam * int_0^x w(x - a) dF(a) = lam * sum_k w_k mu_k J_k(x) at every grid
-    point, J_k(x) = int_0^x w(u) exp(-mu_k (x - u)) du, and 0 for x <= 0.
+def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
+    """(lam * int_0^x w(x - a) dF(a), w'(x)) at every point x of xs in [0, b]:
+    the convolution is lam * sum_k w_k mu_k J_k(x), J_k(x) = int_0^x w(u)
+    exp(-mu_k (x - u)) du.
 
-    [0, max x] is cut into panels at the breakpoints and into lengths of at
+    [0, b] is cut into panels at the breakpoints and into lengths of at
     most 1 / max mu_k.  On a panel [lo, hi] w(u) exp(-mu_k (hi - u)) is
     interpolated at Chebyshev points of the first kind, which never touch
     the panel's ends, and its antiderivative A_k is evaluated at the
-    panel's grid points; then J_k(x) = exp(-mu_k (x - lo)) J_k(lo) +
+    panel's points; then J_k(x) = exp(-mu_k (x - lo)) J_k(lo) +
     exp(mu_k (hi - x)) A_k(x), both factors at most e, and J_k(lo) is
-    carried from panel to panel the same way.  w is called once per level
-    on all panels' nodes; the levels double under the shared quadrature
-    policy (passage._doubling), so a w that jumps between breakpoints
-    raises QuadratureNotConverged.
+    carried from panel to panel the same way.  w' is the derivative of the
+    interpolant of w on the panel (lo, hi] that holds x (the first panel
+    for x = 0), so at a breakpoint it is the slope from the left.  w is
+    called once per level on all panels' nodes; the levels double under
+    the shared quadrature policy (passage._doubling), which tests the
+    slope in panel coordinates, dw/dt = w' (hi - lo) / 2, so a zone
+    narrower than the panel length converges as fast as a wide one.  A w
+    that jumps between breakpoints raises QuadratureNotConverged.
     """
     mus = np.asarray(model.demand.rates)
     ws = np.asarray(model.demand.weights)
-    out = np.zeros(xs.shape)
-    on = xs > 0.0
-    if not on.any():
-        return out
-    x = xs[on]
-    lo, hi = _panels(float(x.max()), breakpoints, float(mus.max()))
+    k, nx = len(mus), len(xs)
+    lo, hi = _panels(model.b, breakpoints, float(mus.max()))
     width = hi - lo
-    p = np.searchsorted(hi, x)  # the panel (lo_p, hi_p] of each point
-    t = np.clip(2.0 * (x - lo[p]) / width[p] - 1.0, -1.0, 1.0)
+    p = np.searchsorted(hi, xs)  # the panel (lo_p, hi_p] of each point
+    t = np.clip(2.0 * (xs - lo[p]) / width[p] - 1.0, -1.0, 1.0)
 
     def level(n):
-        nodes, antiderivative = _chebyshev_rule(n)
+        nodes, antiderivative, derivative = _chebyshev_rule(n)
         u = lo[:, None] + 0.5 * width[:, None] * (nodes + 1.0)  # (panels, n)
-        g = w(u.reshape(-1)).reshape(u.shape) * np.exp(-mus[:, None, None] * (hi[:, None] - u))
+        wu = w(u.reshape(-1)).reshape(u.shape)
+        g = wu * np.exp(-mus[:, None, None] * (hi[:, None] - u))
         coef = 0.5 * width[:, None] * (g @ antiderivative.T)   # (k, panels, n + 1)
-        at_x = np.einsum("kxj,xj->kx", coef[:, p], chebvander(t, n))
-        return np.concatenate([at_x, coef.sum(axis=-1)], axis=1)  # T_j(1) = 1
+        vander = chebvander(t, n)
+        at_x = np.einsum("kxj,xj->kx", coef[:, p], vander)
+        # less its value at one node, so that a w flat on a panel has slope 0
+        dw_dt = np.einsum("xj,xj->x", ((wu - wu[:, :1]) @ derivative.T)[p], vander[:, :n - 1])
+        return np.concatenate([at_x.ravel(), coef.sum(axis=-1).ravel(), dw_dt])  # T_j(1) = 1
 
     est = _doubling((level(n) for n in _orders()),
                     lambda: "demand convolution did not converge on its panels")
-    at_x, whole = est[:, :len(x)], est[:, len(x):]
+    at_x = est[:k * nx].reshape(k, nx)
+    whole = est[k * nx:-nx].reshape(k, len(lo))
     decay = np.exp(-mus[:, None] * width)
     J_lo = np.zeros_like(whole)
     for j in range(1, len(lo)):
         J_lo[:, j] = decay[:, j - 1] * J_lo[:, j - 1] + whole[:, j - 1]
-    J = (np.exp(-mus[:, None] * (x - lo[p])) * J_lo[:, p]
-         + np.exp(mus[:, None] * (hi[p] - x)) * at_x)
-    out[on] = (ws * mus) @ J
-    return model.lam * out
+    J = (np.exp(-mus[:, None] * (xs - lo[p])) * J_lo[:, p]
+         + np.exp(mus[:, None] * (hi[p] - xs)) * at_x)
+    return model.lam * ((ws * mus) @ J), est[-nx:] * 2.0 / width[p]
 
 
 def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=(), w_x=None):
     """L_i(w)(x): drift and discount terms plus demand-jump expectations.
 
     w must be the full piecewise value function of its phase on [0, b)
-    (switching-zone branches included).  w' is the central difference with
-    step _FD_STEP, so x must keep that far from w's kinks, as the grid of
-    verify_strategy does.  w_x, when given, holds w(x), so that a caller
-    that already evaluated w on x does not evaluate it again.
+    (switching-zone branches included), smooth between the breakpoints,
+    and x must lie in [0, b] (OutOfBand otherwise).  w' is the derivative
+    of the panels' interpolant of w (_convolution), so at a breakpoint it
+    is the slope from the left, and at 0 the slope from the right.  w_x,
+    when given, holds w(x), so that a caller that already evaluated w on x
+    does not evaluate it again.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     m = model
+    h = m.holding(phase)(xs)  # checks the phase before w is called
+    if not np.all((xs >= 0.0) & (xs <= m.b)):
+        raise OutOfBand("x outside [0, b]")  # NaN too, which fails both comparisons
     w_xs = np.atleast_1d(w(xs) if w_x is None else w_x)
-    deriv = (w(xs + _FD_STEP) - w(xs - _FD_STEP)) / (2 * _FD_STEP)
-    conv = _convolution(m, w, xs, breakpoints=breakpoints)
+    conv, deriv = _convolution(m, w, xs, breakpoints=breakpoints)
     ptail = m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
     w0 = float(np.atleast_1d(w(np.zeros(1)))[0])
-    h = m.holding(phase)(xs)
     out = (
         m.sigma(phase) * deriv
         - (m.lam + m.q) * w_xs
@@ -192,7 +207,7 @@ def level_b_value(model: ModelConfig, surface: CostSurface, selection: str = "mi
     breaks = [*surface.thresholds, *(_min_crossovers(surface) if selection == "min" else ())]
     mus = np.asarray(m.demand.rates)
     ws = np.asarray(m.demand.weights)
-    cuts = sorted_unique(np.concatenate([[0.0], [p for p in breaks if 0 < p < m.b], [m.b]]))
+    cuts = _cuts(m.b, breaks)
     C = sum(_against_exp(mus, vbar, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
     integral = float((ws * mus) @ (np.exp(-mus * m.b) * C))
     tail = float(m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1))
@@ -231,6 +246,7 @@ class VerificationReport:
     def hjb(self, phase: int) -> np.ndarray:
         """min(L_i, switch slack) of phase i on the grid; the HJB variational
         inequality asks that it vanish."""
+        check_phase(phase)
         if phase == 1:
             return np.minimum(self.residual_L1, self.switch_slack_12)
         return np.minimum(self.residual_L2, self.switch_slack_21)
@@ -243,17 +259,13 @@ class VerificationReport:
 
 
 def _grid(model: ModelConfig, kinks, n: int) -> np.ndarray:
-    """Base grid refined x4 near thresholds, minus kink exclusion windows."""
-    b = model.b
-    xs = np.linspace(_EDGE, b - _EDGE, n)
-    extra = []
-    for t in kinks:
-        w = b / 80.0
-        extra.append(np.linspace(max(t - w, _EDGE), min(t + w, b - _EDGE), 32))
-    xs = sorted_unique(np.concatenate([xs] + extra))
-    for t in kinks:
-        xs = xs[np.abs(xs - t) > _KINK_WINDOW]
-    return xs
+    """max(2, ceil(n width / b)) Chebyshev points of the first kind on each
+    zone between neighbouring thresholds (and 0 and b), ascending; none lies
+    on a zone's end."""
+    ends = _cuts(model.b, kinks)
+    sizes = np.maximum(2, np.ceil(n * np.diff(ends) / model.b).astype(int))
+    return np.concatenate([a + 0.5 * (c - a) * (1.0 + _chebyshev_points(k)[::-1])
+                           for a, c, k in zip(ends[:-1], ends[1:], sizes)])
 
 
 def check_settings(tol: float, grid_points: int = DEFAULT_GRID) -> None:

@@ -1,6 +1,6 @@
 """scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify
-and kernel arrays are verify_strategy's report fields, the level-b crossovers and the
-kernels' values."""
+and kernel arrays are verify_strategy's report fields and grid, the level-b crossovers and
+the kernels' values."""
 
 import importlib.util
 from pathlib import Path
@@ -47,6 +47,9 @@ def test_verify_arrays_hold_the_report_fields(th):
     report = verify_strategy(model, surface)
     for name in compare_numbers.VERIFY_FIELDS:
         assert np.array_equal(arrays[f"verify/ex3-base/{name}"], getattr(report, name))
+    # the points the residuals and slacks are read at
+    grid = arrays["verify/ex3-base/grid"]
+    assert grid.shape == arrays["verify/ex3-base/residual_L1"].shape and np.all(np.diff(grid) > 0)
     # the min-selection's one kink, near y3
     crossovers = _min_crossovers(surface)
     assert len(crossovers) == 1 and abs(crossovers[0] - 3.114) < 1e-2

@@ -115,6 +115,22 @@ def test_laplace_exponent_values():
     assert laplace_exponent(make_ex1(), 1, 3.0) == pytest.approx(9 - 2 + 2 * (1.5 / 4.5))
 
 
+@pytest.mark.parametrize("phase", [0, 3, True, 2.0])
+def test_sigma_rejects_a_phase_that_is_not_1_or_2(phase):
+    # 0 and 3 once gave phase 2's rate, so laplace_exponent(m, 0, 1.0) read 0.7 on ex1
+    m = make_ex1()
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        m.sigma(phase)
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        laplace_exponent(m, phase, 1.0)
+
+
+@pytest.mark.parametrize("phase", [0, 3, True, 2.0])
+def test_holding_rejects_a_phase_that_is_not_1_or_2(phase):
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        make_ex1().holding(phase)
+
+
 def test_drift_mean_values():
     assert build_scale(make_ex1(), 1).phi_prime0 == pytest.approx(3 - 2 / 1.5)
     assert build_scale(make_ex3(), 2).phi_prime0 == pytest.approx(0.5)

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, passage, total_cost, total_cost_two, verify
-from bandctl.errors import QuadratureNotConverged, ValidationError
+from bandctl import BandOne, BandTwo, build_scale, passage, total_cost, total_cost_two, verify
+from bandctl.errors import OutOfBand, QuadratureNotConverged, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
 from bandctl.verify import (check_settings, level_b_value, operator_L, operator_L0,
                             sorted_unique, verify_strategy)
@@ -42,16 +42,43 @@ def test_operator_on_constant_function():
     assert tight == pytest.approx(np.zeros(7), abs=1e-10)
 
 
-def test_operator_takes_the_central_difference_on_a_steep_surface():
-    # L_1(w) - L_2(w) = (sigma1 - sigma2) w' + h1 - h2, every other term
-    # cancels; e^{-300x} bends enough that a one-sided difference would be
-    # off by about 1.5e-3 relative, the central one by 1.5e-6
+def test_operator_takes_the_exact_slope_of_the_scale_function():
+    # W(x) = sum_j w_j e^{theta_j x} on [0, b], its slope sum_j w_j theta_j e^{theta_j x}
+    for m in (make_ex1(), make_ex1_hyper(), make_ex3()):
+        scale = build_scale(m, 1)
+        xs = np.concatenate([[0.0], np.linspace(0.01, m.b, 57)])
+        _, slope = verify._convolution(m, scale.W, xs)
+        want = (scale.weights * scale.exponents) @ np.exp(np.outer(scale.exponents, xs))
+        assert np.max(np.abs(slope - want) / np.abs(want)) <= 1e-9
+
+
+def test_operator_takes_each_sides_slope_of_a_jump():
+    # w jumps at the listed breakpoint 2.345; left of it (and at it) the slope
+    # is the left piece's, right of it the right piece's
+    m = make_ex1_hyper()
+    w = lambda x: np.where(x <= 2.345, np.exp(0.3 * x), 3.0 + x ** 2)
+    left = np.array([0.0, 1.0, 2.345 - 1e-9, 2.345])
+    right = np.array([2.345 + 1e-9, 4.0, m.b])
+    _, slope = verify._convolution(m, w, np.concatenate([left, right]), breakpoints=(2.345,))
+    want = np.concatenate([0.3 * np.exp(0.3 * left), 2.0 * right])
+    assert np.max(np.abs(slope - want) / np.abs(want)) <= 1e-9
+
+
+def test_operator_L_rejects_a_point_outside_the_band():
+    # the panels cover [0, b], so they give no slope below 0 or above b
     m = make_ex1()
-    xs = np.linspace(0.01, 0.02, 21)
-    w = lambda x: np.exp(-300.0 * np.asarray(x, dtype=float))
-    diff = operator_L(m, 1, w, xs) - operator_L(m, 2, w, xs)
-    deriv = (diff - (m.holding(1)(xs) - m.holding(2)(xs))) / (m.sigma(1) - m.sigma(2))
-    assert deriv == pytest.approx(-300.0 * np.exp(-300.0 * xs), rel=1e-5)
+    w = lambda x: np.exp(np.asarray(x, dtype=float))
+    for x in (-0.5, m.b + 1e-9, float("nan")):
+        with pytest.raises(OutOfBand, match=r"outside \[0, b\]"):
+            operator_L(m, 1, w, np.array([1.0, x]))
+
+
+@pytest.mark.parametrize("phase", [0, 3, True, 1.0])
+def test_operator_L_rejects_a_phase_that_is_not_1_or_2(phase):
+    # 0 and 3 once gave phase 2's residuals, True phase 1's
+    m = make_ex1()
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        operator_L(m, phase, lambda x: np.exp(np.asarray(x, dtype=float)), np.array([1.0]))
 
 
 def test_residual_vanishes_on_nonaction_zones():
@@ -173,6 +200,14 @@ def test_verify_reports_a_shifted_surface(c):
         assert capacity == ["capacity condition phase 2: w2(b-) - w0 - K20 = 0.047619 > 0"]
 
 
+@pytest.mark.parametrize("phase", [0, 3, True])
+def test_hjb_rejects_a_phase_that_is_not_1_or_2(phase):
+    m = make_ex1()
+    rep = verify_strategy(m, total_cost(m, BandOne(0.0, 0.0, 3.3743)))
+    with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
+        rep.hjb(phase)
+
+
 def test_verdict_deterministic():
     m = make_ex3()
     surf = total_cost_two(m, BandTwo(2.468, 3.114, 4.610, 7.660))
@@ -184,11 +219,23 @@ def test_verdict_deterministic():
 
 
 def test_grid_avoids_thresholds():
-    m = make_ex1()
-    surf = total_cost(m, BandOne(1.526, 1.526, 5.077))
-    rep = verify_strategy(m, surf)
-    for t in surf.thresholds:
-        assert np.min(np.abs(rep.grid - t)) > 1e-4
+    # each zone between neighbouring thresholds (and 0 and b) holds its
+    # max(2, ceil(n width / b)) Chebyshev points of the first kind, strictly
+    # inside; the zone (y3, y1) is 5e-7 wide
+    m = make_ex3()
+    surf = total_cost_two(m, BandTwo(2.468, 3.114, 3.114 + 5e-7, 7.660))
+    ends = [0.0, 2.468, 3.114, 3.114 + 5e-7, 7.660, m.b]
+    for grid_points in (1, 400):
+        grid = verify_strategy(m, surf, grid_points=grid_points).grid
+        start = 0
+        for a, c in zip(ends[:-1], ends[1:]):
+            n = max(2, int(np.ceil(grid_points * (c - a) / m.b)))
+            zone = grid[start:start + n]
+            want = np.sort(0.5 * (a + c) + 0.5 * (c - a) * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+            assert np.max(np.abs(zone - want)) <= 1e-15 * m.b
+            assert np.all((a < zone) & (zone < c))
+            start += n
+        assert start == len(grid)
 
 
 def test_level_b_value_matches_assembly_for_optimal_selection():
@@ -202,8 +249,8 @@ def test_level_b_value_matches_assembly_for_optimal_selection():
 
 
 def test_each_phase_evaluated_once_on_the_grid(monkeypatch):
-    # the derivative's centre value, the w(x) term of L, both switch slacks
-    # and the scale all reuse one evaluation of each phase on the grid
+    # the w(x) term of L, both switch slacks and the scale all reuse one
+    # evaluation of each phase on the grid
     from bandctl.cost_one import CostSurface
 
     m = make_ex3()
@@ -278,28 +325,27 @@ def test_verify_in_row_blocks_equals_one_call_bitwise(config, thresholds, monkey
 @pytest.mark.parametrize("config, thresholds", BASE_POLICIES + WINNERS,
                          ids=[f"{c}-base" for c, _ in BASE_POLICIES]
                          + [f"escalate-{c}" for c, _ in WINNERS])
-def test_convolution_panels_match_the_cells(config, thresholds, monkeypatch):
+def test_convolution_panels_match_the_cells(config, thresholds):
     # the Chebyshev panels and the old cell-by-cell Gauss-Legendre quadrature
     # integrate the same convolution; they agree to round-off of the scale
     model, surface = _base_surface(config, thresholds)
     rep = verify_strategy(model, surface)
-    monkeypatch.setattr(verify, "_convolution", convolution_cells)
-    for phase, panels in ((1, rep.residual_L1), (2, rep.residual_L2)):
-        cells = operator_L(model, phase, lambda x: surface.V(phase, x), rep.grid,
-                           breakpoints=surface.thresholds)
+    for phase in (1, 2):
+        w = lambda x: surface.V(phase, x)
+        panels, _ = verify._convolution(model, w, rep.grid, surface.thresholds)
+        cells = convolution_cells(model, w, rep.grid, surface.thresholds)
         assert np.max(np.abs(panels - cells)) <= 1e-12 * rep.scale
 
 
-def test_convolution_panels_match_the_cells_on_a_steep_surface(monkeypatch):
+def test_convolution_panels_match_the_cells_on_a_steep_surface():
     m = make_ex1()
     xs = np.linspace(0.01, 0.02, 21)
     w = lambda x: np.exp(-300.0 * np.asarray(x, dtype=float))
-    panels = operator_L(m, 1, w, xs)
-    monkeypatch.setattr(verify, "_convolution", convolution_cells)
-    assert np.max(np.abs(panels - operator_L(m, 1, w, xs))) <= 1e-12
+    panels, _ = verify._convolution(m, w, xs)
+    assert np.max(np.abs(panels - convolution_cells(m, w, xs))) <= 1e-12
 
 
-def test_convolution_needs_the_jumps_as_breakpoints(monkeypatch):
+def test_convolution_needs_the_jumps_as_breakpoints():
     # a jump inside a panel keeps the Chebyshev levels apart up to 1024
     # nodes; cut at it, the panels are exact again
     m = make_ex1_hyper()
@@ -307,9 +353,8 @@ def test_convolution_needs_the_jumps_as_breakpoints(monkeypatch):
     w = lambda x: np.where(np.asarray(x) < 2.345, 1.0, 3.0)
     with pytest.raises(QuadratureNotConverged):
         operator_L(m, 1, w, xs)
-    panels = operator_L(m, 1, w, xs, breakpoints=(2.345,))
-    monkeypatch.setattr(verify, "_convolution", convolution_cells)
-    cells = operator_L(m, 1, w, xs, breakpoints=(2.345,))
+    panels, _ = verify._convolution(m, w, xs, breakpoints=(2.345,))
+    cells = convolution_cells(m, w, xs, breakpoints=(2.345,))
     assert np.max(np.abs(panels - cells)) <= 1e-12 * 3.0
 
 
