@@ -8,8 +8,12 @@ Run from the repository root.  `dump` imports bandctl from the current
 PYTHONPATH, so two trees are compared by dumping once with each tree's src
 first on the path.  It writes:
 
-* escalate/<ex>: repr of escalate() on configs/ex1.json, ex2.json, ex3.json,
-  run as a user runs it, with the polish starts spread over the usable CPUs;
+* escalate/<ex>: the strategy kind, thresholds, objective, verified flag and
+  failure count of escalate() on configs/ex1.json, ex2.json, ex3.json, as
+  the repr of a tuple (_escalate_summary), run as a user runs it, with the
+  polish starts spread over the usable CPUs.  The verification report's
+  numbers are under verify/escalate-<ex>/* alone, so a change to the
+  verifier leaves these arrays as they are;
 * polish/<ex>/<stage>: rows (y2, y3, y1, V0) of every band the polish of
   stage doshi or one evaluated during a second escalate(), in call order
   (captured by wrapping optimize.total_cost inside optimize._polish), so the
@@ -34,7 +38,7 @@ first on the path.  It writes:
   switch_slack_21, L0_residual, boundary_1, boundary_2 and scale of
   verify_strategy at its default grid, the grid itself (so that each
   dump's arrays read against its own points), and the crossovers
-  (verify._min_crossovers) at which the level-b value cuts its segments,
+  (verify._min_crossovers) at which the verifier cuts its panels,
   for the four base policies (<config>-base) and for the escalate winners
   (escalate-<ex>), each surface rebuilt from its band by total_cost or
   total_cost_two.  Only those, verify_strategy and _min_crossovers are
@@ -141,6 +145,12 @@ def _escalate_with_polish(model):
     return result, {k: np.asarray(v, dtype=float) for k, v in rows.items()}
 
 
+def _escalate_summary(result) -> np.ndarray:
+    """(kind, thresholds, objective, verified, failure count) of an escalate() result, as a repr."""
+    return np.array(repr((result.strategy_kind, dataclasses.astuple(result.band), result.objective,
+                          result.verified, len(result.report.failures))))
+
+
 def _surface(model, th):
     """The cost surface of the band with thresholds th (three or four)."""
     from bandctl import BandOne, BandTwo, total_cost, total_cost_two
@@ -202,11 +212,10 @@ def dump(out: str) -> None:
         arrays.update(_kernel_arrays(name, model))
     for name in ("ex1", "ex2", "ex3"):
         winner = escalate(models[name])
-        result = repr(winner)
         one_cpu, polished = _escalate_with_polish(models[name])
-        if repr(one_cpu) != result:
+        if repr(one_cpu) != repr(winner):
             sys.exit(f"escalate/{name}: one usable CPU gives another result than the default")
-        arrays[f"escalate/{name}"] = np.array(result)
+        arrays[f"escalate/{name}"] = _escalate_summary(winner)
         arrays.update(_verify_arrays(f"escalate-{name}", models[name],
                                      dataclasses.astuple(winner.band)))
         for stage, rows in polished.items():

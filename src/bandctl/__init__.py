@@ -33,13 +33,13 @@ from .optimize import (
 )
 from .scale import ScaleSet, build_scale, check_laplace_identity
 from .simulate import SimEstimate, SimStrategy, estimate_cost
-from .verify import VerificationReport, operator_L, operator_L0, verify_strategy
+from .verify import VerificationReport, operator_L, verify_strategy
 
 __all__ = [
     "BandOne", "BandTwo", "CostSurface", "DemandLaw", "HoldingCost", "ModelConfig",
     "OptimizationResult", "PenaltyCost", "ScaleSet", "SimEstimate", "SimStrategy",
     "SwitchMatrix", "VerificationReport", "build_scale", "check_laplace_identity",
-    "escalate", "estimate_cost", "laplace_exponent", "operator_L", "operator_L0",
-    "optimize_doshi", "optimize_type_one", "optimize_type_two", "total_cost",
-    "total_cost_two", "upper_cost_bound", "validate", "verify_strategy",
+    "escalate", "estimate_cost", "laplace_exponent", "operator_L", "optimize_doshi",
+    "optimize_type_one", "optimize_type_two", "total_cost", "total_cost_two",
+    "upper_cost_bound", "validate", "verify_strategy",
 ]

@@ -7,9 +7,10 @@ constant _B and the callers' landing and level-b integrals: Gauss-Legendre
 with node doubling (16 -> ... -> 1024) until successive estimates agree to
 1e-9 relative, in one loop (_doubling) under both rules, integrate and
 integrate_rows.  The verifier's demand convolution (verify._convolution)
-runs its Chebyshev panels through the same loop and orders (_orders), so
-one tolerance and one failure, QuadratureNotConverged, hold for every
-quadrature.  Integrands are products of exponentials, so convergence
+runs its Chebyshev panels, and its restart-crossover search
+(verify._min_crossovers) its interpolants, through the same loop and
+orders (_orders), so one tolerance and one failure,
+QuadratureNotConverged, hold for every quadrature.  Integrands are products of exponentials, so convergence
 is fast; callers must split at the one known kink (the diagonal z = x of
 the resolvent density, where W jumps at the origin).
 
@@ -27,9 +28,9 @@ the level's one convergence test.  Where a row's values depend on that
 row alone, as they do for the resolvent transform's integrand, which nests
 no quadrature, every row gets the level and the bits that one call per
 level gives.  Memory is then bounded by the block, however many nodes a
-caller evaluates V at in one level: the verifier's convolution panels and
-level-b segments evaluate the surface, and so the resolvent transform, on
-all their nodes in one call.  Blocks run along the first row axis and
+caller evaluates V at in one level: the verifier's convolution panels
+evaluate the surface, and so the resolvent transform, on all their nodes
+in one call.  Blocks run along the first row axis and
 keep trailing row axes whole, and 1-D blocks hold a multiple of 8 rows:
 matmul reduces the values with one BLAS gemv per stack of the trailing
 axes, and a row's bits depend on its place in the stack.
@@ -39,8 +40,7 @@ x, not one per (demand component, x): its integrand evaluates W once per
 node and multiplies it by each component's exponential, as the verifier's
 panels and _against_exp share theirs.  _against_exp is the demand
 transform of one segment, with rows that share one integrate call: the
-exit constant _B here, the cost modules' landing constants and the
-verifier's level-b value.
+exit constant _B here and the cost modules' landing constants.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def integrate(f, a: float, b: float):
 
 
 def _against_exp(mus, fn, lo: float, hi: float, lead=()) -> np.ndarray:
-    """int_lo^hi fn(u) * exp(mu_k u) du for every demand rate mu_k in mus.
+    """int_lo^hi fn(u) * exp(mu_k u) du for every demand rate mu_k in mus: the
+    exit constant _B and the cost modules' landing constants.
 
     fn maps nodes of shape (m,) to values of shape (lead..., m); the result
     has shape (lead..., k), and all rows share one quadrature.  An empty

@@ -14,16 +14,19 @@ tolerance make the verdict deterministic.  The grid holds Chebyshev points
 of the first kind on each zone between neighbouring thresholds, so no point
 lies on a threshold, 0 or b.
 
-The demand convolution of each operator is integrated spectrally on
-Chebyshev panels cut at the thresholds (_convolution; Clenshaw & Curtis
-1960; Trefethen, Approximation Theory and Approximation Practice, 2013), so
-the number of its surface evaluations does not grow with the grid, and w'
-is the derivative of the interpolant of w that the same panels build: a
-one-sided slope at each threshold, with no difference step.  The level-b
-value is a sum of segment demand transforms (passage._against_exp), cut at
-the thresholds and at the min-selection's crossovers, each the secant root
-of a sign-change cell of a fixed scan where the zone table lets the restart
-values cross, so every segment is smooth.
+One spectral pass gives every integral (_convolution; Clenshaw & Curtis
+1960; Trefethen, Approximation Theory and Approximation Practice, 2013):
+the demand convolutions of V1, V2 and the min-selection's restart value
+min(K01 + V1, K02 + V2) are integrated together on Chebyshev panels cut at
+the thresholds and at the selection's crossovers, so the number of surface
+evaluations does not grow with the grid.  The first two give L1 and L2 on
+the grid, with w' the derivative of the interpolant of w that the same
+panels build (a one-sided slope at each threshold, with no difference
+step); the third, at b, gives the level-b value.  The crossovers are the
+real roots of the Chebyshev interpolant of the difference of the two
+restart values on the zones where the zone table lets them cross
+(Trefethen 2013, ch. 18; Boyd, SIAM J. Numer. Anal. 40, 2002), so every
+panel is smooth.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebint, chebvander
+from numpy.polynomial.chebyshev import (chebder, chebint, chebinterpolate, chebroots, chebval,
+                                         chebvander)
 
 from .cost_one import CostSurface
 from .errors import OutOfBand, ValidationError
 from .model import ModelConfig, check_phase, is_integer
-from .passage import _against_exp, _doubling, _orders
+from .passage import GL_START, _doubling, _orders
 
 DEFAULT_TOL = 5e-4
 DEFAULT_GRID = 400
@@ -84,9 +88,10 @@ def _panels(end: float, breakpoints, rate: float):
 
 
 def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
-    """(lam * int_0^x w(x - a) dF(a), w'(x)) at every point x of xs in [0, b]:
-    the convolution is lam * sum_k w_k mu_k J_k(x), J_k(x) = int_0^x w(u)
-    exp(-mu_k (x - u)) du.
+    """(lam * int_0^x w(x - a) dF(a), w'(x)) at every point x of xs in [0, b],
+    each of shape (r, len(xs)) for a w that maps nodes of shape (m,) to r
+    rows of shape (r, m): the convolution is lam * sum_k w_k mu_k J_k(x),
+    J_k(x) = int_0^x w(u) exp(-mu_k (x - u)) du.
 
     [0, b] is cut into panels at the breakpoints and into lengths of at
     most 1 / max mu_k.  On a panel [lo, hi] w(u) exp(-mu_k (hi - u)) is
@@ -98,14 +103,14 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
     interpolant of w on the panel (lo, hi] that holds x (the first panel
     for x = 0), so at a breakpoint it is the slope from the left.  w is
     called once per level on all panels' nodes; the levels double under
-    the shared quadrature policy (passage._doubling), which tests the
-    slope in panel coordinates, dw/dt = w' (hi - lo) / 2, so a zone
-    narrower than the panel length converges as fast as a wide one.  A w
-    that jumps between breakpoints raises QuadratureNotConverged.
+    the shared quadrature policy (passage._doubling), which tests every
+    row at once, and the slope in panel coordinates, dw/dt = w' (hi - lo)
+    / 2, so a zone narrower than the panel length converges as fast as a
+    wide one.  A w that jumps between breakpoints raises
+    QuadratureNotConverged.
     """
     mus = np.asarray(model.demand.rates)
     ws = np.asarray(model.demand.weights)
-    k, nx = len(mus), len(xs)
     lo, hi = _panels(model.b, breakpoints, float(mus.max()))
     width = hi - lo
     p = np.searchsorted(hi, xs)  # the panel (lo_p, hi_p] of each point
@@ -114,56 +119,56 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
     def level(n):
         nodes, antiderivative, derivative = _chebyshev_rule(n)
         u = lo[:, None] + 0.5 * width[:, None] * (nodes + 1.0)  # (panels, n)
-        wu = w(u.reshape(-1)).reshape(u.shape)
-        g = wu * np.exp(-mus[:, None, None] * (hi[:, None] - u))
-        coef = 0.5 * width[:, None] * (g @ antiderivative.T)   # (k, panels, n + 1)
+        wu = w(u.reshape(-1)).reshape((-1,) + u.shape)          # (r, panels, n)
+        g = wu[:, None] * np.exp(-mus[:, None, None] * (hi[:, None] - u))
+        coef = 0.5 * width[:, None] * (g @ antiderivative.T)   # (r, k, panels, n + 1)
         vander = chebvander(t, n)
-        at_x = np.einsum("kxj,xj->kx", coef[:, p], vander)
+        at_x = np.einsum("rkxj,xj->rkx", coef[:, :, p], vander)
         # less its value at one node, so that a w flat on a panel has slope 0
-        dw_dt = np.einsum("xj,xj->x", ((wu - wu[:, :1]) @ derivative.T)[p], vander[:, :n - 1])
-        return np.concatenate([at_x.ravel(), coef.sum(axis=-1).ravel(), dw_dt])  # T_j(1) = 1
+        dw_dt = np.einsum("rxj,xj->rx", ((wu - wu[..., :1]) @ derivative.T)[:, p],
+                          vander[:, :n - 1])
+        return np.concatenate([at_x.ravel(), coef.sum(axis=-1).ravel(), dw_dt.ravel()])  # T_j(1) = 1
 
     est = _doubling((level(n) for n in _orders()),
                     lambda: "demand convolution did not converge on its panels")
-    at_x = est[:k * nx].reshape(k, nx)
-    whole = est[k * nx:-nx].reshape(k, len(lo))
+    k, nx = len(mus), len(xs)
+    r = len(est) // (k * (nx + len(lo)) + nx)
+    at_x = est[:r * k * nx].reshape(r, k, nx)
+    whole = est[r * k * nx:-r * nx].reshape(r, k, len(lo))
+    dw_dt = est[-r * nx:].reshape(r, nx)
     decay = np.exp(-mus[:, None] * width)
     J_lo = np.zeros_like(whole)
     for j in range(1, len(lo)):
-        J_lo[:, j] = decay[:, j - 1] * J_lo[:, j - 1] + whole[:, j - 1]
-    J = (np.exp(-mus[:, None] * (xs - lo[p])) * J_lo[:, p]
+        J_lo[..., j] = decay[:, j - 1] * J_lo[..., j - 1] + whole[..., j - 1]
+    J = (np.exp(-mus[:, None] * (xs - lo[p])) * J_lo[..., p]
          + np.exp(mus[:, None] * (hi[p] - xs)) * at_x)
-    return model.lam * ((ws * mus) @ J), est[-nx:] * 2.0 / width[p]
+    return model.lam * ((ws * mus) @ J), dw_dt * 2.0 / width[p]
 
 
-def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=(), w_x=None):
+def _generator(model: ModelConfig, phase: int, xs, w_xs, w0: float, conv, deriv) -> np.ndarray:
+    """L_i(w) at xs from w there, w(0), the demand convolution and w'."""
+    m = model
+    return (m.sigma(phase) * deriv - (m.lam + m.q) * w_xs + conv
+            + m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
+            + m.lam * w0 * m.demand.sf(xs) + m.holding(phase)(xs))
+
+
+def operator_L(model: ModelConfig, phase: int, w, x, breakpoints=()):
     """L_i(w)(x): drift and discount terms plus demand-jump expectations.
 
     w must be the full piecewise value function of its phase on [0, b)
     (switching-zone branches included), smooth between the breakpoints,
     and x must lie in [0, b] (OutOfBand otherwise).  w' is the derivative
     of the panels' interpolant of w (_convolution), so at a breakpoint it
-    is the slope from the left, and at 0 the slope from the right.  w_x,
-    when given, holds w(x), so that a caller that already evaluated w on x
-    does not evaluate it again.
+    is the slope from the left, and at 0 the slope from the right.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    m = model
-    h = m.holding(phase)(xs)  # checks the phase before w is called
-    if not np.all((xs >= 0.0) & (xs <= m.b)):
+    check_phase(phase)  # before w is called
+    if not np.all((xs >= 0.0) & (xs <= model.b)):
         raise OutOfBand("x outside [0, b]")  # NaN too, which fails both comparisons
-    w_xs = np.atleast_1d(w(xs) if w_x is None else w_x)
-    conv, deriv = _convolution(m, w, xs, breakpoints=breakpoints)
-    ptail = m.lam * m.demand.penalty_tail(xs, m.penalty.p0, m.penalty.p1)
+    conv, deriv = _convolution(model, lambda u: np.atleast_2d(w(u)), xs, breakpoints)
     w0 = float(np.atleast_1d(w(np.zeros(1)))[0])
-    out = (
-        m.sigma(phase) * deriv
-        - (m.lam + m.q) * w_xs
-        + conv
-        + ptail
-        + m.lam * w0 * m.demand.sf(xs)
-        + h
-    )
+    out = _generator(model, phase, xs, np.atleast_1d(w(xs)), w0, conv[0], deriv[0])
     return out if np.asarray(x).ndim else float(out[0])
 
 
@@ -173,56 +178,31 @@ def _restart_values(surface: CostSurface, u: np.ndarray):
     return k.k01 + surface.V(1, u), k.k02 + surface.V(2, u)
 
 
-def _min_crossovers(surface: CostSurface, n: int = 800) -> list[float]:
-    """Kinks of the min-selection, ascending, where g = (K01 + V1) - (K02 + V2)
-    changes sign on an n-point scan of (0, b): the secant root of each cell
-    whose ends differ in sign, and each scan point where g is 0 between two
-    of opposite sign.  g is NaN off (y2, y1) and a type-two band's (y4, b),
-    where the zone table holds it constant, so no cell joins two zones."""
-    u = np.linspace(1e-9, surface.model.b - 1e-9, n)
-    band = surface.band
-    scan = ((band.y2 < u) & (u < band.y1)) | (getattr(band, "y4", surface.model.b) < u)
-    g = np.full(n, np.nan)
-    g[scan] = np.subtract(*_restart_values(surface, u[scan]))
-    s = np.sign(g)
-    i = np.flatnonzero(s[:-1] * s[1:] < 0)
-    roots = u[i] - g[i] * (u[i + 1] - u[i]) / (g[i + 1] - g[i])
-    zero = np.flatnonzero((s[1:-1] == 0) & (s[:-2] * s[2:] < 0)) + 1
-    return sorted(float(r) for r in np.concatenate([u[zero], roots]))
+def _min_crossovers(surface: CostSurface) -> list[float]:
+    """Kinks of the min-selection, ascending: where g = (K01 + V1) - (K02 + V2)
+    changes sign.  The zone table holds g constant off (y2, y1) and a
+    type-two band's (y4, b); on each of those zones g is interpolated at
+    Chebyshev points of the first kind, and the real roots in (-1, 1) of
+    the interpolant are mapped back.  The degree doubles under the shared
+    quadrature policy (passage._doubling), which compares the interpolants
+    of successive levels at the first level's points."""
+    band, b = surface.band, surface.model.b
+    roots = []
+    for a, c in [(band.y2, band.y1)] + ([(band.y4, b)] if hasattr(band, "y4") else []):
+        at = lambda t: a + 0.5 * (c - a) * (t + 1.0)
+        fits = []
 
+        def level(n):
+            fits.append(chebinterpolate(lambda t: np.subtract(*_restart_values(surface, at(t))),
+                                        n - 1))
+            return chebval(_chebyshev_points(GL_START), fits[-1])
 
-def level_b_value(model: ModelConfig, surface: CostSurface, selection: str = "min") -> float:
-    """Theorem-style level-b value from (w1, w2): the discounted expectation
-    of the selected restart value plus the overshoot penalty.
-
-    selection="min" restarts in the cheaper phase, and its segments are
-    also cut at the crossovers; "strategy" restarts in phase 1 up to y3.
-    """
-    m = model
-
-    def vbar(u):
-        r1, r2 = _restart_values(surface, u)
-        return np.minimum(r1, r2) if selection == "min" else np.where(u <= surface.band.y3, r1, r2)
-
-    breaks = [*surface.thresholds, *(_min_crossovers(surface) if selection == "min" else ())]
-    mus = np.asarray(m.demand.rates)
-    ws = np.asarray(m.demand.weights)
-    cuts = _cuts(m.b, breaks)
-    C = sum(_against_exp(mus, vbar, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    integral = float((ws * mus) @ (np.exp(-mus * m.b) * C))
-    tail = float(m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1))
-    vbar0 = float(vbar(np.zeros(1))[0])
-    return (m.h0_b + m.lam * (integral + tail + vbar0 * m.demand.sf(m.b))) / (m.q + m.lam)
-
-
-def operator_L0(model: ModelConfig, surface: CostSurface, selection: str = "min") -> float:
-    """L_0 applied to the surface's own level-b value.
-
-    selection="min" is the verification-theorem form; "strategy" uses the
-    band's restart zone and vanishes for every assembled band surface.
-    """
-    w0 = level_b_value(model, surface, selection=selection)
-    return (model.q + model.lam) * (w0 - surface.V0)
+        _doubling((level(n) for n in _orders()),
+                  lambda: f"restart values did not converge on ({a}, {c})")
+        t = chebroots(fits[-1])
+        t = t[np.isreal(t)].real
+        roots += list(at(t[(-1.0 < t) & (t < 1.0)]))
+    return sorted(float(r) for r in roots)
 
 
 @dataclass
@@ -283,27 +263,35 @@ def verify_strategy(
     tol: float = DEFAULT_TOL,
     grid_points: int = DEFAULT_GRID,
 ) -> VerificationReport:
-    """Check supersolution slack, solution tightness and capacity conditions."""
+    """Check supersolution slack, solution tightness and capacity conditions.
+
+    One pass of the demand convolution (_convolution) on three rows, V1, V2
+    and the min-selection's restart value min(K01 + V1, K02 + V2), at the
+    grid and at b, on panels cut at the thresholds and at the crossovers,
+    gives L1 and L2 on the grid and the level-b value."""
     check_settings(tol, grid_points)
+    if model != surface.model:
+        raise ValidationError("verify_strategy needs the model the surface was built on")
     m = model
     k = m.switching
-    kinks = tuple(getattr(surface, "thresholds", ()))
+    kinks = tuple(surface.thresholds)
     g = _grid(m, kinks, grid_points)
-    w1 = lambda x: surface.V(1, x)
-    w2 = lambda x: surface.V(2, x)
     # each phase is evaluated once on the grid
-    v1, v2 = w1(g), w2(g)
+    v1, v2 = surface.V(1, g), surface.V(2, g)
 
-    L1 = operator_L(m, 1, w1, g, breakpoints=kinks, w_x=v1)
-    L2 = operator_L(m, 2, w2, g, breakpoints=kinks, w_x=v2)
+    def rows(u):
+        w1, w2 = surface.V(1, u), surface.V(2, u)
+        return np.stack([w1, w2, np.minimum(k.k01 + w1, k.k02 + w2)])
 
-    vmax = max(
-        1.0,
-        float(np.max(np.abs(v1))),
-        float(np.max(np.abs(v2))),
-        abs(surface.V0),
-    )
-    w0_min = level_b_value(m, surface, selection="min")
+    conv, deriv = _convolution(m, rows, np.append(g, m.b), kinks + tuple(_min_crossovers(surface)))
+    at0 = rows(np.zeros(1))[:, 0]
+    L1 = _generator(m, 1, g, v1, at0[0], conv[0, :-1], deriv[0, :-1])
+    L2 = _generator(m, 2, g, v2, at0[1], conv[1, :-1], deriv[1, :-1])
+
+    vmax = max(1.0, float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), abs(surface.V0))
+    # the level-b value: the discounted restart value and overshoot penalty
+    tail = m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1) + at0[2] * m.demand.sf(m.b)
+    w0_min = float((m.h0_b + conv[2, -1] + m.lam * tail) / (m.q + m.lam))
     L0_res = float((m.q + m.lam) * (w0_min - surface.V0))
     b1 = float(surface.V(1, m.b, side=-1)) - w0_min - k.k10
     b2 = float(surface.V(2, m.b, side=-1)) - w0_min - k.k20

@@ -13,7 +13,9 @@ component, which the engine's shared-W form must reproduce exactly.
 convolution_cells is the verifier's demand convolution as it was computed
 before the Chebyshev panels, cell by cell with the package's Gauss-Legendre
 rows: a second quadrature of the same integral, which the panels must
-match to round-off.
+match to round-off.  level_b_value integrates the level-b value with those
+cells, cut at crossovers that restart_crossovers finds by bisection, not
+at the verifier's.
 """
 
 from __future__ import annotations
@@ -152,6 +154,47 @@ def convolution_cells(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> 
     prefix = np.concatenate([np.zeros((len(mus), 1)), np.cumsum(seg, axis=1)], axis=1)
     C = prefix[:, np.searchsorted(cuts, xs)]
     return model.lam * ((ws * mus) @ (np.exp(-mus[:, None] * xs) * C))
+
+
+def restart_crossovers(surface, n: int = 2001, steps: int = 40) -> list[float]:
+    """Where K01 + V1 and K02 + V2 cross, ascending: each sign change of their
+    difference g on an n-point scan of (y2, y1) and of a type-two band's
+    (y4, b), where the zone table lets them cross, bisected steps times."""
+    band, b, k = surface.band, surface.model.b, surface.model.switching
+    g = lambda u: k.k01 + surface.V(1, u) - k.k02 - surface.V(2, u)
+    lo, hi = [], []
+    for a, c in [(band.y2, band.y1)] + ([(band.y4, b)] if hasattr(band, "y4") else []):
+        u = np.linspace(a, c, n)[1:-1]
+        s = np.sign(g(u))
+        i = np.flatnonzero(s[:-1] * s[1:] < 0)
+        lo, hi = lo + list(u[i]), hi + list(u[i + 1])
+    if not lo:
+        return []
+    lo, hi = np.array(lo), np.array(hi)
+    s_lo = np.sign(g(lo))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(g(mid)) == s_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return sorted(float(r) for r in 0.5 * (lo + hi))
+
+
+def level_b_value(model: ModelConfig, surface, selection: str = "min") -> float:
+    """The level-b value (h0_b + lam E[vbar(b - A); A < b] + lam (ptail(b) +
+    vbar(0) sf(b))) / (q + lam) of the restart value vbar: min(K01 + V1,
+    K02 + V2) for selection "min", cut at its crossovers (restart_crossovers),
+    or the band's own restart, phase 1 up to y3, for "strategy".  The
+    expectation is convolution_cells at b, cut at the thresholds."""
+    m, k, y3 = model, model.switching, surface.band.y3
+
+    def vbar(u):
+        r1, r2 = k.k01 + surface.V(1, u), k.k02 + surface.V(2, u)
+        return np.minimum(r1, r2) if selection == "min" else np.where(u <= y3, r1, r2)
+
+    cuts = set(surface.thresholds) | set(restart_crossovers(surface) if selection == "min" else ())
+    conv = convolution_cells(m, vbar, np.array([m.b]), cuts)[0]
+    rest = m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1) + vbar(np.zeros(1))[0] * m.demand.sf(m.b)
+    return float((m.h0_b + conv + m.lam * rest) / (m.q + m.lam))
 
 
 def _sample_y(rng, model, n):

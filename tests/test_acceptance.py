@@ -31,8 +31,8 @@ from bandctl import (
 )
 from bandctl.cli import main
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
-from bandctl.verify import operator_L, operator_L0
-from ._oracles import simpson_adaptive
+from bandctl.verify import operator_L
+from ._oracles import level_b_value, simpson_adaptive
 from .conftest import assert_within_se, strip_timing
 
 REFERENCE = {
@@ -320,7 +320,7 @@ def test_criterion_07_fixed_point_suite(ex1, ex2, ex3):
                 sw2 = np.linspace(margin, y2 - margin, 6)
                 slack2 = surf.V(1, sw2) + model.switching.k21 - surf.V(2, sw2)
                 assert np.max(np.abs(slack2)) < tol * scale
-            res0 = operator_L0(model, surf, selection="strategy")
+            res0 = (model.q + model.lam) * (level_b_value(model, surf, "strategy") - surf.V0)
             assert abs(res0) < tol * scale, f"{band} L0 {res0}"
             checked += 1
     _line("7", True, f"{checked} random bands: interior residuals, switch slacks and "

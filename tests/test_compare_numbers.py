@@ -1,6 +1,6 @@
-"""scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify
-and kernel arrays are verify_strategy's report fields and grid, the level-b crossovers and
-the kernels' values."""
+"""scripts/compare_numbers.py: diff lists every missing or changed array, and dump's verify,
+escalate and kernel arrays are verify_strategy's report fields and grid, the crossovers, the
+escalate result without its report's numbers, and the kernels' values."""
 
 import importlib.util
 from pathlib import Path
@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandctl import BandOne, BandTwo, build_scale, total_cost, total_cost_two, verify_strategy
+from bandctl import (BandOne, BandTwo, OptimizationResult, build_scale, total_cost, total_cost_two,
+                     verify_strategy)
 from bandctl.passage import ExitContext
 from bandctl.verify import _min_crossovers
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
@@ -54,6 +55,20 @@ def test_verify_arrays_hold_the_report_fields(th):
     crossovers = _min_crossovers(surface)
     assert len(crossovers) == 1 and abs(crossovers[0] - 3.114) < 1e-2
     assert np.array_equal(arrays["verify/ex3-base/crossovers"], crossovers)
+
+
+def test_escalate_summary_leaves_out_the_report_numbers():
+    # kind, thresholds, objective, verified flag and failure count; the
+    # report's scale, residuals and gaps are dumped under verify/* alone
+    model = make_ex1()
+    band = BandOne(0.0, 0.0, 3.3743305488598034)
+    surface = total_cost(model, band)
+    report = verify_strategy(model, surface)
+    result = OptimizationResult("doshi", band, surface.V0, surface, report.passed, report)
+    summary = compare_numbers._escalate_summary(result)
+    assert summary.shape == () and summary.dtype.kind == "U"
+    assert str(summary) == repr(("doshi", (0.0, 0.0, 3.3743305488598034), surface.V0, True, 0))
+    assert repr(report.scale) not in str(summary)
 
 
 @pytest.mark.parametrize("config, make", [("ex1", make_ex1), ("ex1-hyper", make_ex1_hyper)])

@@ -8,9 +8,8 @@ import pytest
 from bandctl import BandOne, BandTwo, build_scale, passage, total_cost, total_cost_two, verify
 from bandctl.errors import OutOfBand, QuadratureNotConverged, ValidationError
 from bandctl.model import HoldingCost, ModelConfig, PenaltyCost, SwitchMatrix
-from bandctl.verify import (check_settings, level_b_value, operator_L, operator_L0,
-                            sorted_unique, verify_strategy)
-from ._oracles import convolution_cells
+from bandctl.verify import check_settings, operator_L, sorted_unique, verify_strategy
+from ._oracles import convolution_cells, level_b_value
 from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3
 
 MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
@@ -21,7 +20,7 @@ with open(Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 with open(Path(__file__).resolve().parent / "data" / "verify-verdicts.json") as fh:
     # verdicts of the 44 reference bands and the escalate winners, recorded
     # from the cell-by-cell convolution that the Chebyshev panels replaced;
-    # the L0 residuals and capacity gaps from the level-b value's secant cuts
+    # the L0 residuals and capacity gaps from the panels' level-b value
     VERDICTS = json.load(fh)
 WINNERS = [(c["config"], c["thresholds"]) for c in VERDICTS if c["case"].startswith("escalate-")]
 
@@ -47,7 +46,7 @@ def test_operator_takes_the_exact_slope_of_the_scale_function():
     for m in (make_ex1(), make_ex1_hyper(), make_ex3()):
         scale = build_scale(m, 1)
         xs = np.concatenate([[0.0], np.linspace(0.01, m.b, 57)])
-        _, slope = verify._convolution(m, scale.W, xs)
+        _, (slope,) = verify._convolution(m, lambda u: scale.W(u)[None], xs)
         want = (scale.weights * scale.exponents) @ np.exp(np.outer(scale.exponents, xs))
         assert np.max(np.abs(slope - want) / np.abs(want)) <= 1e-9
 
@@ -59,7 +58,8 @@ def test_operator_takes_each_sides_slope_of_a_jump():
     w = lambda x: np.where(x <= 2.345, np.exp(0.3 * x), 3.0 + x ** 2)
     left = np.array([0.0, 1.0, 2.345 - 1e-9, 2.345])
     right = np.array([2.345 + 1e-9, 4.0, m.b])
-    _, slope = verify._convolution(m, w, np.concatenate([left, right]), breakpoints=(2.345,))
+    _, (slope,) = verify._convolution(m, lambda u: w(u)[None], np.concatenate([left, right]),
+                                      breakpoints=(2.345,))
     want = np.concatenate([0.3 * np.exp(0.3 * left), 2.0 * right])
     assert np.max(np.abs(slope - want) / np.abs(want)) <= 1e-9
 
@@ -111,7 +111,7 @@ def test_operator_L0_zero_cost_surface():
         "switching": SwitchMatrix(0, 0, 0, 1e-9, 1e-9, 0),
     })
     surf = total_cost(trivial, BandOne(1.5, 1.5, 5.0))
-    assert abs(operator_L0(trivial, surf, selection="min")) < 1e-8
+    assert abs((trivial.q + trivial.lam) * (level_b_value(trivial, surf) - surf.V0)) < 1e-8
     assert abs(surf.V0) < 1e-7  # only the 1e-9 switching charges remain
 
 
@@ -122,7 +122,7 @@ def test_operator_L0_strategy_selection_vanishes():
         (make_ex3(), BandOne(1.0, 2.0, 5.5)),
     ):
         surf = total_cost(m, band)
-        res = operator_L0(m, surf, selection="strategy")
+        res = (m.q + m.lam) * (level_b_value(m, surf, selection="strategy") - surf.V0)
         assert abs(res) < 5e-4 * max(1.0, abs(surf.V0))
 
 
@@ -130,13 +130,23 @@ def test_operator_L0_computed_surfaces():
     for m, band in ((make_ex1(), BandOne(0.0, 0.0, 3.3743)),
                     (make_ex2(), BandOne(6.213, 9.805, 17.294))):
         surf = total_cost(m, band)
-        assert abs(operator_L0(m, surf, selection="min")) < 5e-4 * max(1.0, abs(surf.V0))
+        res = (m.q + m.lam) * (level_b_value(m, surf) - surf.V0)
+        assert abs(res) < 5e-4 * max(1.0, abs(surf.V0))
 
 
 def test_verify_passes_example_one_optimum():
     m = make_ex1()
     rep = verify_strategy(m, total_cost(m, BandOne(0.0, 0.0, 3.3743)))
     assert rep.passed, rep.summary()
+
+
+def test_verify_rejects_a_surface_of_another_model():
+    # ex1's optimum checked against ex3's model once reported a failed HJB
+    # inequality instead of the mismatch
+    surf = total_cost(make_ex1(), BandOne(0.0, 0.0, 3.3743))
+    with pytest.raises(ValidationError, match="the model the surface was built on"):
+        verify_strategy(make_ex3(), surf)
+    assert verify_strategy(make_ex1(), surf).passed  # an equal model is the same model
 
 
 def test_verify_fails_suboptimal_band():
@@ -332,16 +342,37 @@ def test_convolution_panels_match_the_cells(config, thresholds):
     rep = verify_strategy(model, surface)
     for phase in (1, 2):
         w = lambda x: surface.V(phase, x)
-        panels, _ = verify._convolution(model, w, rep.grid, surface.thresholds)
+        (panels,), _ = verify._convolution(model, lambda u: w(u)[None], rep.grid,
+                                           surface.thresholds)
         cells = convolution_cells(model, w, rep.grid, surface.thresholds)
         assert np.max(np.abs(panels - cells)) <= 1e-12 * rep.scale
+
+
+@pytest.mark.parametrize("config, thresholds", BASE_POLICIES + WINNERS,
+                         ids=[f"{c}-base" for c, _ in BASE_POLICIES]
+                         + [f"escalate-{c}" for c, _ in WINNERS])
+def test_convolution_rows_match_one_row_calls(config, thresholds):
+    # the rows of one call share their panels and levels; each agrees with a
+    # call on that row alone
+    model, surface = _base_surface(config, thresholds)
+    k = model.switching
+    rep = verify_strategy(model, surface)
+    xs = np.append(rep.grid, model.b)
+    cuts = tuple(surface.thresholds) + tuple(verify._min_crossovers(surface))
+    row_fns = [lambda u: surface.V(1, u), lambda u: surface.V(2, u),
+               lambda u: np.minimum(k.k01 + surface.V(1, u), k.k02 + surface.V(2, u))]
+    conv, deriv = verify._convolution(model, lambda u: np.stack([f(u) for f in row_fns]), xs, cuts)
+    for i, f in enumerate(row_fns):
+        (one_conv,), (one_deriv,) = verify._convolution(model, lambda u: f(u)[None], xs, cuts)
+        assert np.max(np.abs(conv[i] - one_conv)) <= 1e-12 * rep.scale, i
+        assert np.max(np.abs(deriv[i] - one_deriv)) <= 1e-12 * rep.scale, i
 
 
 def test_convolution_panels_match_the_cells_on_a_steep_surface():
     m = make_ex1()
     xs = np.linspace(0.01, 0.02, 21)
     w = lambda x: np.exp(-300.0 * np.asarray(x, dtype=float))
-    panels, _ = verify._convolution(m, w, xs)
+    (panels,), _ = verify._convolution(m, lambda u: w(u)[None], xs)
     assert np.max(np.abs(panels - convolution_cells(m, w, xs))) <= 1e-12
 
 
@@ -353,7 +384,7 @@ def test_convolution_needs_the_jumps_as_breakpoints():
     w = lambda x: np.where(np.asarray(x) < 2.345, 1.0, 3.0)
     with pytest.raises(QuadratureNotConverged):
         operator_L(m, 1, w, xs)
-    panels, _ = verify._convolution(m, w, xs, breakpoints=(2.345,))
+    (panels,), _ = verify._convolution(m, lambda u: w(u)[None], xs, breakpoints=(2.345,))
     cells = convolution_cells(m, w, xs, breakpoints=(2.345,))
     assert np.max(np.abs(panels - cells)) <= 1e-12 * 3.0
 
@@ -370,39 +401,25 @@ def test_verdicts_match_the_recorded_ones():
 
 
 def test_level_b_value_matches_the_cell_oracle():
-    # (h0_b + lam E[vbar(b - A); A < b] + lam (ptail(b) + vbar(0) sf(b))) / (q + lam),
-    # its convolution integrated by the oracle's cells at the same cuts; the
-    # strategy selection is the band's own restart, whose value is V0
+    # the report's L0 residual is (q + lam) (w0 - V0) with w0 the oracle's
+    # min-selection level-b value, integrated by cells cut at crossovers of
+    # its own; the strategy selection is the band's own restart, whose value is V0
     for case in VERDICTS:
         m, s = _base_surface(case["config"], case["thresholds"])
-        vbar = lambda u: np.minimum(*verify._restart_values(s, u))
-        cuts = set(s.thresholds) | set(verify._min_crossovers(s))
-        conv = convolution_cells(m, vbar, np.array([m.b]), cuts)[0]
-        rest = m.demand.penalty_tail(m.b, m.penalty.p0, m.penalty.p1) \
-            + vbar(np.zeros(1))[0] * m.demand.sf(m.b)
-        want = (m.h0_b + conv + m.lam * rest) / (m.q + m.lam)
         tol = 1e-12 * case["scale"]
-        assert abs(level_b_value(m, s) - want) <= tol, case["case"]
+        want = (m.q + m.lam) * (level_b_value(m, s) - s.V0)
+        assert abs(verify_strategy(m, s).L0_residual - want) <= tol, case["case"]
         assert abs(level_b_value(m, s, selection="strategy") - s.V0) <= tol, case["case"]
 
 
 def test_min_crossovers_are_roots():
-    # each crossover is a point of the 800-point scan where the two restart
-    # values are equal, or the secant root of a sign-change cell: strictly
-    # inside the cell, where they agree to 1e-6 x scale
+    # each crossover is a root of g = (K01 + V1) - (K02 + V2) to 1e-9 x scale
     roots = 0
     for case in VERDICTS:
         m, s = _base_surface(case["config"], case["thresholds"])
-        u = np.linspace(1e-9, m.b - 1e-9, 800)
-        g = np.subtract(*verify._restart_values(s, u))
         for r in verify._min_crossovers(s):
-            i = int(np.searchsorted(u, r))
-            if u[i] == r:
-                assert g[i] == 0.0, case["case"]
-                continue
-            assert u[i - 1] < r < u[i], case["case"]
             gap = np.subtract(*verify._restart_values(s, np.array([r])))[0]
-            assert abs(gap) <= 1e-6 * case["scale"], (case["case"], r, gap)
+            assert abs(gap) <= 1e-9 * case["scale"], (case["case"], r, gap)
             roots += 1
     assert roots == 24
 
