@@ -15,6 +15,10 @@ cleanly (see _workers).  Each start runs the same code on the
 same inputs in any process, so the result does not depend on that count.
 Its Nelder-Mead is a frozen port of scipy 1.17.1's (_nelder_mead), so the
 solve thresholds do not depend on which scipy version, if any, is installed.
+The starts' perturbations are frozen the same way (_START_NOISE): the
+first draws of a seeded numpy Generator, written out as numbers, since NEP
+19 lets those streams change between numpy versions; and no solve loads
+numpy.random, about 6 MB of memory.
 V0(b) does not depend on y4, so the type-two stage reuses the type-one
 thresholds (of the result escalate hands it, or of its own type-one search,
 which it does not verify) and picks y4 separately: it minimizes the worst
@@ -39,7 +43,13 @@ from .verify import DEFAULT_TOL, VerificationReport, check_settings, verify_stra
 
 _EDGE = 1e-6         # keep y1 (and y4) strictly below b
 _RESTARTS = 4
-_SEED = 20240801
+# the first 12 standard normals of np.random.default_rng(20240801): the
+# perturbations of the polish's restarts (_multistart), see the module docstring
+_START_NOISE = np.array([
+    2.0028773178693564, 0.9751125003803932, -1.5970234439549662, -0.6064752250990564,
+    -0.31884264692696557, -1.93640847441192, 0.38521253044736176, -0.9113447575912407,
+    -1.3327356582470793, -0.028337680910311594, -0.3931894706040179, -1.572622678992065,
+])
 
 log = logging.getLogger(__name__)
 
@@ -173,10 +183,12 @@ def _polish(model: ModelConfig, starts, doshi: bool) -> tuple[BandOne, float]:
 
 
 def _multistart(winners, spacing: float):
-    rng = np.random.default_rng(_SEED)
+    """The best lattice point, then each of the best _RESTARTS points moved by
+    spacing / 2 times the next len(point) numbers of _START_NOISE."""
     starts = [np.asarray(w, dtype=float) for w in winners[:1]]
-    for w in winners[:_RESTARTS]:
-        starts.append(np.asarray(w, dtype=float) + rng.normal(0.0, spacing / 2, len(w)))
+    for i, w in enumerate(winners[:_RESTARTS]):
+        d = len(w)
+        starts.append(np.asarray(w, dtype=float) + (spacing / 2) * _START_NOISE[i * d:(i + 1) * d])
     return starts
 
 

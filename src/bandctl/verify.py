@@ -68,13 +68,14 @@ def _chebyshev_points(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _chebyshev_rule(n: int):
-    """The n Chebyshev points of the first kind on [-1, 1], and the (n + 1, n)
-    and (n - 1, n) matrices that map values there to the Chebyshev
-    coefficients of the interpolant's antiderivative from -1 and of its
-    derivative."""
+    """The n Chebyshev points of the first kind on [-1, 1], and the two
+    (n + 1, n) matrices that map values there to the Chebyshev coefficients
+    of the interpolant's antiderivative from -1 and of its derivative (whose
+    last two coefficients are 0)."""
     to_coef = 2.0 / n * np.cos(np.outer(np.arange(n), np.pi * (np.arange(n) + 0.5) / n))
     to_coef[0] /= 2.0
-    return _chebyshev_points(n), chebint(to_coef, lbnd=-1), chebder(to_coef)
+    return (_chebyshev_points(n), chebint(to_coef, lbnd=-1),
+            np.pad(chebder(to_coef), ((0, 2), (0, 0))))
 
 
 def _panels(end: float, breakpoints, rate: float):
@@ -113,8 +114,12 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
     ws = np.asarray(model.demand.weights)
     lo, hi = _panels(model.b, breakpoints, float(mus.max()))
     width = hi - lo
+    order = np.argsort(xs, kind="stable")  # ascending, so each panel's points are one slice
+    xs = xs[order]
     p = np.searchsorted(hi, xs)  # the panel (lo_p, hi_p] of each point
     t = np.clip(2.0 * (xs - lo[p]) / width[p] - 1.0, -1.0, 1.0)
+    edges = np.searchsorted(p, np.arange(len(lo) + 1))
+    held = [(j, slice(a, c)) for j, (a, c) in enumerate(zip(edges[:-1], edges[1:])) if c > a]
 
     def level(n):
         nodes, antiderivative, derivative = _chebyshev_rule(n)
@@ -122,27 +127,30 @@ def _convolution(model: ModelConfig, w, xs: np.ndarray, breakpoints=()):
         wu = w(u.reshape(-1)).reshape((-1,) + u.shape)          # (r, panels, n)
         g = wu[:, None] * np.exp(-mus[:, None, None] * (hi[:, None] - u))
         coef = 0.5 * width[:, None] * (g @ antiderivative.T)   # (r, k, panels, n + 1)
-        vander = chebvander(t, n)
-        at_x = np.einsum("rkxj,xj->rkx", coef[:, :, p], vander)
         # less its value at one node, so that a w flat on a panel has slope 0
-        dw_dt = np.einsum("rxj,xj->rx", ((wu - wu[..., :1]) @ derivative.T)[:, p],
-                          vander[:, :n - 1])
-        return np.concatenate([at_x.ravel(), coef.sum(axis=-1).ravel(), dw_dt.ravel()])  # T_j(1) = 1
+        slope = (wu - wu[..., :1]) @ derivative.T               # (r, panels, n + 1)
+        rows = np.concatenate([coef.reshape((-1,) + coef.shape[2:]), slope])  # (r k + r, ...)
+        vander = chebvander(t, n)
+        at = np.empty((len(rows), len(t)))
+        for j, s in held:  # each panel's interpolants at its own points only
+            at[:, s] = rows[:, j] @ vander[s].T
+        return np.concatenate([at.ravel(), coef.sum(axis=-1).ravel()])  # T_j(1) = 1
 
     est = _doubling((level(n) for n in _orders()),
                     lambda: "demand convolution did not converge on its panels")
     k, nx = len(mus), len(xs)
     r = len(est) // (k * (nx + len(lo)) + nx)
     at_x = est[:r * k * nx].reshape(r, k, nx)
-    whole = est[r * k * nx:-r * nx].reshape(r, k, len(lo))
-    dw_dt = est[-r * nx:].reshape(r, nx)
+    dw_dt = est[r * k * nx:r * (k + 1) * nx].reshape(r, nx)
+    whole = est[r * (k + 1) * nx:].reshape(r, k, len(lo))
     decay = np.exp(-mus[:, None] * width)
     J_lo = np.zeros_like(whole)
     for j in range(1, len(lo)):
         J_lo[..., j] = decay[:, j - 1] * J_lo[..., j - 1] + whole[..., j - 1]
     J = (np.exp(-mus[:, None] * (xs - lo[p])) * J_lo[..., p]
          + np.exp(mus[:, None] * (hi[p] - xs)) * at_x)
-    return model.lam * ((ws * mus) @ J), dw_dt * 2.0 / width[p]
+    back = np.argsort(order)  # to the caller's order of xs
+    return model.lam * ((ws * mus) @ J)[:, back], (dw_dt * 2.0 / width[p])[:, back]
 
 
 def _generator(model: ModelConfig, phase: int, xs, w_xs, w0: float, conv, deriv) -> np.ndarray:

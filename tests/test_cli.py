@@ -329,6 +329,19 @@ def test_escalate_and_verify_load_no_numpy_ma():
     assert out.strip() == "False"
 
 
+def test_escalate_loads_neither_numpy_ma_nor_numpy_random():
+    # the polish's start perturbations are frozen numbers, so no solve loads numpy.random
+    code = ("import sys; from bandctl import escalate, validate; "
+            "from bandctl.cli import load_config; "
+            "[escalate(validate(load_config(p))) for p in sys.argv[1:]]; "
+            "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    paths = [str(CONFIGS / f"{name}.json") for name in ("ex1", "ex2", "ex3")]
+    out = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_solve_require_verified_exit_three(tmp_path):
     # the best two-threshold policy for the second example is unverifiable
     out = tmp_path / "s.json"

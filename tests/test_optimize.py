@@ -24,6 +24,7 @@ from bandctl.errors import FixedPointNotContractive, NoFeasiblePoint, Validation
 from bandctl.optimize import (
     OptimizationResult,
     _lattice,
+    _multistart,
     _nelder_mead,
     _polish,
     _project_one,
@@ -149,6 +150,35 @@ def test_nelder_mead_matches_scipy_bitwise(case):
         assert len(ours) == maxfev
 
 
+def test_start_noise_is_the_seeded_generators_first_draws():
+    # where the frozen numbers came from: numpy's Generator streams may change
+    # between versions (NEP 19), so this test may fail on a later numpy
+    # without any change to the starts
+    want = np.random.default_rng(20240801).standard_normal(12)
+    assert optimize._START_NOISE.tobytes() == want.tobytes()
+
+
+def _generator_starts(winners, spacing: float) -> list:
+    """The starts as _multistart drew them from numpy's seeded generator."""
+    rng = np.random.default_rng(20240801)
+    starts = [np.asarray(w, dtype=float) for w in winners[:1]]
+    for w in winners[:4]:
+        starts.append(np.asarray(w, dtype=float) + rng.normal(0.0, spacing / 2, len(w)))
+    return starts
+
+
+@pytest.mark.parametrize("doshi", [True, False], ids=["doshi", "one"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_multistart_matches_the_seeded_generator_bitwise(name, doshi):
+    # 2- (Doshi) and 3-coordinate (type-one) winners at each config's lattice spacing
+    cands, spacing = _lattice_of(name, doshi)
+    winners = [point for _, point in sorted(cands, key=lambda t: t[0])]
+    for count in range(1, 7):
+        ours = _multistart(winners[:count], spacing)
+        theirs = _generator_starts(winners[:count], spacing)
+        assert [s.tobytes() for s in ours] == [s.tobytes() for s in theirs], count
+
+
 def _polish_starts(stage, model) -> list:
     """The starts that stage (optimize_doshi or optimize_type_one) hands to the polish."""
     seen = []
@@ -248,12 +278,17 @@ def test_type_two_y4_verified_and_invariant(ex3):
 
 
 @lru_cache(maxsize=None)
+def _lattice_of(name: str, doshi: bool):
+    """_lattice of a config's Doshi or type-one class: ([(V0, point)], spacing)."""
+    return _lattice(MODELS[name](), doshi)
+
+
+@lru_cache(maxsize=None)
 def _lattices(name: str):
     """(model, [(V0, band)]) over both lattices of a config, from the batched rows."""
-    model = MODELS[name]()
-    rows = [(v, BandOne(th[0], th[0], th[1])) for v, th in _lattice(model, True)[0]]
-    rows += [(v, BandOne(*th)) for v, th in _lattice(model, False)[0]]
-    return model, rows
+    rows = [(v, BandOne(th[0], th[0], th[1])) for v, th in _lattice_of(name, True)[0]]
+    rows += [(v, BandOne(*th)) for v, th in _lattice_of(name, False)[0]]
+    return MODELS[name](), rows
 
 
 @pytest.mark.parametrize("name", list(MODELS))
