@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 scripts/compare_numbers.py dump OUT.npz
     python3 scripts/compare_numbers.py diff A.npz B.npz
+    PYTHONPATH=src python3 scripts/compare_numbers.py polish-bits OUT.json
 
 Run from the repository root.  `dump` imports bandctl from the current
 PYTHONPATH, so two trees are compared by dumping once with each tree's src
@@ -53,6 +54,12 @@ first on the path.  It writes:
   build_scale, ScaleSet and ExitContext are called, so older trees dump
   these too.
 
+`polish-bits` writes, as JSON, every POLISH_BITS_STEP-th row (y2, y3, y1,
+V0) of the polish/<ex>/<stage> capture, each number as float.hex, for the
+Doshi and type-one polish of ex2 and the Doshi polish of ex1
+(tests/data/polish-bits.json, which tests/test_cost_one.py re-evaluates
+bit for bit).
+
 Only crosscheck-inputs.json and the four configs are read.  `diff` lists
 every array that is missing from one dump or not bit-identical, with its
 largest absolute and largest relative difference (a residual near 0 can
@@ -79,6 +86,8 @@ CONFIGS = {
     "ex1-hyper": "perfbench/configs/ex1-hyper.json",
 }
 GRID = 401
+POLISH_BITS_STEP = 25
+POLISH_BITS = {"ex1": ("doshi",), "ex2": ("doshi", "one")}
 SIM_PATHS = 5000  # paths per recorded estimate, as in tests/test_reference_surfaces.py
 KERNEL_FNS = ("W", "Wbar", "Wbarbar", "Z", "Zbar")
 RESOLVENT_CONFIGS = ("ex3", "ex1-hyper")
@@ -248,6 +257,18 @@ def dump(out: str) -> None:
     print(f"{len(arrays)} arrays written to {out}")
 
 
+def polish_bits(out: str) -> None:
+    models = _models()
+    doc = {}
+    for name, stages in POLISH_BITS.items():
+        polished = _escalate_with_polish(models[name])[1]
+        doc[name] = {stage: [[float(v).hex() for v in row]
+                             for row in polished[stage][::POLISH_BITS_STEP]]
+                     for stage in stages}
+    pathlib.Path(out).write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"{sum(len(r) for d in doc.values() for r in d.values())} bands written to {out}")
+
+
 def _largest_diffs(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """The largest absolute and the largest relative elementwise difference."""
     if a.dtype.kind not in "fi" or b.dtype.kind not in "fi" or a.shape != b.shape:
@@ -281,12 +302,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     sub.add_parser("dump").add_argument("out")
+    sub.add_parser("polish-bits").add_argument("out")
     d = sub.add_parser("diff")
     d.add_argument("a")
     d.add_argument("b")
     args = ap.parse_args(argv)
     if args.cmd == "dump":
         dump(args.out)
+        return 0
+    if args.cmd == "polish-bits":
+        polish_bits(args.out)
         return 0
     return diff(args.a, args.b)
 

@@ -5,14 +5,18 @@
         --seconds 30 [--seed 1] [--json OUT]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed SEED --seconds S`
-first in PARENT_TREE, then in CHANGE_TREE, each from its own root, so each
-tree imports its own src.  The end-to-end metric names come from
-PARENT_TREE's BENCHMARK.json.  For each pair the script prints both runs'
-metrics and failed-operation counts; then, for each metric, both medians,
-the parent's IQR over its median (quartiles as numpy.percentile's linear
-interpolation gives them) and the number of pairs in which the change read
-lower (a tie counts for neither).  --json writes the runs and the summary.
-A run that exits non-zero stops the script.
+once in PARENT_TREE and once in CHANGE_TREE, each from its own root, so each
+tree imports its own src.  The order alternates: the parent runs first in
+pairs 0, 2, 4, ... and the change first in pairs 1, 3, 5, ..., so a host
+that drifts during a pair leans neither way over the run.  The end-to-end
+metric names come from PARENT_TREE's BENCHMARK.json.  For each pair the
+script prints which tree ran first and both runs' metrics and
+failed-operation counts; then, for each metric, both medians, the parent's
+IQR over its median (quartiles as numpy.percentile's linear interpolation
+gives them) and the number of pairs in which the change read lower (a tie
+counts for neither): over all pairs, and over the pairs of each order.
+--json writes the runs, each with its order, and the three summaries.  A
+run that exits non-zero stops the script.
 """
 
 from __future__ import annotations
@@ -67,6 +71,42 @@ def summarize(names, pairs) -> dict:
     return out
 
 
+def first_tree(i: int) -> str:
+    """Which tree runs first in pair i: the parent in even pairs, the change in odd ones."""
+    return "parent" if i % 2 == 0 else "change"
+
+
+def run_pairs(trees: dict, n_pairs: int, run, report) -> list[dict]:
+    """n_pairs pairs of run(tree) over trees {"parent": ..., "change": ...},
+    in the order first_tree gives, calling report(i, pair) after each; each
+    pair as {"first", "parent", "change"}."""
+    runs = []
+    for i in range(n_pairs):
+        first = first_tree(i)
+        order = (first, "change" if first == "parent" else "parent")
+        pair = {"first": first}
+        for side in order:
+            pair[side] = run(trees[side])
+        runs.append(pair)
+        report(i, pair)
+    return runs
+
+
+def summaries(names, runs) -> dict:
+    """summarize over all pairs ("all") and over the pairs of each order
+    ("parent_first", "change_first"); runs as run_pairs gives them."""
+    def values(pair):
+        return tuple({n: pair[side]["metrics"][n]["value"] for n in names}
+                     for side in ("parent", "change"))
+
+    out = {}
+    for key, first in (("all", None), ("parent_first", "parent"), ("change_first", "change")):
+        chosen = [values(p) for p in runs if first in (None, p["first"])]
+        if chosen:
+            out[key] = summarize(names, chosen)
+    return out
+
+
 def summary_lines(summary: dict) -> list[str]:
     return [f"{name}: parent median {s['parent_median']:.4g}, change median "
             f"{s['change_median']:.4g} ({s['change_median'] / s['parent_median'] - 1:+.1%}), "
@@ -87,23 +127,28 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     names = end_to_end_names(args.parent_tree)
-    runs, pairs = [], []
-    for i in range(args.pairs):
-        pair = [run_tree(tree, args.workload, args.seed, args.seconds)
-                for tree in (args.parent_tree, args.change_tree)]
-        runs.append(pair)
-        pairs.append(tuple({n: r["metrics"][n]["value"] for n in names} for r in pair))
-        print(f"pair {i}: " + "; ".join(
-            f"{side} " + " ".join(f"{n}={v[n]:.4g}" for n in names) + f" failed={r['failed']}"
-            for side, v, r in zip(("parent", "change"), pairs[-1], pair)), flush=True)
-    summary = summarize(names, pairs)
-    for line in summary_lines(summary):
-        print(line)
+
+    def run(tree):
+        return run_tree(tree, args.workload, args.seed, args.seconds)
+
+    def report(i, pair):
+        print(f"pair {i} ({pair['first']} first): " + "; ".join(
+            f"{side} " + " ".join(f"{n}={pair[side]['metrics'][n]['value']:.4g}" for n in names)
+            + f" failed={pair[side]['failed']}" for side in ("parent", "change")), flush=True)
+
+    runs = run_pairs({"parent": args.parent_tree, "change": args.change_tree}, args.pairs, run,
+                     report)
+    summary = summaries(names, runs)
+    for key, label in (("all", "all pairs"), ("parent_first", "parent first"),
+                       ("change_first", "change first")):
+        if key in summary:
+            print(f"-- {label}:")
+            for line in summary_lines(summary[key]):
+                print(line)
     if args.json_out:
         pathlib.Path(args.json_out).write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-             "runs": [{"parent": p, "change": c} for p, c in runs], "summary": summary},
-            indent=1) + "\n")
+             "runs": runs, "summary": summary}, indent=1) + "\n")
     return 0
 
 

@@ -13,6 +13,15 @@ transfer-map quantities at x.  The level-b fixed points share one multiplier
 (quadratures of the stacks over the demand density).  A lattice row of bands
 that share (y2, y3) is assembled in one pass, with y1 along a band axis
 (lattice_V0); one band is a row of one and runs through the same code.
+
+Kernel values are shared, never recomputed: Z1, W1 and Wbarbar1 at y1, and
+at each array of phase-1 nodes, come from one ScaleSet.kernels call, and
+what depends on the model alone (ModelParts: both scales, the demand arrays,
+the penalty-tail convolution, the level-b demand terms and the phase-1
+values at the floor) is built once per model.  Sharing hands every matmul
+the operands a separate evaluation would, and the arithmetic after it runs
+in the same order, so each cost, and so each polish objective, keeps its
+bits (tests/data/polish-bits.json pins V0 along the polish paths).
 """
 
 from __future__ import annotations
@@ -44,9 +53,9 @@ class BandOne:
 
     def check(self, b: float) -> "BandOne":
         y1 = np.asarray(self.y1)
-        if not (0 <= self.y2 <= self.y3 and np.all(self.y3 < y1) and np.all(y1 < b)):
+        if not (0 <= self.y2 <= self.y3 and (self.y3 < y1).all() and (y1 < b).all()):
             raise ValidationError(f"band ordering violated: {self} with b={b}")
-        if np.any(y1 - self.y3 < _MIN_GAP):
+        if (y1 - self.y3 < _MIN_GAP).any():
             raise ValidationError("y1 must exceed y3 by at least 1e-9")
         return self
 
@@ -90,32 +99,57 @@ def _contractive(ok, value, message: str) -> None:
         raise FixedPointNotContractive(message.format(bad))
 
 
+class ModelParts:
+    """What a type-one assembly needs of the model alone, built once per model.
+
+    Both scales, the demand rates and weights, lam * ptail as an exponential
+    sum (rates -mu_k, coefficients lam_ptail) and its convolution against
+    W1, the level-b demand terms sf(b) and penalty_tail(b), and at the floor
+    x = [0] the phase-1 values (W1, Wbarbar1, Z1, P) that the level-b tail
+    reads.  Arrays are read-only.
+    """
+
+    def __init__(self, model: ModelConfig):
+        d, (p0, p1) = model.demand, (model.penalty.p0, model.penalty.p1)
+        self.s1, self.s2 = build_scale(model, 1), build_scale(model, 2)
+        self.mus = np.array(d.rates, dtype=float)
+        self.ws = np.array(d.weights, dtype=float)
+        self.lam_ptail = model.lam * self.ws * (p0 + p1 / self.mus)
+        self.demand_conv = ExpConvolution(-self.mus, self.s1.exponents)
+        self.sf_b = d.sf(model.b)
+        self.ptail_b = float(d.penalty_tail(model.b, p0, p1))
+        x0 = np.asarray([0.0])
+        W0, _, Wbb0, Z0, _ = self.s1.kernels(x0)
+        self.floor = (W0, Wbb0, Z0, self.demand_conv(0.0, x0, self.lam_ptail, self.s1.weights))
+        for arr in (self.mus, self.ws, self.lam_ptail, *self.floor):
+            arr.setflags(write=False)
+
+
+model_parts = lru_cache(maxsize=16)(ModelParts)
+
+
 class PhaseTwoContext:
     """The phase-2 objects of a type-one band that depend only on (model, y2).
 
-    The exit context on (y2, b) and the transfer map; at_nodes memoizes
-    bases at the level-b J2 nodes, for the 16 latest (context, node array)
-    pairs.  Cached arrays are read-only.
+    The model's parts (ModelParts), the exit context on (y2, b) and the
+    transfer map; at_nodes memoizes bases at the level-b J2 nodes, for the
+    16 latest (context, node array) pairs.  Cached arrays are read-only.
     """
 
     def __init__(self, model: ModelConfig, y2: float):
-        s1 = build_scale(model, 1)
+        self.parts = parts = model_parts(model)
         self.h2 = model.h2
-        self.exit2 = ExitContext(build_scale(model, 2), y2, model.b)
-        self.om = Omega2(s1, self.exit2)
-        self.mus = np.array(model.demand.rates, dtype=float)
-        self.ws = np.array(model.demand.weights, dtype=float)
-        for arr in (self.mus, self.ws, self.exit2._B, self.om._coef_z, self.om._coef_w):
-            arr.setflags(write=False)
+        self.exit2 = ExitContext(parts.s2, y2, model.b)
+        self.om = Omega2(parts.s1, self.exit2)
+        self.mus, self.ws = parts.mus, parts.ws
+        self.exit2._B.setflags(write=False)
 
     def bases(self, x):
         """up, down, Omega(Z1), phase-2 holding, Omega(Wbarbar1) and G at x."""
-        ex, om = self.exit2, self.om
-        up = ex.up(x)
-        down = ex.down(x, up)
-        G = ex.resolvent_transform(x, up)
-        return (up, down, om.apply_Z1(x, up), ex.holding(x, self.h2, up, down),
-                om.apply_Wbarbar1(x, up), G)
+        up, down, hold = self.exit2.exits(x, self.h2)
+        G = self.exit2.resolvent_transform(x, up)
+        omZ, omW = self.om.apply(x, up)
+        return up, down, omZ, hold, omW, G
 
     def at_nodes(self, x: np.ndarray):
         """bases(x) for a 1-D node array, memoized by its exact bytes."""
@@ -130,13 +164,6 @@ class PhaseTwoContext:
 
 
 phase_two_context = lru_cache(maxsize=32)(PhaseTwoContext)
-
-
-@lru_cache(maxsize=16)
-def _demand_conv(model: ModelConfig) -> ExpConvolution:
-    """The exponent pair of lam * ptail (rates -mu_k) against W1, one per model."""
-    return ExpConvolution(-np.array(model.demand.rates, dtype=float),
-                          build_scale(model, 1).exponents)
 
 
 class TypeOneAssembly:
@@ -165,12 +192,11 @@ class TypeOneAssembly:
         s1 = self.s1 = p2.om.s1
         self._mus, self._ws = p2.mus, p2.ws
 
-        self.Z1y1, self.W1y1, self.Wbb1y1 = s1.Z(y1), s1.W(y1), s1.Wbarbar(y1)
+        self.W1y1, _, self.Wbb1y1, self.Z1y1, _ = s1.kernels(y1)
 
         # shortage building blocks: P1 = int_0^{y1} W1(y1-z) * lam * ptail(z) dz,
         # with lam * ptail an exponential sum over the demand components
         p0, p1 = m.penalty.p0, m.penalty.p1
-        self._lam_ptail = m.lam * self._ws * (p0 + p1 / self._mus)
         self.P1 = self._Px(y1)
         self.S1xy0 = self.P1 / self.Z1y1  # value of the renewal sum started at 0
 
@@ -213,7 +239,8 @@ class TypeOneAssembly:
         A = hold2 + (m.h1.a / m.q) * (down - zr) + m.h1.c * (zr * self.Wbb1y1 - omW)
         # each band's coefficients, (1, k) or (bands, 1, k), against G with
         # the demand components moved last; x is (nodes,) or (bands, 1)
-        mu_base = m.lam * (self._coef_S[..., None, :] * np.moveaxis(G, 0, -1)).sum(axis=-1)
+        mu_base = m.lam * (self._coef_S[..., None, :] * G.transpose(*range(1, G.ndim), 0)).sum(
+            axis=-1)
         return up, down, omZ, A, mu_base
 
     def phase2(self, x, memo: bool = False):
@@ -221,58 +248,63 @@ class TypeOneAssembly:
         up, down, omZ, A, mu_base = self._phase2_bases(x, memo)
         zr = omZ / self.Z1y1
         k = self.model.switching
-        return np.stack(
-            [
-                up + omZ * self.up_y1 / self.denom,
-                A + omZ * self.A_y1 / self.denom,
-                mu_base + omZ * self._mu_y1 / self.denom,
-                k.k20 * up + k.k21 * down + zr * (k.k12 + self.omega2_y1),
-            ]
-        )
+        return np.array([
+            up + omZ * self.up_y1 / self.denom,
+            A + omZ * self.A_y1 / self.denom,
+            mu_base + omZ * self._mu_y1 / self.denom,
+            k.k20 * up + k.k21 * down + zr * (k.k12 + self.omega2_y1),
+        ])
 
     # -- phase-1 primitives (domain [0, y1]; constant below 0) ---------------
 
-    def H1xy(self, x, Zx=None):
-        """Expected discounted holding at phase 1 (floor-reflected) until y1; Zx is Z1(x)."""
-        m, s1 = self.model, self.s1
-        x = np.asarray(x, dtype=float)
-        zr = (s1.Z(x) if Zx is None else Zx) / self.Z1y1
-        return (m.h1.a / m.q) * (1.0 - zr) + m.h1.c * (zr * self.Wbb1y1 - s1.Wbarbar(x))
+    def H1xy(self, x):
+        """Expected discounted holding at phase 1 (floor-reflected) until y1."""
+        _, _, Wbbx, Zx, _ = self.s1.kernels(x, W=False)
+        return self._H1(Zx, Wbbx)
+
+    def _H1(self, Zx, Wbbx):
+        """H1xy from Z1(x) and Wbarbar1(x)."""
+        m = self.model
+        zr = Zx / self.Z1y1
+        return (m.h1.a / m.q) * (1.0 - zr) + m.h1.c * (zr * self.Wbb1y1 - Wbbx)
 
     def _Px(self, x):
         """int_0^x W1(x-z) * lam * ptail(z) dz, in closed form."""
-        return _demand_conv(self.model)(0.0, x, self._lam_ptail, self.s1.weights)
+        parts = self.p2.parts
+        return parts.demand_conv(0.0, x, parts.lam_ptail, self.s1.weights)
 
-    def S1xy(self, x, Zx=None, Wx=None):
+    def S1xy(self, x):
         """Expected discounted shortage at phase 1 until reaching y1.
 
         Potential-density integral plus the geometric renewal of returns to
         the floor; extends automatically as a constant for x < 0.  The
         shortage integral of W1 against the penalty tail is a closed-form
-        convolution of two exponential sums.  Zx and Wx are Z1(x) and W1(x).
+        convolution of two exponential sums.
         """
-        s1 = self.s1
-        x = np.asarray(x, dtype=float)
-        Zx = s1.Z(x) if Zx is None else Zx
-        Wx = s1.W(x) if Wx is None else Wx
-        Px = self._Px(x)
+        Wx, _, _, Zx, _ = self.s1.kernels(x)
+        return self._S1(Zx, Wx, self._Px(x))
+
+    def _S1(self, Zx, Wx, Px):
+        """S1xy from Z1(x), W1(x) and _Px(x)."""
         Ix = Wx * self.P1 / self.W1y1 - Px
         down1 = Zx - Wx * self.Z1y1 / self.W1y1
         return Ix + down1 * self.P1 / self.Z1y1
 
     def phase1(self, x):
-        """Rows (alpha, beta, mu, omega) of phase 1 at x, as phase2's."""
-        x = np.asarray(x, dtype=float)
-        Zx, Wx = self.s1.Z(x), self.s1.W(x)
+        """Rows (alpha, beta, mu, omega) of phase 1 at x, as phase2's, from
+        one phase-1 kernel evaluation."""
+        Wx, _, Wbbx, Zx, _ = self.s1.kernels(x)
+        return self._phase1_rows(Wx, Wbbx, Zx, self._Px(x))
+
+    def _phase1_rows(self, Wx, Wbbx, Zx, Px):
+        """phase1's rows from W1, Wbarbar1, Z1 and _Px at x."""
         zr = Zx / self.Z1y1
-        return np.stack(
-            [
-                zr * self.alpha2_y1,
-                self.H1xy(x, Zx) + zr * self.beta2_y1,
-                self.S1xy(x, Zx, Wx) + zr * self.mu2_y1,
-                zr * (self.model.switching.k12 + self.omega2_y1),
-            ]
-        )
+        return np.array([
+            zr * self.alpha2_y1,
+            self._H1(Zx, Wbbx) + zr * self.beta2_y1,
+            self._S1(Zx, Wx, Px) + zr * self.mu2_y1,
+            zr * (self.model.switching.k12 + self.omega2_y1),
+        ])
 
     # -- level-b fixed points ------------------------------------------------
 
@@ -282,10 +314,10 @@ class TypeOneAssembly:
         lam, q = m.lam, m.q
         d = m.demand
         w = lam / (lam + q)
-        sfb = d.sf(b)
+        parts = self.p2.parts
 
         # rows of shape (4,) for one band, (4, bands) for a lattice row
-        tail = self.phase1(np.asarray([0.0]))[..., 0] * sfb
+        tail = self._phase1_rows(*parts.floor)[..., 0] * parts.sf_b
         J2 = (
             integrate(lambda z: self.phase2(b - z, memo=True) * d.pdf(z), 0.0, b - y3)
             if b - y3 > 0 else np.zeros(tail.shape)
@@ -297,14 +329,10 @@ class TypeOneAssembly:
 
         mb = w * (J2[0] + J1[0] + tail[0])
         cH = m.h0_b / (q + lam) + w * (J2[1] + J1[1] + tail[1])
-        ptail_b = float(d.penalty_tail(b, m.penalty.p0, m.penalty.p1))
-        cS = w * (ptail_b + J2[2] + J1[2] + tail[2])
+        cS = w * (parts.ptail_b + J2[2] + J1[2] + tail[2])
         k = m.switching
-        cK = w * (
-            J2[3] + J1[3] + tail[3]
-            + k.k02 * d.cdf(b - y3)
-            + k.k01 * (1.0 - d.cdf(b - y3))
-        )
+        F = d.cdf(b - y3)
+        cK = w * (J2[3] + J1[3] + tail[3] + k.k02 * F + k.k01 * (1.0 - F))
         _contractive(np.logical_not(np.abs(mb) >= 1.0), mb, "level-b multiplier |m|={} >= 1")
         self.H0, self.S0, self.K0 = cH / (1.0 - mb), cS / (1.0 - mb), cK / (1.0 - mb)
 

@@ -50,10 +50,9 @@ class TypeTwoOverlay:
         """(H, S, K) of phase 1 at a 1-D x in [y4, b]; K includes the K10 charge at capacity."""
         x = np.asarray(x, dtype=float)
         m, asm = self.model, self.asm
-        up = self.exit1.up(x)
-        down = self.exit1.down(x, up)
+        up, _, hold = self.exit1.exits(x, m.h1)
         G = self.exit1.resolvent_transform(x, up)
-        H = (self.exit1.holding(x, m.h1, up, down) + up * asm.H0
+        H = (hold + up * asm.H0
              + m.lam * np.tensordot(self._coef_H, G, axes=(0, 0)))
         S = up * asm.S0 + m.lam * np.tensordot(self._coef_S, G, axes=(0, 0))
         K = up * (m.switching.k10 + asm.K0) + m.lam * np.tensordot(self._coef_K, G, axes=(0, 0))

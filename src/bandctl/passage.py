@@ -41,10 +41,21 @@ node and multiplies it by each component's exponential, as the verifier's
 panels and _against_exp share theirs.  _against_exp is the demand
 transform of one segment, with rows that share one integrate call: the
 exit constant _B here and the cost modules' landing constants.
+
+Kernel values are shared per (scale, x): ExitContext takes its span values
+from one ScaleSet.kernels call, and up, down and the holding cost at x from
+one more (exits).  Omega2's convolution and g(b) depend only on the model
+and are built once per model (_transfer_sources); at each x one phase-1
+kernel evaluation serves both payoffs (apply), and one evaluation of the
+convolution terms serves both tails, the Z1 source reading its W1 rows.
+Every matmul still gets the operands it got when each quantity was
+evaluated on its own, and the arithmetic after it runs in the same order,
+so every value keeps its bits.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -91,8 +102,8 @@ def _doubling(estimates, failure):
     prev = None
     for total in estimates:
         if prev is not None:
-            err = np.max(np.abs(total - prev))
-            if err <= GL_REL_TOL * (1.0 + np.max(np.abs(total))):
+            err = np.maximum.reduce(np.abs(total - prev), axis=None)
+            if err <= GL_REL_TOL * (1.0 + np.maximum.reduce(np.abs(total), axis=None)):
                 return total
         prev = total
     raise QuadratureNotConverged(failure())
@@ -146,7 +157,7 @@ def _block_rows(shape: tuple, m: int) -> int:
     """Rows of the first row axis per integrand call at m nodes: about
     _BLOCK_VALUES node values, a multiple of 8 for 1-D rows (see the module
     docstring), at least one row (eight for 1-D rows)."""
-    per_row = m * int(np.prod(shape[1:], dtype=int))
+    per_row = m * math.prod(shape[1:])
     if len(shape) == 1:
         return max(8, _BLOCK_VALUES // per_row // 8 * 8)
     return max(1, _BLOCK_VALUES // per_row)
@@ -155,7 +166,8 @@ def _block_rows(shape: tuple, m: int) -> int:
 def integrate_rows(f, lo, hi):
     """Row-wise integrals int_{lo_i}^{hi_i} f(z) dz with shared relative nodes.
 
-    lo/hi broadcast against each other; f(z, rows) maps a node array z of
+    lo/hi broadcast against each other (a 0-d lo stays 0-d, and broadcasts
+    into each node array); f(z, rows) maps a node array z of
     shape (rows..., m), rows the slice of the first row axis that z covers,
     to values of shape (lead..., rows..., m), where the leading axes (for
     example one per demand component) may be empty; the result has shape
@@ -166,14 +178,14 @@ def integrate_rows(f, lo, hi):
     (lo_i, hi_i).
     """
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    lo, hi = np.broadcast_arrays(lo, hi)
-    span = np.maximum(hi - lo, 0.0)
+    span = np.maximum(np.asarray(hi, dtype=float) - lo, 0.0)
     if not span.any():
         return np.zeros(span.shape)
+    if lo.ndim and lo.shape != span.shape:
+        lo = np.broadcast_to(lo, span.shape)
 
     def rows(t, w, block=slice(None)):
-        lo_b, span_b = (lo[block], span[block]) if span.ndim else (lo, span)
+        lo_b, span_b = (lo[block] if lo.ndim else lo, span[block]) if span.ndim else (lo, span)
         z = lo_b[..., None] + span_b[..., None] * t
         return span_b * (np.asarray(f(z, block)) @ w)
 
@@ -193,11 +205,11 @@ class ExitContext:
     """A phase's process killed on leaving the band (a, d).
 
     The one implementation of the two-sided exit quantities: the kernel
-    values at the span d - a are computed once, here, and up, down, the
-    holding cost until exit and the killed-resolvent transform are built
-    from them.  down, holding, resolvent_transform and Omega2.apply_* take
-    up(x) and down(x) when the caller has them, so each is evaluated once
-    per x.  Type-one bands share theirs per y2 (cost_one.PhaseTwoContext).
+    values at the span d - a are computed once, here, from one shared
+    evaluation (ScaleSet.kernels), and up, down and the holding cost until
+    exit come from one more at x - a (exits); the killed-resolvent transform
+    takes up(x) when the caller has it.  Type-one bands share theirs per y2
+    (cost_one.PhaseTwoContext).
     """
 
     def __init__(self, scale: ScaleSet, a: float, d: float):
@@ -206,10 +218,7 @@ class ExitContext:
         self.scale = scale
         self.a = a
         self.d = d
-        self.W_span = scale.W(d - a)
-        self.Z_span = scale.Z(d - a)
-        self.Zbar_span = scale.Zbar(d - a)
-        self.Wbar_span = scale.Wbar(d - a)
+        self.W_span, self.Wbar_span, _, self.Z_span, self.Zbar_span = scale.kernels(d - a)
         self._mus = np.asarray(scale.demand.rates, dtype=float)
         # _B[k] = int_a^d W(d-z) exp(-mu_k z) dz
         self._B = _against_exp(-self._mus, lambda z: scale.W(d - z), a, d)
@@ -218,27 +227,38 @@ class ExitContext:
         """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""
         return self.scale.W(np.asarray(x, dtype=float) - self.a) / self.W_span
 
-    def down(self, x, up=None):
-        """E_x[e^{-q tau_a^-}; down before up] = Z(x-a) - up(x) Z(d-a)."""
-        x = np.asarray(x, dtype=float)
-        return self.scale.Z(x - self.a) - (self.up(x) if up is None else up) * self.Z_span
+    def exits(self, x, cost: HoldingCost | None = None) -> tuple:
+        """(up, down, holding) at x, from one kernel evaluation at x - a.
 
-    def holding(self, x, cost: HoldingCost, up=None, down=None):
-        """Expected discounted holding at rate cost.a + cost.c * X until exit."""
+        down = E_x[e^{-q tau_a^-}; down before up] = Z(x-a) - up(x) Z(d-a);
+        holding is the expected discounted holding at rate cost.a + cost.c * X
+        until exit, None without a cost.
+        """
         s = self.scale
         x = np.asarray(x, dtype=float)
-        up = self.up(x) if up is None else up
-        down = self.down(x, up) if down is None else down
+        W, Wbar, _, Z, Zbar = s.kernels(x - self.a)
+        up = W / self.W_span
+        down = Z - up * self.Z_span
+        if cost is None:
+            return up, down, None
         time_part = (1.0 - down - up) / s.q
         level_part = (
             self.d * up
             + self.a * down
-            + s.Zbar(x - self.a)
-            - s.phi_prime0 * s.Wbar(x - self.a)
+            + Zbar
+            - s.phi_prime0 * Wbar
             - up * (self.Zbar_span - s.phi_prime0 * self.Wbar_span)
         )
         a, c = cost.a, cost.c
-        return (a + c * s.phi_prime0 / s.q) * time_part + (c / s.q) * (x - level_part)
+        return up, down, (a + c * s.phi_prime0 / s.q) * time_part + (c / s.q) * (x - level_part)
+
+    def down(self, x):
+        """exits(x)'s down alone."""
+        return self.exits(x)[1]
+
+    def holding(self, x, cost: HoldingCost):
+        """exits(x, cost)'s holding alone."""
+        return self.exits(x, cost)[2]
 
     def resolvent_transform(self, x, up=None) -> np.ndarray:
         """int_a^d u(x, z) exp(-mu_k z) dz per demand component, shape (k,) + x.shape.
@@ -255,11 +275,32 @@ class ExitContext:
         """
         x = np.asarray(x, dtype=float)
         shape = (-1,) + (1,) * x.ndim
-        mus = self._mus.reshape(shape + (1,))
+        neg_mus = -self._mus.reshape(shape + (1,))
         below = integrate_rows(lambda z, rows: self.scale.W(x[rows, ..., None] - z)
-                               * np.exp(-mus * z),
+                               * np.exp(neg_mus * z),
                                self.a, np.maximum(x, self.a))
         return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
+
+
+@lru_cache(maxsize=16)
+def _transfer_sources(scale1: ScaleSet, scale2: ScaleSet, b: float) -> tuple:
+    """Omega2's per-model parts: the (G2 - q) g sources convolved with W2, and g(b).
+
+    (conv, coef_z, coef_w, (Z1(b), Wbarbar1(b))): conv pairs the exponents
+    of W1 and 0 with those of W2; its first rows, W1's, are the Z1 source's,
+    with coefficients coef_z, and all rows are the Wbarbar1 source's, with
+    coef_w.  Built once per pair of scales and capacity (one per model),
+    read-only.
+    """
+    th1, w1 = scale1.exponents, scale1.weights
+    dsig = scale2.sigma - scale1.sigma
+    coef_z = dsig * scale1.q * w1
+    coef_w = np.append(dsig * w1 / th1, -dsig * np.sum(w1 / th1))
+    for arr in (coef_z, coef_w):
+        arr.setflags(write=False)
+    _, _, Wbb1_b, Z1_b, _ = scale1.kernels(b, W=False)
+    return (ExpConvolution(np.append(th1, 0.0), scale2.exponents), coef_z, coef_w,
+            (Z1_b, Wbb1_b))
 
 
 class Omega2:
@@ -276,6 +317,10 @@ class Omega2:
     (G2 - q) g = z + (sigma2 - sigma1) Wbar1.  Both sources are exponential
     sums (plus z), so each z-integral against W2 is a closed-form
     convolution (scale.ExpConvolution); the piece constant in x is the tail at b.
+    The convolution depends only on the model (_transfer_sources), and both
+    payoffs read its terms at x from one evaluation, the Z1 source its first
+    rows; g(b) of both is computed once, and apply gives both payoffs at x
+    from one phase-1 kernel evaluation.
     """
 
     def __init__(self, scale1: ScaleSet, exit2: ExitContext):
@@ -285,40 +330,44 @@ class Omega2:
         self.s1 = scale1
         self.exit2 = exit2
         self.dsig = exit2.scale.sigma - scale1.sigma
-        th1, w1 = scale1.exponents, scale1.weights
-        # (G2-q)g as exponential sums: dsig q W1, and dsig Wbar1 without the
-        # z term; each convolved with W2 through one fixed exponent pair
-        th2 = exit2.scale.exponents
-        self._conv_z = ExpConvolution(th1, th2)
-        self._coef_z = self.dsig * scale1.q * w1
-        self._conv_w = ExpConvolution(np.append(th1, 0.0), th2)
-        self._coef_w = np.append(self.dsig * w1 / th1, -self.dsig * np.sum(w1 / th1))
-        # constants: int_{y2}^b (G2-q)g(z) W2(b-z) dz for both payoffs
-        self._const_z = self._tail(b, "Z1")
-        self._const_w = self._tail(b, "W")
+        self._conv, self._coef_z, self._coef_w, (self._Z1_b, self._Wbb1_b) = (
+            _transfer_sources(scale1, exit2.scale, b))
+        self._a_lo = self._conv.a_col * y2
+        self._th2_sq = exit2.scale.exponents**2
+        # int_{y2}^b (G2-q)g(z) W2(b-z) dz for both payoffs
+        self._const_z, self._const_w = self._tails(b)
 
-    def _tail(self, x, kind: str):
-        """int_{y2}^x (G2-q)g(z) W2(x-z) dz, the x-dependent integral piece."""
+    def _tails(self, x) -> tuple:
+        """int_{y2}^x (G2-q)g(z) W2(x-z) dz, the x-dependent integral piece, of
+        both payoffs (Z1, Wbarbar1) from one evaluation of the terms."""
         x = np.asarray(x, dtype=float)
-        s2, y2 = self.exit2.scale, self.exit2.a
+        s2 = self.exit2.scale
         th2, w2 = s2.exponents, s2.weights
-        if kind == "Z1":
-            return self._conv_z(y2, x, self._coef_z, w2)
-        # int_{y2}^x z W2(x-z) dz, term by term in u = x - z over [0, s]
-        s = np.maximum(x - y2, 0.0)[..., None]
+        s = np.maximum(x - self.exit2.a, 0.0)[..., None]
+        exp, ratio = self._conv.factors(self._a_lo, s[..., None])
+        terms = exp * ratio
+        tail_z = (terms[..., :-1, :] @ w2) @ self._coef_z
+        # int_{y2}^x z W2(x-z) dz, term by term in u = x - z over [0, s]; the
+        # last row of exp, where a_exp = 0, is exp(th2 s)
         em = np.expm1(th2 * s)
-        ramp = (x[..., None] * em / th2 - s * np.exp(th2 * s) / th2 + em / th2**2) @ w2
-        return ramp + self._conv_w(y2, x, self._coef_w, w2)
+        ramp = (x[..., None] * em / th2 - s * exp[..., -1, :] / th2 + em / self._th2_sq) @ w2
+        return tail_z, ramp + (terms @ w2) @ self._coef_w
 
-    def _apply(self, g, const: float, kind: str, x, up):
-        """Omega(g)(x) = g(x) - up(x) g(b) + up(x) const - tail(x); up may be given."""
+    def apply(self, x, up=None) -> tuple:
+        """(Omega(Z1)(x), Omega(Wbarbar1)(x)): each g(x) - up(x) g(b) + up(x)
+        const - tail(x); up may be given."""
         x = np.asarray(x, dtype=float)
         up = self.exit2.up(x) if up is None else up
-        out = np.asarray(g(x) - up * g(self.exit2.d) + up * const - self._tail(x, kind))
-        return out if out.shape else float(out)
+        _, _, Wbb1, Z1, _ = self.s1.kernels(x, W=False)
+        tail_z, tail_w = self._tails(x)
+        om_z = Z1 - up * self._Z1_b + up * self._const_z - tail_z
+        om_w = Wbb1 - up * self._Wbb1_b + up * self._const_w - tail_w
+        if x.shape:
+            return om_z, om_w
+        return float(om_z), float(om_w)
 
     def apply_Z1(self, x, up=None):
-        return self._apply(self.s1.Z, self._const_z, "Z1", x, up)
+        return self.apply(x, up)[0]
 
     def apply_Wbarbar1(self, x, up=None):
-        return self._apply(self.s1.Wbarbar, self._const_w, "W", x, up)
+        return self.apply(x, up)[1]

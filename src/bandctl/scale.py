@@ -9,11 +9,21 @@ is a finite sum of exponentials: W(x) = sum_j w_j exp(theta_j x) where the
 theta_j are the real roots of phi(theta) = q and w_j = 1/phi'(theta_j).
 Every derived function (integrals of W, the Z family) is then exact, and
 so is the convolution of W with any other exponential sum (ExpConvolution).
+
+All five functions at one x come from one shared evaluation
+(ScaleSet.kernels): one array x theta_j, its exp against w_j for W, and one
+expm1 array against w_j/theta_j and w_j/theta_j^2 for Wbar and Wbarbar, from
+which Z and Zbar follow.  A caller that needs several of them at the same x
+asks once; W, Wbar, Wbarbar, Z and Zbar read the same evaluation, so there
+is one implementation.  The values keep the bits of separate evaluations:
+exp and expm1 act elementwise, each matmul gets the same operands in the
+same C-ordered layout (the column fill from _FILL_MIN on included), and the
+arithmetic after it runs in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,16 +35,18 @@ from .model import DemandLaw, ModelConfig, laplace_exponent
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
 _NEAR_RATES = 1e-2  # relative gap under which a root failure names two demand rates
-_FILL_MIN = 256  # ScaleSet._exp_sum fills columns from this many entries on
+_FILL_MIN = 256  # ScaleSet.kernels fills columns from this many entries on
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleSet:
     """Exponential-sum representation of W and friends for one phase.
 
     Immutable, its arrays included; all evaluations are pure and accept
     scalars or arrays.
-    W(x) = 0 for x < 0 and W(0) means the right limit 1/sigma.
+    W(x) = 0 for x < 0 and W(0) means the right limit 1/sigma.  Compared
+    and hashed by identity (build_scale gives one per model and phase), so
+    per-model objects can be cached by their scales.
     """
 
     phase: int
@@ -45,6 +57,9 @@ class ScaleSet:
     exponents: np.ndarray   # distinct real roots of phi(theta) = q, ascending
     weights: np.ndarray     # 1/phi'(theta_j)
     phi_prime0: float
+    _wbar_coef: np.ndarray = field(init=False, repr=False)     # w / theta
+    _wbarbar_coef: np.ndarray = field(init=False, repr=False)  # w / theta^2
+    _wbar_sum: float = field(init=False, repr=False)            # sum of w / theta
 
     @property
     def phi_q(self) -> float:
@@ -56,63 +71,81 @@ class ScaleSet:
         out = self.sigma * theta - self.lam + self.lam * self.demand.laplace(theta)
         return out if out.shape else float(out)
 
-    # -- W family ---------------------------------------------------------
+    def __post_init__(self):
+        th, w = self.exponents, self.weights
+        for name, coef in (("_wbar_coef", w / th), ("_wbarbar_coef", w / th**2)):
+            coef.setflags(write=False)
+            object.__setattr__(self, name, coef)
+        object.__setattr__(self, "_wbar_sum", float(np.sum(w / th)))
 
-    def _exp_sum(self, xp, fn, coef):
-        """fn(xp[..., None] * exponents) @ coef, with fn np.exp or np.expm1.
+    # -- W and Z families, from one shared evaluation ----------------------
 
-        From _FILL_MIN entries on, each exponent's column of the C-ordered
-        (..., k) array is filled by one flat multiply and fn runs in place:
-        numpy walks a broadcast over the short trailing axis pair by pair,
-        several times slower on large inputs, while below that size the
-        per-column calls cost more than the walk.  Either way the matmul
-        gets the same operands, bit for bit; the k-first layout
-        (coef @ E) would be faster but is not bit-identical.
+    def kernels(self, x, W: bool = True, integrals: bool = True) -> tuple:
+        """(W, Wbar, Wbarbar, Z, Zbar) at x, from one evaluation of x theta.
+
+        W sums exp(x theta_j) w_j; Wbar and Wbarbar share one expm1(x theta)
+        array, against w/theta and w/theta^2 (the latter less x sum w/theta);
+        Z = 1 + q Wbar and Zbar = x + q Wbarbar.  With W or integrals False
+        that half is None and its exponentials are not taken.  Every value
+        is the one a separate evaluation gives, bit for bit: each matmul gets
+        the same operands, laid out as below.  From _FILL_MIN entries on,
+        each exponent's column of the C-ordered (..., k) array x theta is
+        filled by one flat multiply: numpy walks a broadcast over the short
+        trailing axis pair by pair, several times slower on large inputs,
+        while below that size the per-column calls cost more than the walk.
+        The k-first layout (coef @ E) would be faster but is not
+        bit-identical.  W(x) = 0 for x < 0, and so are Wbar and Wbarbar (the
+        values at 0 are replaced where x is not >= 0, if anywhere); 0-d x
+        gives floats.
         """
-        if xp.size < _FILL_MIN:
-            return fn(xp[..., None] * self.exponents) @ coef
-        e = np.empty(xp.shape + self.exponents.shape)
-        for j, th in enumerate(self.exponents):
-            np.multiply(xp, th, out=e[..., j])
-        return fn(e, out=e) @ coef
-
-    def W(self, x):
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        val = self._exp_sum(xp, np.exp, self.weights)
-        out = np.where(x >= 0, val, 0.0)
-        return out if out.shape else float(out)
+        pos = x >= 0
+        cut = not pos.all()
+        if xp.size < _FILL_MIN:
+            e = xp[..., None] * self.exponents
+        else:
+            e = np.empty(xp.shape + self.exponents.shape)
+            for j, th in enumerate(self.exponents):
+                np.multiply(xp, th, out=e[..., j])
+        w = wbar = wbarbar = z = zbar = None
+        if W:
+            w = (np.exp(e) if integrals else np.exp(e, out=e)) @ self.weights
+            if cut:
+                w = np.where(pos, w, 0.0)
+        if integrals:
+            e = np.expm1(e, out=e)
+            wbar = e @ self._wbar_coef
+            wbarbar = e @ self._wbarbar_coef - xp * self._wbar_sum
+            if cut:
+                wbar, wbarbar = np.where(pos, wbar, 0.0), np.where(pos, wbarbar, 0.0)
+            z = 1.0 + self.q * wbar
+            zbar = x + self.q * wbarbar
+        if not x.shape:
+            if W:
+                w = float(w)
+            if integrals:
+                wbar, wbarbar, z, zbar = float(wbar), float(wbarbar), float(z), float(zbar)
+        return w, wbar, wbarbar, z, zbar
+
+    def W(self, x):
+        return self.kernels(x, integrals=False)[0]
 
     def Wbar(self, x):
         """int_0^x W."""
-        x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        val = self._exp_sum(xp, np.expm1, self.weights / self.exponents)
-        out = np.where(x >= 0, val, 0.0)
-        return out if out.shape else float(out)
+        return self.kernels(x, W=False)[1]
 
     def Wbarbar(self, x):
         """int_0^x Wbar."""
-        x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        th = self.exponents
-        val = self._exp_sum(xp, np.expm1, self.weights / th**2) - xp * float(
-            np.sum(self.weights / th)
-        )
-        out = np.where(x >= 0, val, 0.0)
-        return out if out.shape else float(out)
-
-    # -- Z family ---------------------------------------------------------
+        return self.kernels(x, W=False)[2]
 
     def Z(self, x):
         """1 + q * Wbar(x); equals 1 for x <= 0."""
-        return 1.0 + self.q * self.Wbar(x)
+        return self.kernels(x, W=False)[3]
 
     def Zbar(self, x):
         """int_0^x Z = x + q * Wbarbar(x); equals x for x <= 0."""
-        x = np.asarray(x, dtype=float)
-        out = x + self.q * self.Wbarbar(x)
-        return out if out.shape else float(out)
+        return self.kernels(x, W=False)[4]
 
 
 class ExpConvolution:
@@ -132,14 +165,27 @@ class ExpConvolution:
         delta = self.a_col - self.b_exp
         self.small = np.abs(delta) < 1e-12
         self.safe = np.where(self.small, 1.0, delta)
+        self.any_small = bool(self.small.any())
         for arr in (self.a_col, self.b_exp, self.small, self.safe):
             arr.setflags(write=False)
 
-    def __call__(self, lo: float, x, a_coef, b_coef):
+    def factors(self, a_lo, s) -> tuple:
+        """The (i, j) terms' two factors, exp(a_exp_i lo + b_exp_j s) and
+        expm1(delta_ij s) / delta_ij (s where delta_ij vanishes), given
+        a_lo = a_col * lo and s = max(x - lo, 0)[..., None, None]."""
+        ratio = np.expm1(self.safe * s) / self.safe
+        if self.any_small:
+            ratio = np.where(self.small, s, ratio)
+        return np.exp(a_lo + self.b_exp * s), ratio
+
+    def terms(self, lo: float, x) -> np.ndarray:
+        """The (i, j) terms at x, of shape x.shape + (len(a_exp), len(b_exp))."""
         s = np.maximum(np.asarray(x, dtype=float) - lo, 0.0)[..., None, None]
-        ratio = np.where(self.small, s, np.expm1(self.safe * s) / self.safe)
-        terms = np.exp(self.a_col * lo + self.b_exp * s) * ratio
-        out = (terms @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
+        exp, ratio = self.factors(self.a_col * lo, s)
+        return exp * ratio
+
+    def __call__(self, lo: float, x, a_coef, b_coef):
+        out = (self.terms(lo, x) @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
         return out if out.shape else float(out)
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import pathlib
 import re
 
 import mpmath
@@ -9,6 +11,7 @@ import pytest
 from bandctl import (BandOne, BandTwo, SimStrategy, build_scale, estimate_cost, total_cost,
                      total_cost_two, upper_cost_bound)
 from bandctl import cost_one, optimize, passage, scale
+from bandctl.cli import load_config
 from bandctl.cost_one import TypeOneAssembly, _contractive, lattice_V0, phase_two_context
 from bandctl.passage import ExitContext, _against_exp
 from bandctl.errors import (FixedPointNotContractive, OutOfBand, QuadratureNotConverged,
@@ -345,8 +348,9 @@ def test_contraction_failure_names_first_failing_band():
 
 
 def _clear_caches():
-    for cached in (cost_one._assembly, cost_one.phase_two_context, cost_one._demand_conv,
-                   cost_one.PhaseTwoContext._bases_at, scale.build_scale, passage._gl_nodes):
+    for cached in (cost_one._assembly, cost_one.phase_two_context, cost_one.model_parts,
+                   cost_one.PhaseTwoContext._bases_at, scale.build_scale, passage._gl_nodes,
+                   passage._transfer_sources):
         cached.cache_clear()
 
 
@@ -455,3 +459,20 @@ def test_large_b_envelope(make, b_ok, b_fails):
     assert np.isfinite(band_cost(b_ok))
     with pytest.raises(QuadratureNotConverged):
         band_cost(b_fails)
+
+
+_POLISH_BITS = pathlib.Path(__file__).parent / "data" / "polish-bits.json"
+_POLISH_CONFIGS = {"ex1": "configs/ex1.json", "ex2": "configs/ex2.json"}
+
+
+@pytest.mark.parametrize("config, stage", [("ex1", "doshi"), ("ex2", "doshi"), ("ex2", "one")])
+def test_polish_objective_is_bit_pinned(config, stage):
+    # every 25th band the polish of escalate() evaluated, with its V0 as
+    # float.hex (scripts/compare_numbers.py polish-bits): the engine's
+    # arithmetic on the polish path must not move by one bit
+    rows = json.loads(_POLISH_BITS.read_text())[config][stage]
+    m = validate(load_config(_POLISH_BITS.parents[2] / _POLISH_CONFIGS[config]))
+    assert rows
+    for row in rows:
+        y2, y3, y1, v0 = (float.fromhex(v) for v in row)
+        assert total_cost(m, BandOne(y2, y3, y1)).V0.hex() == v0.hex(), row

@@ -37,3 +37,45 @@ def test_summary_of_fixed_pairs():
 
 def test_end_to_end_names_come_from_the_benchmark_file():
     assert paired_bench.end_to_end_names(SCRIPT.parents[1]) == ["task_s", "setup_s", "peak_rss_mb"]
+
+
+def _fake_run(values):
+    """A run(tree) that records the call order and returns each tree's next
+    task_s from values[tree], as perfbench/run.py's JSON line holds it."""
+    calls = []
+
+    def run(tree):
+        calls.append(tree)
+        return {"failed": 0, "metrics": {"task_s": {"value": values[tree].pop(0)}}}
+
+    return run, calls
+
+
+def test_pairs_alternate_which_tree_runs_first():
+    run, calls = _fake_run({"P": [1.0, 1.1, 1.2, 1.3, 1.4], "C": [0.8, 1.2, 0.9, 0.7, 0.6]})
+    seen = []
+    runs = paired_bench.run_pairs({"parent": "P", "change": "C"}, 5, run,
+                                  lambda i, pair: seen.append(i))
+    assert calls == ["P", "C", "C", "P", "P", "C", "C", "P", "P", "C"]
+    assert [r["first"] for r in runs] == ["parent", "change", "parent", "change", "parent"]
+    assert seen == [0, 1, 2, 3, 4]
+    # each pair keeps its parent and change runs whatever the order
+    assert [r["change"]["metrics"]["task_s"]["value"] for r in runs] == [0.8, 1.2, 0.9, 0.7, 0.6]
+
+
+def test_summaries_over_all_pairs_and_each_order():
+    run, _ = _fake_run({"P": [1.0, 1.1, 1.2, 1.3, 1.4], "C": [0.8, 1.2, 0.9, 0.7, 0.6]})
+    runs = paired_bench.run_pairs({"parent": "P", "change": "C"}, 5, run, lambda i, pair: None)
+    summary = paired_bench.summaries(["task_s"], runs)
+    assert set(summary) == {"all", "parent_first", "change_first"}
+    # parent first in pairs 0, 2, 4; change first in pairs 1 and 3
+    assert summary["all"]["task_s"]["change_lower"] == 4
+    assert summary["all"]["task_s"]["pairs"] == 5
+    assert summary["parent_first"]["task_s"]["pairs"] == 3
+    assert summary["parent_first"]["task_s"]["change_lower"] == 3
+    assert summary["parent_first"]["task_s"]["parent_median"] == 1.2
+    assert summary["change_first"]["task_s"]["pairs"] == 2
+    assert summary["change_first"]["task_s"]["change_lower"] == 1
+    assert summary["change_first"]["task_s"]["change_median"] == pytest.approx(0.95)
+    one = paired_bench.summaries(["task_s"], runs[:1])
+    assert set(one) == {"all", "parent_first"}

@@ -9,6 +9,7 @@ from bandctl.cost_one import TypeOneAssembly
 from bandctl.errors import OutOfBand, QuadratureNotConverged
 from bandctl.model import ModelConfig
 from bandctl.passage import ExitContext, Omega2, _gl_nodes, integrate, integrate_rows
+from bandctl.scale import ExpConvolution
 from ._oracles import (
     MpScale,
     estimate_occupation,
@@ -246,8 +247,9 @@ def test_omega2_equal_rates_drops_correction():
     # the Z1 source vanishes, so its tail and constant are exact zeros, and
     # the Wbarbar1 tail is int_{y2}^x z W2(x - z) dz alone
     assert op.dsig == 0.0
-    assert np.all(op._tail(xs, "Z1") == 0.0) and op._const_z == 0.0
-    for x, val in zip(xs[1:], op._tail(xs, "W")[1:]):
+    tail_z, tail_w = op._tails(xs)
+    assert np.all(tail_z == 0.0) and op._const_z == 0.0
+    for x, val in zip(xs[1:], tail_w[1:]):
         ref = simpson_adaptive(lambda z: z * s2.W(x - z), 1.0, x)
         assert val == pytest.approx(ref, rel=1e-10)
 
@@ -311,7 +313,7 @@ def test_omega2_tails_against_mpmath(make, y2):
     m = make()
     op = Omega2(build_scale(m, 1), ExitContext(build_scale(m, 2), a=y2, d=m.b))
     xs = np.array([0.5 * (y2 + m.b), m.b - 0.5])
-    got = {"Z1": op._tail(xs, "Z1"), "W": op._tail(xs, "W")}
+    got = dict(zip(("Z1", "W"), op._tails(xs)))
     consts = {"Z1": op._const_z, "W": op._const_w}
     with mpmath.workdps(40):
         mp1, mp2 = MpScale(m, 1), MpScale(m, 2)
@@ -442,3 +444,77 @@ def test_integrate_equals_a_per_level_reference_bitwise(case):
     assert n == nodes
     assert got.shape == ref.shape == shape
     assert np.all(got == ref)
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+_SHARED_CASES = [(make_ex1, 1.526), (make_ex3, 0.0), (make_ex3, 2.468), (make_ex1_hyper, 1.0)]
+_SHARED_IDS = ["ex1", "ex3-y2-0", "ex3", "ex1-hyper"]
+
+
+@pytest.mark.parametrize("make, y2", _SHARED_CASES, ids=_SHARED_IDS)
+def test_exits_equal_separate_kernel_calls_bitwise(make, y2):
+    # up, down and the holding cost from one kernel evaluation at x - a must
+    # equal the formulas on separate W / Wbar / Z / Zbar calls bit for bit
+    m = make()
+    s = build_scale(m, 2)
+    ctx = ExitContext(s, y2, m.b)
+    span = m.b - y2
+    assert (_bits(ctx.W_span), _bits(ctx.Wbar_span), _bits(ctx.Z_span), _bits(ctx.Zbar_span)) == (
+        _bits(s.W(span)), _bits(s.Wbar(span)), _bits(s.Z(span)), _bits(s.Zbar(span)))
+    for x in (np.array(0.5 * (y2 + m.b)), np.linspace(y2, m.b, 48),
+              np.linspace(y2, m.b, 400).reshape(20, 20)):
+        up = s.W(x - y2) / ctx.W_span
+        down = s.Z(x - y2) - up * ctx.Z_span
+        level = (m.b * up + y2 * down + s.Zbar(x - y2) - s.phi_prime0 * s.Wbar(x - y2)
+                 - up * (ctx.Zbar_span - s.phi_prime0 * ctx.Wbar_span))
+        c = m.h2
+        hold = ((c.a + c.c * s.phi_prime0 / s.q) * ((1.0 - down - up) / s.q)
+                + (c.c / s.q) * (x - level))
+        got = ctx.exits(x, m.h2)
+        assert [_bits(v) for v in got] == [_bits(up), _bits(down), _bits(hold)]
+        assert ctx.exits(x)[2] is None and _bits(ctx.up(x)) == _bits(up)
+
+
+@pytest.mark.parametrize("make, y2", _SHARED_CASES, ids=_SHARED_IDS)
+def test_omega2_shared_parts_equal_fresh_ones_bitwise(make, y2):
+    # the convolution, its coefficients and g(b) are built once per model and
+    # shared by every y2; they, the tails read from one evaluation of the
+    # terms and the two payoffs from one phase-1 evaluation must equal
+    # freshly built ones, one convolution per payoff, bit for bit
+    m = make()
+    s1, s2 = build_scale(m, 1), build_scale(m, 2)
+    op = Omega2(s1, ExitContext(s2, y2, m.b))
+    other = Omega2(s1, ExitContext(s2, 0.5 * (y2 + m.b), m.b))
+    assert other._conv is op._conv and other._coef_w is op._coef_w
+    th1, w1, th2, w2 = s1.exponents, s1.weights, s2.exponents, s2.weights
+    dsig = s2.sigma - s1.sigma
+    conv_z, conv_w = ExpConvolution(th1, th2), ExpConvolution(np.append(th1, 0.0), th2)
+    for name in ("a_col", "b_exp", "small", "safe"):
+        assert _bits(getattr(op._conv, name)) == _bits(getattr(conv_w, name))
+    coef_z = dsig * s1.q * w1
+    coef_w = np.append(dsig * w1 / th1, -dsig * np.sum(w1 / th1))
+    assert (_bits(op._coef_z), _bits(op._coef_w)) == (_bits(coef_z), _bits(coef_w))
+    assert (_bits(op._Z1_b), _bits(op._Wbb1_b)) == (_bits(s1.Z(m.b)), _bits(s1.Wbarbar(m.b)))
+
+    def tails(x):
+        x = np.asarray(x, dtype=float)
+        s = np.maximum(x - y2, 0.0)[..., None]
+        em = np.expm1(th2 * s)
+        ramp = (x[..., None] * em / th2 - s * np.exp(th2 * s) / th2 + em / th2**2) @ w2
+        return conv_z(y2, x, coef_z, w2), ramp + conv_w(y2, x, coef_w, w2)
+
+    const_z, const_w = tails(m.b)
+    assert (_bits(op._const_z), _bits(op._const_w)) == (_bits(const_z), _bits(const_w))
+    ctx = op.exit2
+    for x in (np.array(0.5 * (y2 + m.b)), np.linspace(y2, m.b, 48),
+              np.linspace(y2, m.b, 400).reshape(20, 20)):
+        tail_z, tail_w = tails(x)
+        assert [_bits(v) for v in op._tails(x)] == [_bits(tail_z), _bits(tail_w)]
+        up = ctx.up(x)
+        om_z = s1.Z(x) - up * s1.Z(m.b) + up * const_z - tail_z
+        om_w = s1.Wbarbar(x) - up * s1.Wbarbar(m.b) + up * const_w - tail_w
+        assert [_bits(v) for v in op.apply(x, up)] == [_bits(om_z), _bits(om_w)]
+        assert _bits(op.apply_Z1(x)) == _bits(om_z)

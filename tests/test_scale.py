@@ -17,6 +17,7 @@ from bandctl import (
 )
 from bandctl.errors import RootFindingFailed, ThetaInsideSpectrum, ValidationError
 from bandctl.passage import integrate
+from bandctl import scale
 from bandctl.scale import ExpConvolution
 from ._oracles import simpson_adaptive
 from .conftest import make_ex1, make_ex1_hyper, make_ex3
@@ -225,3 +226,41 @@ def test_kernels_equal_the_broadcast_expressions_bitwise(make, phase):
         for got, ref in ((sc.W(x), W), (sc.Wbar(x), Wbar), (sc.Wbarbar(x), Wbarbar)):
             assert np.shape(got) == x.shape
             assert np.array_equal(got, ref), x.shape
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("make", [make_ex1, make_ex3, make_ex1_hyper],
+                         ids=["ex1", "ex3", "ex1-hyper"])
+def test_shared_evaluation_equals_separate_calls_bitwise(make, phase):
+    # ScaleSet.kernels gives all five functions from one x theta array; each
+    # must equal the expression of a separate evaluation bit for bit, on
+    # both sides of _FILL_MIN (column fill from there on), for x < 0, 0-d,
+    # 1-d and 2-d inputs, and with either half left out
+    sc = build_scale(make(), phase)
+    th, w, q = sc.exponents, sc.weights, sc.q
+    rng = np.random.default_rng(31 + phase)
+    n = scale._FILL_MIN
+    inputs = [np.array(-0.3), np.array(0.0), np.array(4.7), 2.5, rng.uniform(-1.0, 10.0, n - 1),
+              rng.uniform(-1.0, 10.0, n), rng.uniform(-1.0, 10.0, (7, 9)),
+              rng.uniform(-1.0, 10.0, (3, 200, 48)), -rng.uniform(0.0, 1.0, 5)]
+    for x in inputs:
+        xa = np.asarray(x, dtype=float)
+        xp = np.maximum(xa, 0.0)
+        W = np.where(xa >= 0, np.exp(xp[..., None] * th) @ w, 0.0)
+        Wbar = np.where(xa >= 0, np.expm1(xp[..., None] * th) @ (w / th), 0.0)
+        Wbarbar = np.where(xa >= 0, np.expm1(xp[..., None] * th) @ (w / th**2)
+                           - xp * float(np.sum(w / th)), 0.0)
+        ref = (W, Wbar, Wbarbar, 1.0 + q * Wbar, xa + q * Wbarbar)
+        shared = sc.kernels(x)
+        separate = (sc.W(x), sc.Wbar(x), sc.Wbarbar(x), sc.Z(x), sc.Zbar(x))
+        halves = sc.kernels(x, integrals=False)[:1] + sc.kernels(x, W=False)[1:]
+        for got in (shared, separate, halves):
+            for g, r in zip(got, ref):
+                assert np.shape(g) == xa.shape and (xa.shape or isinstance(g, float))
+                assert _bits(g) == _bits(r), xa.shape
+    assert sc.kernels(1.0, W=False)[0] is None
+    assert sc.kernels(np.ones(3), integrals=False)[1:] == (None,) * 4
