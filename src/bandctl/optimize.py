@@ -22,8 +22,11 @@ numpy.random, about 6 MB of memory.
 V0(b) does not depend on y4, so the type-two stage reuses the type-one
 thresholds (of the result escalate hands it, or of its own type-one search,
 which it does not verify) and picks y4 separately: it minimizes the worst
-phase-1 value over a probe grid in (y1, b) by golden-section search, with
-verification as the final arbiter.
+phase-1 value over a probe grid in (y1, b) by golden-section search.
+Verification only reports: each stage verifies its one winner, and a band
+that fails is returned flagged, never traded for another candidate.  By the
+verification theorem a verified band is optimal, so a failed one means the
+optimum lies outside the class searched.
 """
 
 from __future__ import annotations
@@ -267,9 +270,9 @@ def optimize_type_two(
 ) -> OptimizationResult:
     """Type-two policy: (y2, y3, y1) from the type-one result base (V0 is
     invariant in y4), then y4 chosen to minimize the worst phase-1 value on a
-    20-point probe grid in (y1, b); verification arbitrates, with a
-    margin-maximizing scan as fallback.  Without base, the type-one lattice
-    search supplies (y2, y3, y1), and its winner is not verified."""
+    20-point probe grid in (y1, b).  The band is verified once and returned,
+    flagged with its report when it fails.  Without base, the type-one
+    lattice search supplies (y2, y3, y1), and its winner is not verified."""
     check_settings(tol)  # before any search; the y4 search verifies only at its end
     one = base.band if base is not None else _lattice_search(model, False)[0]
     y2, y3, y1 = one.y2, one.y3, one.y1
@@ -286,18 +289,6 @@ def optimize_type_two(
     band = BandTwo(y2, y3, y1, float(_golden_section(worst_v1, lo, hi, xatol=1e-4)))
     surface = total_cost_two(model, band)
     report = verify_strategy(model, surface, tol=tol)
-    if not report.passed:
-        # fallback: scan y4 and keep the candidate with the largest HJB margin
-        best = (None, -np.inf, None)
-        for cand in np.linspace(lo, hi, 21):
-            s = total_cost_two(model, BandTwo(y2, y3, y1, float(cand)))
-            r = verify_strategy(model, s, tol=tol)
-            margin = float(np.min(r.hjb(1)))
-            if r.passed and margin > best[1]:
-                best = (float(cand), margin, (s, r))
-        if best[0] is not None:
-            band = BandTwo(y2, y3, y1, best[0])
-            surface, report = best[2]
     return OptimizationResult("two", band, surface.V0, surface, report.passed, report)
 
 

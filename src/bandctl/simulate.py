@@ -169,15 +169,18 @@ def _run_paths(
     cannot change its outcome.
 
     The drift is one pass over all rows, in place on scratch arrays made
-    once per call, then one pass over the rows that switched phase.  A row
-    that stops at b idles there within its pass; an idle row never fires.
-    A demand landing inside the other phase's switching zone switches at
-    once, and the zones are disjoint (y2 < y1), so after a jump no row lies
-    in its own zone.  Phase 2 drifts up, so from above y2 it never enters
-    [l, y2]; a row that switches 1 -> 2 lands at or above y1 > y2, so it
-    can only stop at b.  The one exception is round 0 from a phase-2 start
-    at or below y2: it switches 2 -> 1 in the first pass and may switch
-    1 -> 2 in the second, so it takes a third pass.
+    once per call, then passes over the rows that switched phase or stopped
+    at b.  A row that stops at b leaves its pass in phase 0 at its stop
+    time, and the next pass idles it up to the round's end; an idle row
+    never fires.  A demand landing inside the other phase's switching zone
+    switches at once, and the zones are disjoint (y2 < y1), so after a jump
+    no row lies in its own zone.  Phase 2 drifts up, so from above y2 it
+    never enters [l, y2]; a row that switches 1 -> 2 lands at or above
+    y1 > y2, so it can only stop at b.  So a round takes at most three
+    passes: switch 1 -> 2, stop at b, idle.  The one exception is round 0
+    from a phase-2 start at or below y2: it switches 2 -> 1 in the first
+    pass and may then switch 1 -> 2, stop at b and idle, so it takes up to
+    four passes.
     """
     m = model
     q, lam, b, l = m.q, m.lam, m.b, m.l
@@ -208,8 +211,8 @@ def _run_paths(
     scratch = np.empty((8, n))  # the drift's rows, then the round's seg_end
 
     def drift(x, t, hold, switch, ph, se):
-        """Drift rows in place up to their next event or se; a row that stops at b idles
-        there up to se.  Returns the rows that switched phase, left at their switch time."""
+        """Drift rows in place up to their next event or se.  Returns the rows that
+        switched phase or stopped at b (in phase 0), left at that time."""
         ent, tev, tf, dur, *w = scratch[:7, :len(x)]
         sig = sig_of[ph]
         # the zone's smallest point at or above x, +inf when none; entry
@@ -219,7 +222,7 @@ def _run_paths(
         np.putmask(ent, x > hi_of[ph], np.inf)
         np.divide(np.subtract(np.minimum(ent, b, out=tev), x, out=tev), sig, out=tev)
         loc = (np.add(t, tev, out=tf) < se).nonzero()[0]
-        xf, ef, tf, sf, pf = x[loc], ent[loc], tf[loc], se[loc], ph[loc]
+        xf, ef, tf, pf = x[loc], ent[loc], tf[loc], ph[loc]
         np.subtract(se, t, out=dur)
         dur[loc] = tev[loc]
         c = c_of[ph]
@@ -233,13 +236,8 @@ def _run_paths(
         switch[loc] += np.where(hit_cap, stop_cost[pf], switch_cost[pf]) * np.exp(-q * tf)
         x[loc] = np.where(hit_cap, b, ef)
         ph[loc] = np.where(hit_cap, 0, 3 - pf)  # 3 - p: the other producing phase
-        # idle at b up to se: _segment_cost with c = 0, whose c terms add zeros, so
-        # subtracting exp(-q t) h0_b m / q gives its bits
-        i = hit_cap.nonzero()[0]
-        hold[loc[i]] -= np.exp(-q * tf[i]) * (a_of[0] * np.expm1(-q * (sf[i] - tf[i])) / q)
-        i = (~hit_cap).nonzero()[0]
-        t[loc[i]] = tf[i]
-        return loc[i]
+        t[loc] = tf
+        return loc
 
     counter = 0
     while True:
@@ -250,7 +248,7 @@ def _run_paths(
         seg_end = np.minimum(t_arr, t_star, out=scratch[7, :len(t)])
 
         rows = drift(x, t, hold, switch, ph, seg_end)
-        while rows.size:  # at most twice, as the docstring shows
+        while rows.size:  # at most three times, as the docstring shows
             state = x[rows], t[rows], hold[rows], switch[rows], ph[rows]
             switched = drift(*state, seg_end[rows])
             x[rows], t[rows], hold[rows], switch[rows], ph[rows] = state
