@@ -206,9 +206,11 @@ def _kernel_arrays(config: str, model) -> dict:
             arrays[f"kernel/{config}/p{phase}/{fn}"] = np.concatenate(
                 [np.ravel(getattr(scale, fn)(x)) for x in _kernel_inputs(model.b)])
     if config in RESOLVENT_CONFIGS:
-        ctx = ExitContext(build_scale(model, 2), 0.25 * model.b, model.b)
+        scale, a = build_scale(model, 2), 0.25 * model.b
+        ctx = ExitContext(scale, a, model.b)
         arrays[f"kernel/{config}/p2/resolvent_transform"] = np.concatenate(
-            [np.ravel(ctx.resolvent_transform(x)) for x in _resolvent_inputs(model.b)])
+            [np.ravel(ctx.resolvent_transform(x, scale.W(x - a) / scale.W(model.b - a)))
+             for x in _resolvent_inputs(model.b)])
     return arrays
 
 

@@ -20,7 +20,6 @@ from .model import (
     ModelConfig,
     PenaltyCost,
     SwitchMatrix,
-    laplace_exponent,
     upper_cost_bound,
     validate,
 )
@@ -39,7 +38,7 @@ __all__ = [
     "BandOne", "BandTwo", "CostSurface", "DemandLaw", "HoldingCost", "ModelConfig",
     "OptimizationResult", "PenaltyCost", "ScaleSet", "SimEstimate", "SimStrategy",
     "SwitchMatrix", "VerificationReport", "build_scale", "check_laplace_identity",
-    "escalate", "estimate_cost", "laplace_exponent", "operator_L", "optimize_doshi",
+    "escalate", "estimate_cost", "operator_L", "optimize_doshi",
     "optimize_type_one", "optimize_type_two", "total_cost", "total_cost_two",
     "upper_cost_bound", "validate", "verify_strategy",
 ]

@@ -35,7 +35,7 @@ class TypeTwoOverlay:
             H, S, K = asm.costs(2, u)
             return np.stack([H, S, k.k12 + K])
 
-        ws, mus = asm._ws, asm._mus
+        ws, mus = asm.p2.parts.ws, asm.p2.parts.mus
         AH, AS, AK = (_against_exp(mus, landing_p2, y1, y4)
                       + _against_exp(mus, lambda u: np.stack(asm.costs(1, u)), 0.0, y1))
         H1_0, S1_0, K1_0 = (float(c[0]) for c in asm.costs(1, np.asarray([0.0])))

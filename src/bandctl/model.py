@@ -1,4 +1,4 @@
-"""Problem-instance representation and the Laplace exponent of each phase.
+"""Problem-instance representation and validation.
 
 A model instance describes a finite-capacity inventory fed at one of two
 production rates (phase 1 fast, phase 2 slow, phase 0 off at capacity) and
@@ -243,13 +243,6 @@ def validate(model: ModelConfig, allow_backlog: bool = False) -> ModelConfig:
     model.penalty.check()
     model.switching.check()
     return model
-
-
-def laplace_exponent(model: ModelConfig, phase: int, theta):
-    """phi_i(theta) = sigma_i*theta - lam + lam*E[exp(-theta Y)]."""
-    theta = np.asarray(theta, dtype=float)
-    out = model.sigma(phase) * theta - model.lam + model.lam * model.demand.laplace(theta)
-    return out if out.shape else float(out)
 
 
 def upper_cost_bound(model: ModelConfig) -> float:

@@ -1,8 +1,9 @@
 """Threshold search: best two-threshold policy, then type one, then type two.
 
-Each stage checks the verification tolerance before it searches, minimizes
-the level-b value V0(b) and verifies its own winner against the HJB system;
-escalation stops at the first class whose optimum verifies.  The Doshi
+Each stage checks the verification tolerance and validates the model
+(model.validate) before it searches, minimizes the level-b value V0(b) and
+verifies its own winner against the HJB system; escalation stops at the
+first class whose optimum verifies.  The Doshi
 (y3 = y2) and type-one stages share one body: a coarse feasible lattice, then
 a Nelder-Mead polish (with constraint repair by projection).  A lattice is
 evaluated per (y2, y3) group, the group's y1 values in one assembly
@@ -41,7 +42,7 @@ from ._workers import fork_map
 from .cost_one import _MIN_GAP, BandOne, BandTwo, CostSurface, lattice_V0, total_cost
 from .cost_two import total_cost_two
 from .errors import NoFeasiblePoint
-from .model import ModelConfig
+from .model import ModelConfig, validate
 from .verify import DEFAULT_TOL, VerificationReport, check_settings, verify_strategy
 
 _EDGE = 1e-6         # keep y1 (and y4) strictly below b
@@ -229,7 +230,8 @@ def _lattice_search(model: ModelConfig, doshi: bool) -> tuple[BandOne, float]:
 
 def _lattice_stage(model: ModelConfig, doshi: bool, tol: float) -> OptimizationResult:
     """The lattice search's winner of the Doshi or type-one class, verified."""
-    check_settings(tol)  # before the lattice, so a bad tol costs no search
+    check_settings(tol)  # before the lattice, so a bad tol or model costs no search
+    validate(model)
     band, val = _lattice_search(model, doshi)
     surface = total_cost(model, band)
     report = verify_strategy(model, surface, tol=tol)
@@ -274,6 +276,7 @@ def optimize_type_two(
     flagged with its report when it fails.  Without base, the type-one
     lattice search supplies (y2, y3, y1), and its winner is not verified."""
     check_settings(tol)  # before any search; the y4 search verifies only at its end
+    validate(model)
     one = base.band if base is not None else _lattice_search(model, False)[0]
     y2, y3, y1 = one.y2, one.y3, one.y1
     b = model.b

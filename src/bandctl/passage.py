@@ -208,7 +208,7 @@ class ExitContext:
     values at the span d - a are computed once, here, from one shared
     evaluation (ScaleSet.kernels), and up, down and the holding cost until
     exit come from one more at x - a (exits); the killed-resolvent transform
-    takes up(x) when the caller has it.  Type-one bands share theirs per y2
+    takes exits' up(x).  Type-one bands share theirs per y2
     (cost_one.PhaseTwoContext).
     """
 
@@ -223,24 +223,19 @@ class ExitContext:
         # _B[k] = int_a^d W(d-z) exp(-mu_k z) dz
         self._B = _against_exp(-self._mus, lambda z: scale.W(d - z), a, d)
 
-    def up(self, x):
-        """E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a)."""
-        return self.scale.W(np.asarray(x, dtype=float) - self.a) / self.W_span
-
-    def exits(self, x, cost: HoldingCost | None = None) -> tuple:
+    def exits(self, x, cost: HoldingCost) -> tuple:
         """(up, down, holding) at x, from one kernel evaluation at x - a.
 
+        up = E_x[e^{-q tau_d^+}; up before down] = W(x-a)/W(d-a);
         down = E_x[e^{-q tau_a^-}; down before up] = Z(x-a) - up(x) Z(d-a);
         holding is the expected discounted holding at rate cost.a + cost.c * X
-        until exit, None without a cost.
+        until exit.
         """
         s = self.scale
         x = np.asarray(x, dtype=float)
         W, Wbar, _, Z, Zbar = s.kernels(x - self.a)
         up = W / self.W_span
         down = Z - up * self.Z_span
-        if cost is None:
-            return up, down, None
         time_part = (1.0 - down - up) / s.q
         level_part = (
             self.d * up
@@ -252,20 +247,13 @@ class ExitContext:
         a, c = cost.a, cost.c
         return up, down, (a + c * s.phi_prime0 / s.q) * time_part + (c / s.q) * (x - level_part)
 
-    def down(self, x):
-        """exits(x)'s down alone."""
-        return self.exits(x)[1]
-
-    def holding(self, x, cost: HoldingCost):
-        """exits(x, cost)'s holding alone."""
-        return self.exits(x, cost)[2]
-
-    def resolvent_transform(self, x, up=None) -> np.ndarray:
+    def resolvent_transform(self, x, up) -> np.ndarray:
         """int_a^d u(x, z) exp(-mu_k z) dz per demand component, shape (k,) + x.shape.
 
         u(x, z) = W(x-a) W(d-z) / W(d-a) - W(x-z) is the killed-resolvent
         density; the integral is _B[k] up(x) minus int_a^x W(x-z)
-        exp(-mu_k z) dz.  x must be an array of at least one dimension.
+        exp(-mu_k z) dz, up(x) as exits gives it.  x must be an array of at
+        least one dimension.
         The below-x integral has one row per x, on (a, max(x, a)): its
         integrand maps nodes of shape x.shape + (m,) (or a row block's) to
         W(x - z), evaluated once per node, times exp(-mu_k z), of shape
@@ -279,7 +267,7 @@ class ExitContext:
         below = integrate_rows(lambda z, rows: self.scale.W(x[rows, ..., None] - z)
                                * np.exp(neg_mus * z),
                                self.a, np.maximum(x, self.a))
-        return self._B.reshape(shape) * (self.up(x) if up is None else up)[None, ...] - below
+        return self._B.reshape(shape) * up[None, ...] - below
 
 
 @lru_cache(maxsize=16)
@@ -329,7 +317,6 @@ class Omega2:
             raise OutOfBand(f"need 0 <= y2 < b, got y2={y2}, b={b}")
         self.s1 = scale1
         self.exit2 = exit2
-        self.dsig = exit2.scale.sigma - scale1.sigma
         self._conv, self._coef_z, self._coef_w, (self._Z1_b, self._Wbb1_b) = (
             _transfer_sources(scale1, exit2.scale, b))
         self._a_lo = self._conv.a_col * y2
@@ -353,21 +340,11 @@ class Omega2:
         ramp = (x[..., None] * em / th2 - s * exp[..., -1, :] / th2 + em / self._th2_sq) @ w2
         return tail_z, ramp + (terms @ w2) @ self._coef_w
 
-    def apply(self, x, up=None) -> tuple:
+    def apply(self, x, up) -> tuple:
         """(Omega(Z1)(x), Omega(Wbarbar1)(x)): each g(x) - up(x) g(b) + up(x)
-        const - tail(x); up may be given."""
-        x = np.asarray(x, dtype=float)
-        up = self.exit2.up(x) if up is None else up
+        const - tail(x), up(x) as exit2.exits gives it."""
         _, _, Wbb1, Z1, _ = self.s1.kernels(x, W=False)
         tail_z, tail_w = self._tails(x)
         om_z = Z1 - up * self._Z1_b + up * self._const_z - tail_z
         om_w = Wbb1 - up * self._Wbb1_b + up * self._const_w - tail_w
-        if x.shape:
-            return om_z, om_w
-        return float(om_z), float(om_w)
-
-    def apply_Z1(self, x, up=None):
-        return self.apply(x, up)[0]
-
-    def apply_Wbarbar1(self, x, up=None):
-        return self.apply(x, up)[1]
+        return om_z, om_w

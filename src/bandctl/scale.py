@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import RootFindingFailed, ThetaInsideSpectrum
-from .model import DemandLaw, ModelConfig, laplace_exponent
+from .model import DemandLaw, ModelConfig
 
 _ROOT_TOL = 1e-12
 _INIT_TOL = 1e-10
@@ -67,6 +67,7 @@ class ScaleSet:
         return float(self.exponents[-1])
 
     def phi(self, theta):
+        """The Laplace exponent sigma theta - lam + lam E[exp(-theta Y)]."""
         theta = np.asarray(theta, dtype=float)
         out = self.sigma * theta - self.lam + self.lam * self.demand.laplace(theta)
         return out if out.shape else float(out)
@@ -178,14 +179,10 @@ class ExpConvolution:
             ratio = np.where(self.small, s, ratio)
         return np.exp(a_lo + self.b_exp * s), ratio
 
-    def terms(self, lo: float, x) -> np.ndarray:
-        """The (i, j) terms at x, of shape x.shape + (len(a_exp), len(b_exp))."""
+    def __call__(self, lo: float, x, a_coef, b_coef):
         s = np.maximum(np.asarray(x, dtype=float) - lo, 0.0)[..., None, None]
         exp, ratio = self.factors(self.a_col * lo, s)
-        return exp * ratio
-
-    def __call__(self, lo: float, x, a_coef, b_coef):
-        out = (self.terms(lo, x) @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
+        out = ((exp * ratio) @ np.asarray(b_coef, dtype=float)) @ np.asarray(a_coef, dtype=float)
         return out if out.shape else float(out)
 
 
@@ -250,15 +247,9 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
     )
     weights = 1.0 / phi_prime
 
-    resid = np.abs(laplace_exponent(model, phase, roots) - model.q)
-    if np.any(resid > 1e-8 * (1 + abs(model.q))):
-        raise RootFindingFailed(f"{near}roots do not satisfy phi(theta) = q: residual {resid}")
-    if abs(float(np.sum(weights)) - 1.0 / sigma) > _INIT_TOL:
-        raise RootFindingFailed(f"{near}weights do not reproduce W(0+) = 1/sigma")
-
     roots.setflags(write=False)
     weights.setflags(write=False)
-    return ScaleSet(
+    scale = ScaleSet(
         phase=phase,
         q=model.q,
         sigma=sigma,
@@ -268,6 +259,12 @@ def build_scale(model: ModelConfig, phase: int) -> ScaleSet:
         weights=weights,
         phi_prime0=float(sigma + model.lam * d.laplace_deriv(0.0)),
     )
+    resid = np.abs(scale.phi(roots) - model.q)
+    if np.any(resid > 1e-8 * (1 + abs(model.q))):
+        raise RootFindingFailed(f"{near}roots do not satisfy phi(theta) = q: residual {resid}")
+    if abs(float(np.sum(weights)) - 1.0 / sigma) > _INIT_TOL:
+        raise RootFindingFailed(f"{near}weights do not reproduce W(0+) = 1/sigma")
+    return scale
 
 
 def check_laplace_identity(scale: ScaleSet, theta: float) -> float:

@@ -134,7 +134,7 @@ def resolvent_transform_rows(ctx, x) -> np.ndarray:
     xx = x.reshape((1,) + x.shape + (1,))
     below = integrate_rows(lambda z, rows: ctx.scale.W(xx - z) * np.exp(-mus[rows] * z), lo, hi)
     shape = (k,) + (1,) * x.ndim
-    return ctx._B.reshape(shape) * ctx.up(x)[None, ...] - below
+    return ctx._B.reshape(shape) * (ctx.scale.W(x - ctx.a) / ctx.W_span)[None, ...] - below
 
 
 def convolution_cells(model: ModelConfig, w, xs: np.ndarray, breakpoints=()) -> np.ndarray:

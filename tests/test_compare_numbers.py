@@ -89,7 +89,7 @@ def test_kernel_arrays_hold_the_kernel_values(config, make):
             assert np.array_equal(arrays[f"kernel/{config}/p{phase}/{fn}"], want)
     if config in compare_numbers.RESOLVENT_CONFIGS:
         ctx = ExitContext(build_scale(model, 2), 0.25 * model.b, model.b)
-        want = np.concatenate([np.ravel(ctx.resolvent_transform(x))
+        want = np.concatenate([np.ravel(ctx.resolvent_transform(x, ctx.exits(x, model.h2)[0]))
                                for x in compare_numbers._resolvent_inputs(model.b)])
         assert want.size == len(model.demand.rates) * (401 + 20 * 48 + 3001 + 40 * 9)
         assert np.array_equal(arrays[f"kernel/{config}/p2/resolvent_transform"], want)

@@ -52,17 +52,17 @@ def exit2(model):
 
 def test_holding_two_sided_edges():
     m = make_ex1()
-    assert exit2(m).holding(m.b, m.h2) == pytest.approx(0.0, abs=1e-12)
+    assert exit2(m).exits(m.b, m.h2)[2] == pytest.approx(0.0, abs=1e-12)
     free = ModelConfig(**{**m.__dict__, "h2": HoldingCost(0.0, 0.0)})
     xs = np.linspace(EX1_BAND.y2, m.b, 9)
-    assert exit2(free).holding(xs, free.h2) == pytest.approx(np.zeros(9), abs=1e-12)
+    assert exit2(free).exits(xs, free.h2)[2] == pytest.approx(np.zeros(9), abs=1e-12)
 
 
 def test_holding_two_sided_against_mc():
     m = make_ex1()
     mc = mc_two_sided(m, 2, EX1_BAND.y2, m.b, 3.0, 100_000, seed=11)
     mean, se = mc["hold"]
-    assert abs(exit2(m).holding(3.0, m.h2) - mean) < 3 * se
+    assert abs(exit2(m).exits(3.0, m.h2)[2] - mean) < 3 * se
 
 
 def test_holding_reflected_edges():
@@ -396,7 +396,7 @@ def test_phase_two_context_arrays_are_read_only():
     nodes = m.b - np.linspace(0.1, 6.0, 16)
     memo = ctx.at_nodes(nodes)
     assert ctx.at_nodes(nodes.copy()) is memo
-    cached = [ctx.mus, ctx.ws, ctx.exit2._B, ctx.om._coef_z, ctx.om._coef_w, *memo]
+    cached = [ctx.parts.mus, ctx.parts.ws, ctx.exit2._B, ctx.om._coef_z, ctx.om._coef_w, *memo]
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -33,17 +33,17 @@ def exit1(model):
 
 def test_holding_exit_phase1_edges():
     m = make_ex3()
-    assert exit1(m).holding(m.b, m.h1) == pytest.approx(0.0, abs=1e-12)
+    assert exit1(m).exits(m.b, m.h1)[2] == pytest.approx(0.0, abs=1e-12)
     free = ModelConfig(**{**m.__dict__, "h1": HoldingCost(0.0, 0.0)})
     xs = np.linspace(EX3_BAND.y4, m.b, 7)
-    assert exit1(free).holding(xs, free.h1) == pytest.approx(np.zeros(7), abs=1e-12)
+    assert exit1(free).exits(xs, free.h1)[2] == pytest.approx(np.zeros(7), abs=1e-12)
 
 
 def test_holding_exit_phase1_against_mc():
     m = make_ex3()
     mc = mc_two_sided(m, 1, EX3_BAND.y4, m.b, 8.5, 100_000, seed=23)
     mean, se = mc["hold"]
-    assert abs(exit1(m).holding(8.5, m.h1) - mean) < 3 * se
+    assert abs(exit1(m).exits(8.5, m.h1)[2] - mean) < 3 * se
 
 
 def test_upper_costs_capacity_limits():

@@ -12,7 +12,6 @@ from bandctl import (
     PenaltyCost,
     SwitchMatrix,
     build_scale,
-    laplace_exponent,
     upper_cost_bound,
     validate,
 )
@@ -106,23 +105,23 @@ def test_demand_law_invariants():
 def test_laplace_exponent_at_zero_vanishes():
     for m in (make_ex1(), make_ex3()):
         for phase in (1, 2):
-            assert laplace_exponent(m, phase, 0.0) == pytest.approx(0.0, abs=1e-14)
+            assert build_scale(m, phase).phi(0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_laplace_exponent_values():
     # direct evaluations of sigma*theta - lam + lam*mu/(mu+theta)
-    assert laplace_exponent(make_ex3(), 2, 1.0) == pytest.approx(2.5 - 2 + 2 * 0.5)
-    assert laplace_exponent(make_ex1(), 1, 3.0) == pytest.approx(9 - 2 + 2 * (1.5 / 4.5))
+    assert build_scale(make_ex3(), 2).phi(1.0) == pytest.approx(2.5 - 2 + 2 * 0.5)
+    assert build_scale(make_ex1(), 1).phi(3.0) == pytest.approx(9 - 2 + 2 * (1.5 / 4.5))
 
 
 @pytest.mark.parametrize("phase", [0, 3, True, 2.0])
 def test_sigma_rejects_a_phase_that_is_not_1_or_2(phase):
-    # 0 and 3 once gave phase 2's rate, so laplace_exponent(m, 0, 1.0) read 0.7 on ex1
+    # 0 and 3 once gave phase 2's rate, so phase 0's Laplace exponent read 0.7 at 1.0 on ex1
     m = make_ex1()
     with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
         m.sigma(phase)
     with pytest.raises(ValidationError, match="phase must be the integer 1 or 2"):
-        laplace_exponent(m, phase, 1.0)
+        build_scale(m, phase).phi(1.0)
 
 
 @pytest.mark.parametrize("phase", [0, 3, True, 2.0])
@@ -144,8 +143,8 @@ def test_drift_matches_numerical_derivative():
     h = 1e-5
     for m in (make_ex1(), make_ex3()):
         for phase in (1, 2):
-            central = (laplace_exponent(m, phase, h)
-                       - laplace_exponent(m, phase, -h)) / (2 * h)
+            central = (build_scale(m, phase).phi(h)
+                       - build_scale(m, phase).phi(-h)) / (2 * h)
             assert abs(build_scale(m, phase).phi_prime0 - central) < 1e-6
 
 
@@ -154,7 +153,7 @@ def test_convexity_beyond_largest_root():
         for phase in (1, 2):
             phi_q = build_scale(m, phase).phi_q
             thetas = np.linspace(phi_q, phi_q + 5, 40)
-            vals = laplace_exponent(m, phase, thetas)
+            vals = build_scale(m, phase).phi(thetas)
             assert np.all(np.diff(vals) > 0)
 
 
@@ -180,7 +179,7 @@ def test_random_models_phi_properties(sigma2, extra, lam, rate, q):
         switching=SwitchMatrix(0.2, 0.1, 0.2, 0.1, 0.1, 0.2),
     ))
     for phase in (1, 2):
-        assert laplace_exponent(m, phase, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert build_scale(m, phase).phi(0.0) == pytest.approx(0.0, abs=1e-12)
         assert build_scale(m, phase).phi_prime0 == pytest.approx(
             m.sigma(phase) - lam / rate, rel=1e-12
         )

@@ -51,17 +51,17 @@ def test_out_of_band_construction(build, message):
 
 def test_up_crossing_endpoints(ex3_ctx):
     m, ctx = ex3_ctx
-    assert ctx.up(ctx.d) == pytest.approx(1.0)
+    assert ctx.exits(ctx.d, m.h2)[0] == pytest.approx(1.0)
     s = ctx.scale
-    assert ctx.up(ctx.a) == pytest.approx(s.W(0.0) / s.W(ctx.d - ctx.a))
+    assert ctx.exits(ctx.a, m.h2)[0] == pytest.approx(s.W(0.0) / s.W(ctx.d - ctx.a))
 
 
 def test_exit_down_endpoints(ex3_ctx):
     m, ctx = ex3_ctx
-    assert ctx.down(ctx.d) == pytest.approx(0.0, abs=1e-12)
+    assert ctx.exits(ctx.d, m.h2)[1] == pytest.approx(0.0, abs=1e-12)
     s = ctx.scale
     span = ctx.d - ctx.a
-    assert ctx.down(ctx.a) == pytest.approx(
+    assert ctx.exits(ctx.a, m.h2)[1] == pytest.approx(
         1.0 - s.W(0.0) * s.Z(span) / s.W(span)
     )
 
@@ -71,8 +71,9 @@ def test_two_sided_factors_against_mc(ex3_ctx):
     mc = mc_two_sided(m, 2, ctx.a, ctx.d, 5.0, 100_000, seed=101)
     up_mean, up_se = mc["up"]
     dn_mean, dn_se = mc["down"]
-    assert abs(ctx.up(5.0) - up_mean) < 3 * up_se
-    assert abs(ctx.down(5.0) - dn_mean) < 3 * dn_se
+    up, down, _ = ctx.exits(5.0, m.h2)
+    assert abs(up - up_mean) < 3 * up_se
+    assert abs(down - dn_mean) < 3 * dn_se
 
 
 def test_potential_density_endpoints(ex3_ctx):
@@ -97,14 +98,16 @@ def test_potential_density_nonnegative_and_occupation_identity(ex3_ctx):
     dens = potential_density(ctx, x, ys)
     assert np.all(dens >= -1e-12)
     mass = _quad(lambda y: potential_density(ctx, x, y), ctx.a + 1e-12, ctx.d - 1e-12, x)
-    expected = (1.0 - ctx.up(x) - ctx.down(x)) / m.q
+    up, down, _ = ctx.exits(x, m.h2)
+    expected = (1.0 - up - down) / m.q
     assert mass == pytest.approx(expected, abs=1e-8)
 
 
 def test_up_plus_down_below_one(ex3_ctx):
     m, ctx = ex3_ctx
     xs = np.linspace(ctx.a, ctx.d, 50)
-    tot = ctx.up(xs) + ctx.down(xs)
+    up, down, _ = ctx.exits(xs, m.h2)
+    tot = up + down
     assert np.all(tot <= 1.0 + 1e-12)
 
 
@@ -118,7 +121,8 @@ def test_occupation_histogram_matches_density(ex3_ctx):
         assert abs(exact - occ.mean[i]) < 3 * occ.std_error[i] + 1e-4, \
             f"bin {i} [{lo:.2f},{hi:.2f})"
     # total mass identity within Monte Carlo error
-    expected = (1.0 - ctx.up(5.0) - ctx.down(5.0)) / m.q
+    up, down, _ = ctx.exits(5.0, m.h2)
+    expected = (1.0 - up - down) / m.q
     assert abs(occ.total - expected) < 3 * occ.total_std_error
 
 
@@ -131,7 +135,7 @@ def test_resolvent_transform_against_simpson(make, a):
     m = make()
     ctx = ExitContext(build_scale(m, 2), a=a, d=m.b)
     xs = np.array([a, 0.5 * (a + m.b), m.b - 0.5])
-    got = ctx.resolvent_transform(xs)
+    got = ctx.resolvent_transform(xs, ctx.exits(xs, m.h2)[0])
     assert got.shape == (len(m.demand.rates), len(xs))
     eps = 1e-12
     for k, mu in enumerate(m.demand.rates):
@@ -152,8 +156,7 @@ def test_resolvent_transform_equals_the_per_component_rows_bitwise(make, a):
     for xs in (np.linspace(0.0, m.b, 41), rng.uniform(0.0, m.b, (6, 9))):
         ref = resolvent_transform_rows(ctx, xs)
         assert ref.shape == (len(m.demand.rates),) + xs.shape
-        for got in (ctx.resolvent_transform(xs), ctx.resolvent_transform(xs, ctx.up(xs))):
-            assert np.array_equal(got, ref)
+        assert np.array_equal(ctx.resolvent_transform(xs, ctx.exits(xs, m.h2)[0]), ref)
 
 
 @pytest.mark.parametrize("make, a", [(make_ex3, 2.468), (make_ex1_hyper, 1.0)],
@@ -170,14 +173,13 @@ def test_resolvent_transform_in_row_blocks_equals_one_call_bitwise(make, a, monk
     blocked = []
     for xs in inputs:
         assert passage._block_rows(xs.shape, passage.GL_START) < len(xs)
-        blocked.append((ctx.resolvent_transform(xs), ctx.resolvent_transform(xs, ctx.up(xs))))
+        blocked.append(ctx.resolvent_transform(xs, ctx.exits(xs, m.h2)[0]))
     monkeypatch.setattr(passage, "_BLOCK_VALUES", 1 << 62)
     for xs, got in zip(inputs, blocked):
         assert passage._block_rows(xs.shape, passage.GL_START) >= len(xs)
-        ref = ctx.resolvent_transform(xs)
+        ref = ctx.resolvent_transform(xs, ctx.exits(xs, m.h2)[0])
         assert ref.shape == (len(m.demand.rates),) + xs.shape
-        for g in got:
-            assert np.array_equal(g, ref)
+        assert np.array_equal(got, ref)
 
 
 def test_resolvent_transform_below_the_band_is_the_exit_term():
@@ -186,9 +188,10 @@ def test_resolvent_transform_below_the_band_is_the_exit_term():
     m = make_ex1_hyper()
     ctx = ExitContext(build_scale(m, 2), a=1.0, d=m.b)
     xs = np.array([0.0, 0.4, 1.0])
-    got = ctx.resolvent_transform(xs)
+    up = ctx.exits(xs, m.h2)[0]
+    got = ctx.resolvent_transform(xs, up)
     assert got.shape == (3, 3)
-    assert np.array_equal(got, ctx._B[:, None] * ctx.up(xs))
+    assert np.array_equal(got, ctx._B[:, None] * up)
     assert np.array_equal(got, resolvent_transform_rows(ctx, xs))
 
 
@@ -220,7 +223,7 @@ def test_phase_two_slope_is_the_shortage_renewal_route(make, band):
     xs = np.linspace(y2, m.b, 41)[1:-1]
     G = resolvent_transform_rows(ctx, np.append(xs, y1))
     g, g_y1 = np.split(m.lam / s1.Z(y1) * (np.array(coef) @ G), [-1])
-    up, up_y1 = ctx.up(xs), ctx.up(y1)
+    up, up_y1 = ctx.exits(xs, m.h2)[0], ctx.exits(y1, m.h2)[0]
     assert asm.phase2(xs)[0] == pytest.approx(up + up_y1 * g / (1.0 - g_y1), rel=1e-12)
 
 
@@ -242,11 +245,12 @@ def test_omega2_equal_rates_drops_correction():
     ctx = ExitContext(s2, a=1.0, d=hypo.b)
     op = Omega2(s1, ctx)
     xs = np.linspace(1.0, hypo.b, 9)
-    reduced = s1.Z(xs) - ctx.up(xs) * s1.Z(hypo.b)
-    assert op.apply_Z1(xs) == pytest.approx(reduced, abs=1e-12)
+    up = ctx.exits(xs, hypo.h2)[0]
+    reduced = s1.Z(xs) - up * s1.Z(hypo.b)
+    assert op.apply(xs, up)[0] == pytest.approx(reduced, abs=1e-12)
     # the Z1 source vanishes, so its tail and constant are exact zeros, and
     # the Wbarbar1 tail is int_{y2}^x z W2(x - z) dz alone
-    assert op.dsig == 0.0
+    assert s2.sigma - s1.sigma == 0.0
     tail_z, tail_w = op._tails(xs)
     assert np.all(tail_z == 0.0) and op._const_z == 0.0
     for x, val in zip(xs[1:], tail_w[1:]):
@@ -259,8 +263,9 @@ def test_omega2_vanishes_at_capacity():
     ctx = ExitContext(build_scale(m, 2), a=2.468, d=m.b)
     s1 = build_scale(m, 1)
     op = Omega2(s1, ctx)
-    assert op.apply_Z1(m.b) == pytest.approx(0.0, abs=1e-9)
-    assert op.apply_Wbarbar1(m.b) == pytest.approx(0.0, abs=1e-9)
+    om_z, om_w = op.apply(m.b, ctx.exits(m.b, m.h2)[0])
+    assert om_z == pytest.approx(0.0, abs=1e-9)
+    assert om_w == pytest.approx(0.0, abs=1e-9)
 
 
 def test_omega2_range_invariant():
@@ -268,7 +273,7 @@ def test_omega2_range_invariant():
     ctx = ExitContext(build_scale(m, 2), a=2.468, d=m.b)
     s1 = build_scale(m, 1)
     xs = np.linspace(ctx.a, ctx.d, 40)
-    vals = Omega2(s1, ctx).apply_Z1(xs)
+    vals = Omega2(s1, ctx).apply(xs, ctx.exits(xs, m.h2)[0])[0]
     assert np.all(vals >= -1e-10)
     assert np.all(vals <= s1.Z(m.b) + 1e-10)
 
@@ -279,7 +284,7 @@ def test_omega2_against_mc(ex3_ctx):
     mc = mc_two_sided(m, 2, ctx.a, ctx.d, 5.0, 100_000, seed=77,
                       payoff=lambda v: s1.Z(v))
     mean, se = mc["payoff"]
-    assert abs(Omega2(s1, ctx).apply_Z1(5.0) - mean) < 3 * se
+    assert abs(Omega2(s1, ctx).apply(5.0, ctx.exits(5.0, m.h2)[0])[0] - mean) < 3 * se
 
 
 def test_omega2_matches_jump_decomposition(ex3_ctx):
@@ -298,9 +303,9 @@ def test_omega2_matches_jump_decomposition(ex3_ctx):
         return _quad(outer, y2 + 1e-12, b - 1e-12, x)
 
     x = 5.0
-    op = Omega2(s1, ctx)
-    assert op.apply_Z1(x) == pytest.approx(rhs(x, s1.Z), abs=1e-7)
-    assert op.apply_Wbarbar1(x) == pytest.approx(rhs(x, s1.Wbarbar), abs=1e-7)
+    om_z, om_w = Omega2(s1, ctx).apply(x, ctx.exits(x, m.h2)[0])
+    assert om_z == pytest.approx(rhs(x, s1.Z), abs=1e-7)
+    assert om_w == pytest.approx(rhs(x, s1.Wbarbar), abs=1e-7)
 
 
 @pytest.mark.parametrize("make, y2", [(make_ex1, 1.526), (make_ex3, 2.468),
@@ -475,7 +480,6 @@ def test_exits_equal_separate_kernel_calls_bitwise(make, y2):
                 + (c.c / s.q) * (x - level))
         got = ctx.exits(x, m.h2)
         assert [_bits(v) for v in got] == [_bits(up), _bits(down), _bits(hold)]
-        assert ctx.exits(x)[2] is None and _bits(ctx.up(x)) == _bits(up)
 
 
 @pytest.mark.parametrize("make, y2", _SHARED_CASES, ids=_SHARED_IDS)
@@ -513,8 +517,8 @@ def test_omega2_shared_parts_equal_fresh_ones_bitwise(make, y2):
               np.linspace(y2, m.b, 400).reshape(20, 20)):
         tail_z, tail_w = tails(x)
         assert [_bits(v) for v in op._tails(x)] == [_bits(tail_z), _bits(tail_w)]
-        up = ctx.up(x)
+        up = ctx.exits(x, m.h2)[0]
         om_z = s1.Z(x) - up * s1.Z(m.b) + up * const_z - tail_z
         om_w = s1.Wbarbar(x) - up * s1.Wbarbar(m.b) + up * const_w - tail_w
         assert [_bits(v) for v in op.apply(x, up)] == [_bits(om_z), _bits(om_w)]
-        assert _bits(op.apply_Z1(x)) == _bits(om_z)
+        assert _bits(op.apply(x, ctx.exits(x, m.h2)[0])[0]) == _bits(om_z)

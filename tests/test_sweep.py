@@ -1,6 +1,7 @@
-"""scripts/sweep.py's jitter recipe, and the solver on its config ex2-7-6.
+"""scripts/sweep.py's jitter recipe, and the solver on its configs ex1-7-1 and ex2-7-6.
 
-On ex2-7-6 type one's optimum puts y1 at b - 1e-6, so the type-two stage
+ex1-7-1 breaks the restart inequality K0i <= K0j + Kji, so every optimizer
+entry point rejects it before any search.  On ex2-7-6 type one's optimum puts y1 at b - 1e-6, so the type-two stage
 searches y4 in a (y1, b) 1.0e-6 wide.  Its golden-section band fails, and
 the verifier raises on some y4 in that gap (the expected failure below).
 """
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from bandctl import BandTwo, escalate, total_cost_two, verify_strategy
+from bandctl import (BandTwo, escalate, optimize, optimize_doshi, optimize_type_one,
+                     optimize_type_two, total_cost_two, verify_strategy)
 from bandctl.cli import EXIT_OK, EXIT_UNVERIFIED, main
-from bandctl.errors import QuadratureNotConverged
+from bandctl.errors import QuadratureNotConverged, SwitchInequalityViolated
 from bandctl.verify import VerificationReport
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "sweep.py"
@@ -31,9 +33,7 @@ def _ex2_7_6_doc() -> dict:
 
 @pytest.fixture(scope="module")
 def ex2_7_6(tmp_path_factory):
-    model, invalid = sweep.load_model(_ex2_7_6_doc(), tmp_path_factory.mktemp("ex2-7-6"))
-    assert invalid == ""
-    return model
+    return sweep.load_model(_ex2_7_6_doc(), tmp_path_factory.mktemp("ex2-7-6"))
 
 
 def test_recipe_draw_counts_and_first_ex2_draw():
@@ -53,6 +53,18 @@ def test_recipe_draw_counts_and_first_ex2_draw():
         "switching": [[None, 0.0, 0.0], [0.00425854647179383, None, 0.04169716893821044],
                       [0.005382299667216768, 0.06343126827371018, None]],
     }
+
+
+@pytest.mark.parametrize("solve", [escalate, optimize_doshi, optimize_type_one,
+                                   optimize_type_two])
+def test_optimizers_reject_ex1_7_1_before_any_lattice(solve, tmp_path, monkeypatch):
+    def lattice_V0(*args):
+        raise AssertionError("lattice_V0 called on a model that validate rejects")
+
+    monkeypatch.setattr(optimize, "lattice_V0", lattice_V0)
+    model = sweep.load_model(dict(sweep.sweep_configs())["ex1-7-1"], tmp_path)
+    with pytest.raises(SwitchInequalityViolated, match="K0i <= K0j \\+ Kji"):
+        solve(model)
 
 
 def test_escalate_on_ex2_7_6_returns_a_flagged_type_two_band(ex2_7_6):
