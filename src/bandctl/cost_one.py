@@ -112,7 +112,7 @@ class ModelParts:
     def __init__(self, model: ModelConfig):
         d, (p0, p1) = model.demand, (model.penalty.p0, model.penalty.p1)
         self.s1, self.s2 = build_scale(model, 1), build_scale(model, 2)
-        self.mus = np.array(d.rates, dtype=float)
+        self.mus = d.rate_array
         self.ws = np.array(d.weights, dtype=float)
         self.lam_ptail = model.lam * self.ws * (p0 + p1 / self.mus)
         self.demand_conv = ExpConvolution(-self.mus, self.s1.exponents)
@@ -121,7 +121,7 @@ class ModelParts:
         x0 = np.asarray([0.0])
         W0, _, Wbb0, Z0, _ = self.s1.kernels(x0)
         self.floor = (W0, Wbb0, Z0, self.demand_conv(0.0, x0, self.lam_ptail, self.s1.weights))
-        for arr in (self.mus, self.ws, self.lam_ptail, *self.floor):
+        for arr in (self.ws, self.lam_ptail, *self.floor):
             arr.setflags(write=False)
 
 

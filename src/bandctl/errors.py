@@ -51,3 +51,7 @@ class NoFeasiblePoint(BandctlError):
 
 class InvalidStart(ValidationError):
     """Simulation start state is inconsistent (phase 0 only at capacity)."""
+
+
+class WorkerDied(RuntimeError):
+    """A forked worker process ended before returning its results."""

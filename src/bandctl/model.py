@@ -9,6 +9,7 @@ reals; units are documented, not enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +43,14 @@ class DemandLaw:
     @classmethod
     def hyperexponential(cls, weights: Iterable[float], rates: Iterable[float]) -> "DemandLaw":
         return cls(tuple(float(w) for w in weights), tuple(float(r) for r in rates))
+
+    @cached_property
+    def rate_array(self) -> np.ndarray:
+        """The rates as a read-only float array, built once per law: the
+        cost modules and the exit contexts share it."""
+        mus = np.array(self.rates, dtype=float)
+        mus.setflags(write=False)
+        return mus
 
     @property
     def kind(self) -> str:

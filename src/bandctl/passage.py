@@ -219,9 +219,8 @@ class ExitContext:
         self.a = a
         self.d = d
         self.W_span, self.Wbar_span, _, self.Z_span, self.Zbar_span = scale.kernels(d - a)
-        self._mus = np.asarray(scale.demand.rates, dtype=float)
         # _B[k] = int_a^d W(d-z) exp(-mu_k z) dz
-        self._B = _against_exp(-self._mus, lambda z: scale.W(d - z), a, d)
+        self._B = _against_exp(-scale.demand.rate_array, lambda z: scale.W(d - z), a, d)
 
     def exits(self, x, cost: HoldingCost) -> tuple:
         """(up, down, holding) at x, from one kernel evaluation at x - a.
@@ -263,7 +262,7 @@ class ExitContext:
         """
         x = np.asarray(x, dtype=float)
         shape = (-1,) + (1,) * x.ndim
-        neg_mus = -self._mus.reshape(shape + (1,))
+        neg_mus = -self.scale.demand.rate_array.reshape(shape + (1,))
         below = integrate_rows(lambda z, rows: self.scale.W(x[rows, ..., None] - z)
                                * np.exp(neg_mus * z),
                                self.a, np.maximum(x, self.a))

@@ -127,10 +127,11 @@ def resolvent_transform_rows(ctx, x) -> np.ndarray:
     """ExitContext.resolvent_transform with lo and hi broadcast to (k,) + x.shape,
     so that W(x - z) is evaluated once per demand component on the same nodes."""
     x = np.asarray(x, dtype=float)
-    k = len(ctx._mus)
+    mus = ctx.scale.demand.rate_array
+    k = len(mus)
     lo = np.broadcast_to(ctx.a, (k,) + x.shape)
     hi = np.broadcast_to(np.maximum(x, ctx.a), (k,) + x.shape)
-    mus = ctx._mus.reshape((k,) + (1,) * (x.ndim + 1))
+    mus = mus.reshape((k,) + (1,) * (x.ndim + 1))
     xx = x.reshape((1,) + x.shape + (1,))
     below = integrate_rows(lambda z, rows: ctx.scale.W(xx - z) * np.exp(-mus[rows] * z), lo, hi)
     shape = (k,) + (1,) * x.ndim

@@ -1,5 +1,5 @@
+import os
 import re
-from concurrent import futures
 
 import pytest
 
@@ -113,14 +113,16 @@ def strip_timing(text: str) -> str:
     return re.sub(r'"timing_seconds": [0-9eE\.\+\-]+', '"timing_seconds": 0', text)
 
 
-def record_pools(monkeypatch) -> list:
-    """Record (max_workers, start method) of each process pool made from now on."""
-    pools = []
-    real_pool = futures.ProcessPoolExecutor
+def record_forks(monkeypatch) -> list:
+    """Record the pid of each worker process forked from now on."""
+    pids = []
+    real_fork = os.fork
 
-    def pool(max_workers, mp_context):
-        pools.append((max_workers, mp_context.get_start_method()))
-        return real_pool(max_workers, mp_context=mp_context)
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
-    return pools
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

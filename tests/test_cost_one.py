@@ -397,6 +397,8 @@ def test_phase_two_context_arrays_are_read_only():
     memo = ctx.at_nodes(nodes)
     assert ctx.at_nodes(nodes.copy()) is memo
     cached = [ctx.parts.mus, ctx.parts.ws, ctx.exit2._B, ctx.om._coef_z, ctx.om._coef_w, *memo]
+    # one rates array per model, shared by the cost modules and the exit contexts
+    assert ctx.parts.mus is m.demand.rate_array is ctx.exit2.scale.demand.rate_array
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from bandctl.optimize import (
     _project_one,
 )
 from bandctl.verify import VerificationReport
-from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3, record_pools
+from .conftest import make_ex1, make_ex1_hyper, make_ex2, make_ex3, record_forks
 
 MODELS = {"ex1": make_ex1, "ex2": make_ex2, "ex3": make_ex3, "ex1-hyper": make_ex1_hyper}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -206,14 +206,14 @@ def test_polish_in_workers_equals_serial_bitwise(name, stage, doshi, monkeypatch
     if doshi:
         # ex1's lattice winner has y2 = 0: the zero-coordinate initial simplex
         assert starts[0][0] == 0.0
-    pools = record_pools(monkeypatch)
+    forks = record_forks(monkeypatch)
     parallel = _polish(model, starts, doshi)
     workers = usable_workers(len(starts))
-    made = [(workers, "fork")] if workers > 1 else []
-    assert pools == made
+    made = workers if workers > 1 else 0
+    assert len(forks) == made
     _one_cpu(monkeypatch)
     serial = _polish(model, starts, doshi)
-    assert pools == made
+    assert len(forks) == made
     assert repr(parallel) == repr(serial)
 
 
@@ -222,11 +222,11 @@ def test_polish_without_sched_getaffinity_runs_serially(monkeypatch):
     model = make_ex1()
     starts = _polish_starts(optimize_doshi, model)
     default = _polish(model, starts, True)
-    pools = record_pools(monkeypatch)
+    forks = record_forks(monkeypatch)
     monkeypatch.delattr(os, "sched_getaffinity")
     assert usable_workers(len(starts)) == 1
     assert repr(_polish(model, starts, True)) == repr(default)
-    assert pools == []
+    assert forks == []
 
 
 def test_polish_forks_no_workers_from_python_3_12(monkeypatch):
